@@ -14,17 +14,11 @@ from math import inf as INF
 from .errors import (CompatPreconditionFailed, InvalidInput,
                      PrecisionExhausted, RamificationError)
 from .laurent import LaurentElem
-from .modules import BracketFrac, DrinfeldModule, bracket, carlitz
-from .partitions import enumerate_partitions
+from .modules import (BracketFrac, DrinfeldModule, bracket, carlitz,
+                      check_index)
+from .partitions import enumerate_partitions, iter_bits
 from .tate import (TateRational, TateSeries, ThetaPoleForm, apply_delta,
                    geometric_pole_series)
-
-
-def _iter_bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def x_phi(phi: DrinfeldModule, sp):
@@ -38,7 +32,7 @@ def x_phi(phi: DrinfeldModule, sp):
     num = ctx.one()
     poles = {}
     for i, mask in enumerate(sp.masks, start=1):
-        for j in _iter_bits(mask):
+        for j in iter_bits(mask):
             num = num * phi.A[i - 1].pow_q(j)
             e = i + j
             poles[e] = poles.get(e, 0) + 1
@@ -70,6 +64,7 @@ def b_seq(phi: DrinfeldModule, n, route="definition"):
     one = TateRational(ctx, TateSeries.from_scalar(ctx, ctx.one()))
     if route not in B_ROUTES:
         raise InvalidInput("unknown route %r" % route)
+    check_index(n)
     out = [one]
     for m in range(1, n + 1):
         if route == "definition":

@@ -116,12 +116,21 @@ def read_config_file(path):
     return out
 
 
+def _check_ucap(ucap):
+    # ucap is also the session's inversion budget; name the flag the
+    # caller set rather than the budget it feeds
+    if ucap < 1:
+        raise InvalidInput("ucap must be a positive integer, got %d" % ucap)
+
+
 class SessionConfig:
     """Validated session parameters plus the context and module built
     from them."""
 
     def __init__(self, q=2, s=1, m=1, ucap=None, tprec=16, A=((1,),),
                  seed=0, xi=None):
+        if ucap is not None:
+            _check_ucap(ucap)
         self.q, self.s, self.m = q, s, m
         self.ucap = ucap if ucap is not None else 64 * m
         self.tprec = tprec
@@ -388,11 +397,11 @@ def cmd_verify(args):
         if args.preset not in verify_mod.PRESETS:
             raise ConfigError("unknown preset %r (have: %s)" % (
                 args.preset, ", ".join(verify_mod.PRESET_ORDER)))
-        default_ucap = 64 * verify_mod.PRESETS[args.preset]["m"]
+        ucap = args.ucap if args.ucap is not None else \
+            64 * verify_mod.PRESETS[args.preset]["m"]
+        _check_ucap(ucap)
         rows, ok = _preset_scorecard(
-            args.preset,
-            args.ucap if args.ucap is not None else default_ucap,
-            args.tprec if args.tprec is not None else 16)
+            args.preset, ucap, args.tprec if args.tprec is not None else 16)
         for row in rows:
             _emit(row)
         _emit({"preset": args.preset, "pass": bool(ok)})

@@ -12,10 +12,12 @@ generator and Frobenius permutation tables; larger fields (capped at
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as _iproduct
+from functools import lru_cache, partial
+from itertools import product as _iproduct, repeat
+from math import gcd
+from operator import add, mod, mul
 
-from .errors import ConfigError, InvalidElement, NoRootInField
+from .errors import ConfigError, InvalidElement, InvalidInput, NoRootInField
 
 TABLE_MAX = 1 << 12
 ORDER_CAP = 1 << 20
@@ -34,10 +36,6 @@ def _factor(n):
     if n > 1:
         out.append(n)
     return out
-
-
-def _is_prime(n):
-    return n >= 2 and _factor(n) == [n]
 
 
 class _PrimeLevel:
@@ -185,18 +183,32 @@ def _pol_mul(L, f, g):
     return _pol_trim(out)
 
 
-def _pol_mod(L, f, g):
+def _pol_divmod(L, f, g):
+    """Quotient and remainder of f by a nonzero trimmed g, both trimmed."""
     f = list(f)
     dg = len(g) - 1
     ginv = L.inv(g[-1])
-    while len(f) - 1 >= dg and f:
-        c = L.mul(f[-1], ginv)
-        sh = len(f) - 1 - dg
-        for j, y in enumerate(g):
-            if y:
-                f[sh + j] = L.sub(f[sh + j], L.mul(c, y))
-        _pol_trim(f)
-    return f
+    quot = [0] * max(len(f) - dg, 0)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = f[k + dg]
+        if c:
+            c = quot[k] = L.mul(c, ginv)
+            for j, y in enumerate(g):
+                if y:
+                    f[k + j] = L.sub(f[k + j], L.mul(c, y))
+    return _pol_trim(quot), _pol_trim(f)
+
+
+def _pol_mod(L, f, g):
+    return _pol_divmod(L, f, g)[1]
+
+
+def _pol_divide(L, f, g):
+    """Exact quotient f / g; the remainder must vanish."""
+    quot, rem = _pol_divmod(L, f, g)
+    if rem:
+        raise InvalidInput("non-exact polynomial division")
+    return quot
 
 
 def _pol_gcd(L, f, g):
@@ -340,7 +352,7 @@ class Field:
         self._exp = self._log = None
         self._frob_tabs = None
         self._addtab = None
-        self._basis_mul = None
+        self._lanes = None
         if self.order <= TABLE_MAX:
             self._build_tables()
 
@@ -378,12 +390,11 @@ class Field:
                             for a in range(self.order)]
 
     @property
-    def basis_mul(self):
-        """Packed products of the flat F_p basis monomials (dim x dim)."""
-        if self._basis_mul is None:
-            self._basis_mul = [[self.mul(self.p ** i, self.p ** j)
-                                for j in range(self.dim)] for i in range(self.dim)]
-        return self._basis_mul
+    def lanes(self):
+        """The Kronecker lane layout of this field (built on first use)."""
+        if self._lanes is None:
+            self._lanes = Lanes(self)
+        return self._lanes
 
     # -- scalar operations --
 
@@ -487,7 +498,7 @@ class Field:
         if self._log is not None:
             a = self._log[c]
             if a % d:
-                k = d // _gcd(a, d)
+                k = d // gcd(a, d)
                 raise NoRootInField(
                     "no (q-1)-st root in F_{q^s}; residue degree s=%d would "
                     "contain one" % (self.s * k), required_s=self.s * k)
@@ -506,10 +517,135 @@ class Field:
         raise NoRootInField("unreachable", required_s=self.s * d)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+# memoryview format of a lane, by its width in bytes
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+class Lanes:
+    """Kronecker layout of F_{q^s}: how elements ride in one big integer.
+
+    A slot holds one element spread over (2e-1)(2s-1) lanes: its F_p
+    coordinate at x^i y^j sits in lane i + (2e-1) j.  The integer product
+    of two such slots is then the product of the two elements in
+    Z[x, y], unreduced, one coefficient per lane, so a single bigint
+    multiply of two rows of slots computes every coordinate product of a
+    polynomial product at once.  Lanes are 1, 2, 4 or 8 bytes wide (the
+    widths memoryview.cast reads), wide enough that no sum spills into
+    the next lane; unpacking reduces each lane mod p and maps the lane
+    vector back to a packed element through lookup tables.
+    """
+
+    def __init__(self, field):
+        e, s = field.e, field.s
+        self.field = field
+        self.count = (2 * e - 1) * (2 * s - 1)
+        # lane of the flat coordinate k = i + e j
+        self._lane = [k % e + (2 * e - 1) * (k // e) for k in range(field.dim)]
+        # in characteristic 2 with one lookup table, unpacking gathers
+        # each slot's bits into one lane (see unpack)
+        self._gather = field.p == 2 and 1 < self.count and \
+            2 ** self.count <= TABLE_MAX
+        self._spread_tabs = {}
+        self._tables = None
+
+    def width(self, terms):
+        """Lane width in bytes for a product in which no slot sums more
+        than `terms` products of elements.  A lane of such a sum is at
+        most terms * dim * (p-1)^2, which stays below 2^64 while
+        terms < 2^24 (p <= 2^20 in a field of order <= 2^20).  When
+        unpacking gathers, a lane must also hold a slot's count bits."""
+        f = self.field
+        bits = ((f.p - 1) ** 2 * f.dim * terms).bit_length()
+        if self._gather:
+            bits = max(bits, self.count)
+        return next((w for w in (1, 2, 4) if bits <= 8 * w), 8)
+
+    def _spread(self, c, width):
+        """Slot bytes of the packed element c."""
+        p = self.field.p
+        v = 0
+        for lane in self._lane:
+            c, d = divmod(c, p)
+            v |= d << (8 * width * lane)
+        return v.to_bytes(self.count * width, "little")
+
+    def pack(self, terms, offset, n, width):
+        """The integer whose slot k holds terms[offset + k], for k < n;
+        terms at or beyond slot n are left out.  Slot bytes come from a
+        table per width on fields of order <= TABLE_MAX."""
+        order = self.field.order
+        tab = self._spread_tabs.get(width)
+        if tab is None and order <= TABLE_MAX:
+            tab = self._spread_tabs[width] = [self._spread(c, width)
+                                              for c in range(order)]
+        spread = tab.__getitem__ if tab else partial(self._spread, width=width)
+        top = min(n, max(terms) - offset + 1)
+        slots = [bytes(self.count * width)] * top
+        for e, c in terms.items():
+            k = e - offset
+            if k < top:
+                slots[k] = spread(c)
+        return int.from_bytes(b"".join(slots), "little")
+
+    def _lane_tables(self):
+        """[(lanes, table)]: the lanes split into runs of at most
+        log_p(TABLE_MAX) lanes; a run's lane values mod p, read as base-p
+        digits (lowest lane first), index its table of packed elements.
+        The element in a slot is the sum of its runs' table entries."""
+        if self._tables is None:
+            f = self.field
+            p, e = f.p, f.e
+            x, y = p, p ** e  # the packed elements x and y
+
+            def monomial(lane):
+                i, j = lane % (2 * e - 1), lane // (2 * e - 1)
+                return f.mul(f.pow_int(x, i) if i else 1,
+                             f.pow_int(y, j) if j else 1)
+
+            run = 1
+            while p ** (run + 1) <= TABLE_MAX:
+                run += 1
+            self._tables = []
+            for start in range(0, self.count, run):
+                lanes = range(start, min(start + run, self.count))
+                tab = [0]
+                for lane in reversed(lanes):
+                    img = monomial(lane)
+                    mults = [f.mul(d, img) for d in range(p)]
+                    tab = [f.add(t, v) for t in tab for v in mults]
+                self._tables.append((lanes, tab))
+        return self._tables
+
+    def unpack(self, prod, n, width):
+        """The packed elements in slots 0..n-1 of a product of two packed
+        integers (zeros included)."""
+        f = self.field
+        p, count = f.p, self.count
+        size = n * count * width
+        if self._gather:
+            # Keep the low bit of every lane (the lane mod 2); then one
+            # multiply moves bit k of each slot to bit k of the slot's top
+            # lane, without carries and without touching other top lanes.
+            prod &= int.from_bytes((b"\1" + bytes(width - 1)) * (n * count),
+                                   "little")
+            prod *= sum(1 << ((count - 1 - k) * 8 * width + k)
+                        for k in range(count))
+        buf = prod.to_bytes(max(size, (prod.bit_length() + 7) // 8), "little")
+        lanes = memoryview(buf)[:size].cast(_LANE_FORMAT[width])
+        if self._gather:
+            (_, tab), = self._lane_tables()
+            return list(map(tab.__getitem__, lanes[count - 1::count].tolist()))
+        digits = list(map(mod, lanes.tolist(), repeat(p)))
+        if count == 1:
+            return digits
+        out = None
+        for run, tab in self._lane_tables():
+            idx = digits[run[-1]::count]
+            for lane in reversed(run[:-1]):
+                idx = map(add, map(mul, idx, repeat(p)), digits[lane::count])
+            vals = list(map(tab.__getitem__, idx))
+            out = vals if out is None else list(map(f.add, out, vals))
+        return out
 
 
 @lru_cache(maxsize=None)

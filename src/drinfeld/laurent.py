@@ -11,14 +11,22 @@ Cap discipline: add takes the min of caps, mul takes
 min(val(x) + cap(y), val(y) + cap(x)); inversion and (q-1)-st roots of
 exact non-monomials get the session's relative precision budget.  All
 caps are conservative, so any coefficient below a cap is certified.
+
+Products take one of two routes, on every field.  Schoolbook sums the
+term pairs directly; it serves single terms, products of at most 512
+term pairs, and sparse products whose exponent window is at least their
+number of term pairs.  Every other product is one Kronecker
+substitution: both operands are packed into integers by the field's
+lane layout (ff.Lanes), multiplied once, and unpacked.
 """
 
 from fractions import Fraction
+from itertools import compress
 from math import ceil, gcd, inf as INF
 
-from .errors import (DivideByZero, InvalidInput, NoRootInField,
-                     PrecisionExhausted, RamificationError)
-from .ff import Field, FieldParams, field_for
+from .errors import (DivideByZero, InvalidInput, PrecisionExhausted,
+                     RamificationError)
+from .ff import Field, field_for
 
 
 class SeriesParams:
@@ -82,104 +90,31 @@ class SeriesParams:
         return (self.field is other.field and self.m == other.m)
 
 
-def _iter_bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
-def _carryless(a, b):
-    """Product of two GF(2)[u] polynomials stored as bitmasks."""
-    if a.bit_count() > b.bit_count():
-        a, b = b, a
-    out = 0
-    for t in _iter_bits(a):
-        out ^= b << t
-    return out
-
-
-def _dict_mul_gf2(field, A, B, lim):
-    """Sparse-window product via coordinate bit planes (p = 2 only)."""
-    dim = field.dim
-    bm = field.basis_mul
+def _dict_mul_kron(field, A, B, lim):
+    """Product window by Kronecker substitution: both operands are
+    packed into integers by the field's lane layout, multiplied once,
+    and unpacked; exponents at or beyond lim are never unpacked."""
     amin, bmin = min(A), min(B)
     base = amin + bmin
-    pa = [0] * dim
-    for e, c in A.items():
-        sh = e - amin
-        for k in _iter_bits(c):
-            pa[k] |= 1 << sh
-    pb = [0] * dim
-    for e, c in B.items():
-        sh = e - bmin
-        for k in _iter_bits(c):
-            pb[k] |= 1 << sh
-    planes = [0] * dim
-    for i in range(dim):
-        ai = pa[i]
-        if not ai:
-            continue
-        row = bm[i]
-        for j in range(dim):
-            bj = pb[j]
-            if not bj:
-                continue
-            prod = _carryless(ai, bj)
-            for k in _iter_bits(row[j]):
-                planes[k] ^= prod
-    if lim != INF:
-        width = lim - base
-        if width <= 0:
+    n = max(A) - amin + max(B) - bmin + 1
+    if lim < base + n:
+        n = lim - base
+        if n <= 0:
             return {}
-        mask = (1 << width) - 1
-        planes = [pl & mask for pl in planes]
-    out = {}
-    occupied = 0
-    for pl in planes:
-        occupied |= pl
-    for t in _iter_bits(occupied):
-        v = 0
-        for k in range(dim):
-            v |= ((planes[k] >> t) & 1) << k
-        out[base + t] = v
-    return out
-
-
-def _dict_mul_packed(field, A, B, lim):
-    """Dense-window product over a prime field via one bigint multiply.
-
-    Coefficients are packed into byte-aligned lanes wide enough that
-    cross terms accumulate without carrying between lanes; each lane is
-    reduced mod p only after the multiplication.
-    """
-    p = field.p
-    amin, amax = min(A), max(A)
-    bmin, bmax = min(B), max(B)
-    base = amin + bmin
-    lanes = (amax - amin) + (bmax - bmin) + 1
-    bound = (p - 1) * (p - 1) * min(len(A), len(B))
-    w = -(-(bound.bit_length() + 1) // 8)  # lane width in bytes
-    ia = 0
-    for e, c in A.items():
-        ia |= c << (8 * w * (e - amin))
-    ib = 0
-    for e, c in B.items():
-        ib |= c << (8 * w * (e - bmin))
-    buf = (ia * ib).to_bytes(lanes * w, "little")
-    if lim != INF:
-        lanes = min(lanes, lim - base)
-    out = {}
-    frm = int.from_bytes
-    for t in range(lanes):
-        v = frm(buf[t * w:(t + 1) * w], "little") % p
-        if v:
-            out[base + t] = v
-    return out
+    lanes = field.lanes
+    width = lanes.width(min(len(A), len(B)))
+    prod = lanes.pack(A, amin, n, width) * lanes.pack(B, bmin, n, width)
+    vals = lanes.unpack(prod, n, width)
+    return dict(compress(zip(range(base, base + n), vals), vals))
 
 
 def _dict_mul(field, A, B, lim):
-    """Product of sparse coefficient dicts, dropping exponents >= lim."""
+    """Product of sparse coefficient dicts, dropping exponents >= lim.
+
+    Schoolbook when there are few term pairs or when they are spread
+    over a window at least as wide as their number; one Kronecker
+    product otherwise.
+    """
     if not A or not B:
         return {}
     if len(A) > len(B):
@@ -193,13 +128,9 @@ def _dict_mul(field, A, B, lim):
             if e < lim:
                 out[e] = mul(c1, c2)
         return out
-    if field.p == 2 and len(A) * len(B) > 512:
-        return _dict_mul_gf2(field, A, B, lim)
-    if field.dim == 1 and len(A) * len(B) > 512:
-        # Worth packing only when the operands are reasonably dense;
-        # the window size is what the packed route actually pays for.
-        if (max(A) - min(A)) + (max(B) - min(B)) < 8 * len(A) * len(B):
-            return _dict_mul_packed(field, A, B, lim)
+    pairs = len(A) * len(B)
+    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
+        return _dict_mul_kron(field, A, B, lim)
     mul, add = field.mul, field.add
     out = {}
     for e1, c1 in A.items():
@@ -537,26 +468,3 @@ class LaurentElem:
         cap = "exact" if self.cap == INF else "O(u^%d)" % self.cap
         return "<%s (%s)>" % (body, cap)
 
-
-def add(x, y):
-    return x + y
-
-
-def mul(x, y):
-    return x * y
-
-
-def invert(x):
-    return x.invert()
-
-
-def divide(x, y):
-    return x / y
-
-
-def pow_q(x, k):
-    return x.pow_q(k)
-
-
-def root_q_minus_1(x):
-    return x.root_q_minus_1()

@@ -13,7 +13,7 @@ from math import inf as INF
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, iter_bits
 
 
 def bracket(ctx, n):
@@ -23,11 +23,10 @@ def bracket(ctx, n):
     return ctx.theta().pow_q(n) - ctx.theta()
 
 
-def _iter_bits(x):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
+def check_index(n):
+    """Coefficient lists run over 0..n; a negative n names no list."""
+    if n < 0:
+        raise InvalidInput("n must be a non-negative integer, got %d" % n)
 
 
 def _den_elem(ctx, items):
@@ -227,14 +226,14 @@ class DrinfeldModule:
         """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse."""
         out = self.ctx.one()
         for i, mask in enumerate(sp.masks, start=1):
-            for j in _iter_bits(mask):
+            for j in iter_bits(mask):
                 out = out * self.A[i - 1].pow_q(j)
         return out
 
     def exp_term(self, sp, n):
         """A^S / D_n(S), D_n(S) = prod_{j in union} [n-j]^(q^j)."""
         den = {}
-        for j in _iter_bits(sp.union_mask()):
+        for j in iter_bits(sp.union_mask()):
             den[n - j] = self.ctx.q ** j
         return BracketFrac(self.ctx, self._a_power(sp), den)
 
@@ -243,7 +242,7 @@ class DrinfeldModule:
         den = {}
         sign = 0
         for i, mask in enumerate(sp.masks, start=1):
-            for j in _iter_bits(mask):
+            for j in iter_bits(mask):
                 den[i + j] = den.get(i + j, 0) + 1
                 sign += 1
         num = self._a_power(sp)
@@ -289,12 +288,14 @@ class DrinfeldModule:
     def exp_coeffs(self, n, route="partitions"):
         if route not in self._alpha:
             raise InvalidInput("unknown route %r" % route)
+        check_index(n)
         self._extend_alpha(n, route)
         return self._alpha[route][:n + 1]
 
     def log_coeffs(self, n, route="partitions"):
         if route not in self._beta:
             raise InvalidInput("unknown route %r" % route)
+        check_index(n)
         self._extend_beta(n, route)
         return self._beta[route][:n + 1]
 

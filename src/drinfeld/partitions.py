@@ -10,11 +10,18 @@ S_i recording which Frobenius powers of the i-th coefficient occur.
 Sets are stored as bitmasks (bit j <-> j in S_i).  Enumeration is by the
 last-element recursion: removing n-i from S_i (for the unique i whose set
 contains an element >= n-i... precisely, adjoining n-i to S_i maps
-P_r(n-i) into P_r(n), and the images partition P_r(n)).  The direct
-filter over all 2^(rn) tuples is kept as a test oracle.
+P_r(n-i) into P_r(n), and the images partition P_r(n)).
 """
 
 from .errors import InvalidInput
+
+
+def iter_bits(mask):
+    """Indices of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ShadowedPartition:
@@ -121,38 +128,6 @@ def enumerate_partitions(r, n, support=None):
     return out
 
 
-def enumerate_by_filter(r, n):
-    """Oracle: scan all candidate subsets per slot against the defining
-    tiling condition, pruning branches whose shadows already overlap.
-    Exponential cost; tests only."""
-    if n < 0:
-        return []
-    full = (1 << n) - 1
-    out = []
-
-    def rec(masks, seen):
-        i = len(masks) + 1
-        if i > r:
-            if seen == full:
-                out.append(ShadowedPartition(r, n, masks))
-            return
-        for m in range(1 << n):
-            cells = 0
-            ok = True
-            for j in range(i):
-                cell = m << j
-                if cell & (seen | cells) or cell > full:
-                    ok = False
-                    break
-                cells |= cell
-            if ok:
-                rec(masks + [m], seen | cells)
-
-    rec([], 0)
-    out.sort(key=lambda sp: _lex_key(r, n)(sp.masks))
-    return out
-
-
 def count_partitions(r, n):
     """|P_r(n)| via the r-step Fibonacci recurrence: F_0 = 1, F_{<0} = 0,
     F_n = F_{n-1} + ... + F_{n-r}."""
@@ -164,26 +139,6 @@ def count_partitions(r, n):
     for k in range(1, n + 1):
         f[k] = sum(f.get(k - i, 0) for i in range(1, r + 1))
     return f[n]
-
-
-def pi_bijection(i, sp):
-    """Shift map P_r(n) -> P_r^i(n+i): add i to every element and put 0
-    into S_i.  Images are exactly the partitions whose S_i contains 0."""
-    if not 1 <= i <= sp.r:
-        raise InvalidInput("i out of range")
-    masks = [m << i for m in sp.masks]
-    masks[i - 1] |= 1
-    return ShadowedPartition(sp.r, sp.n + i, masks)
-
-
-def psi_injection(i, sp):
-    """Last-element map P_r(n) -> P_r(n+i): adjoin n (the new n-i) to S_i.
-    Over i = 1..r the images partition the target."""
-    if not 1 <= i <= sp.r:
-        raise InvalidInput("i out of range")
-    masks = list(sp.masks)
-    masks[i - 1] |= 1 << sp.n
-    return ShadowedPartition(sp.r, sp.n + i, masks)
 
 
 def restrict_to_support(partitions, support):

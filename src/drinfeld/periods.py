@@ -11,11 +11,11 @@ leading term differ by a smaller-valuation root).
 """
 
 from fractions import Fraction
-from math import inf as INF
+from math import gcd, inf as INF
 
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
-from .ff import _pol_gcd, _pol_mod, _pol_powmod, _pol_trim
+from .ff import _pol_divide, _pol_gcd, _pol_mod, _pol_powmod, _pol_trim
 from .modules import BracketFrac, DrinfeldModule, bracket
 from .agf import DeformedLog, OmegaCarlitz
 from .tate import TateSeries, geometric_pole_series
@@ -64,11 +64,11 @@ def _squarefree_part(field, g):
     while True:
         d = _poly_deriv(field, g)
         if d:
-            gcd = _pol_gcd(field, g, d)
-            if len(gcd) <= 1:
+            common = _pol_gcd(field, g, d)
+            if len(common) <= 1:
                 return g
             # divide out the repeated part and keep going
-            g = _pol_divide(field, g, gcd)
+            g = _pol_divide(field, g, common)
         else:
             # g = h(y^p): take the p-th root coefficientwise
             root = []
@@ -78,22 +78,6 @@ def _squarefree_part(field, g):
             g = _pol_trim(root)
             if len(g) <= 1:
                 return g
-
-
-def _pol_divide(field, f, g):
-    """Exact polynomial quotient (remainder must vanish)."""
-    f = list(f)
-    out = [0] * (len(f) - len(g) + 1)
-    ginv = field.inv(g[-1])
-    for k in range(len(f) - len(g), -1, -1):
-        c = field.mul(f[k + len(g) - 1], ginv)
-        out[k] = c
-        if c:
-            for j, gc in enumerate(g):
-                f[k + j] = field.sub(f[k + j], field.mul(c, gc))
-    if _pol_trim(f):
-        raise InvalidInput("non-exact polynomial division")
-    return _pol_trim(out)
 
 
 def _splitting_degree(field, g):
@@ -110,8 +94,7 @@ def _splitting_degree(field, g):
             [field.sub(a, b) for a, b in
              zip(h + [0] * len(x), x + [0] * len(h))]))
         if len(gk) > 1:
-            lcm = need * k // _gcd_int(need, k)
-            need = lcm
+            need = need * k // gcd(need, k)
             g = _pol_divide(field, g, gk)
             if len(g) <= 1:
                 break
@@ -119,12 +102,6 @@ def _splitting_degree(field, g):
         h = _pol_powmod(field, h, field.order, g)
         k += 1
     return need
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class TorsionData:

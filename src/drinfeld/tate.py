@@ -249,9 +249,6 @@ class TateRational:
     def from_scalar(ctx, c):
         return TateRational(ctx, TateSeries.t_poly(ctx, [c]))
 
-    def pole_dict(self):
-        return dict(self.poles)
-
     def den_poly(self, poles=None):
         """Expanded denominator polynomial for the given pole multiset."""
         ctx = self.ctx
@@ -379,18 +376,6 @@ def residue_at_theta(f):
     raise InvalidInput(
         "a bare truncated series carries no information at t = theta; "
         "use a structured form")
-
-
-def rational_to_series(f: TateRational, t_prec):
-    return f.to_series(t_prec)
-
-
-def twist(f, ell):
-    return f.twist(ell)
-
-
-def gauss_norm_logq(f: TateSeries):
-    return f.gauss_norm_logq()
 
 
 def apply_delta(delta_coeffs, f: TateSeries):

@@ -6,8 +6,9 @@ from math import inf as INF
 
 import pytest
 
-from drinfeld.errors import (CompatPreconditionFailed, NoRootInField,
-                             OutsideRadius, RamificationError)
+from drinfeld.errors import (CompatPreconditionFailed, InvalidInput,
+                             NoRootInField, OutsideRadius,
+                             RamificationError)
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
@@ -281,3 +282,11 @@ def test_omega_needs_square_root_of_minus_one():
     with pytest.raises(NoRootInField) as ei:
         OmegaCarlitz(ctx_bad, 30, 6)
     assert ei.value.required_s == 2
+
+
+def test_b_seq_negative_index_rejected():
+    phi = carlitz(CTX2)
+    for route in B_ROUTES:
+        with pytest.raises(InvalidInput):
+            b_seq(phi, -2, route)
+        assert len(b_seq(phi, 0, route)) == 1

@@ -97,6 +97,33 @@ def test_bad_flag_exit_2():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("args", [("coeffs", "-1"), ("bseq", "-2")])
+def test_negative_index_exit_2(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "n must be a non-negative integer" in proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("coeffs", "2", "--ucap", "0"),
+    ("deform", "--xi", "1", "--ucap", "0"),
+    ("verify", "--preset", "carlitz-q2", "--ucap", "0"),
+])
+def test_zero_ucap_exit_2_names_ucap(args):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert "ucap must be a positive integer" in proc.stderr
+    assert "prec must" not in proc.stderr
+
+
+def test_zero_m_names_m():
+    proc = run_cli("coeffs", "2", "--m", "0")
+    assert proc.returncode == 2
+    assert "m must be a positive integer" in proc.stderr
+
+
 def test_rank_mismatch_exit_2():
     proc = run_cli("convergence", "--A", "1;1", "--rank", "3")
     assert proc.returncode == 2

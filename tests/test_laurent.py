@@ -8,7 +8,7 @@ import pytest
 from drinfeld.errors import (DivideByZero, PrecisionExhausted,
                              RamificationError, NoRootInField)
 from drinfeld.ff import FieldParams, field_for
-from drinfeld.laurent import LaurentElem, SeriesParams, _dict_mul, _dict_mul_gf2
+from drinfeld.laurent import LaurentElem, SeriesParams, _dict_mul
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
@@ -172,24 +172,62 @@ def test_json_round_trip():
             assert x == y
 
 
+def _schoolbook(F, A, B, lim):
+    ref = {}
+    for e1, c1 in A.items():
+        for e2, c2 in B.items():
+            e = e1 + e2
+            if e >= lim:
+                continue
+            v = F.add(ref.get(e, 0), F.mul(c1, c2))
+            if v:
+                ref[e] = v
+            elif e in ref:
+                del ref[e]
+    return ref
+
+
+def _kronecker_side(A, B):
+    """Whether _dict_mul sends the pair to the Kronecker product."""
+    pairs = len(A) * len(B)
+    window = max(A) - min(A) + max(B) - min(B) + 1
+    return pairs > 512 and window < pairs
+
+
+def _operand_pairs(F, rng):
+    """Operand pairs on both sides of the kernel selection rule."""
+    top = F.order - 1  # every F_p coordinate p-1: the largest lane sums
+
+    def rand(lo, hi, n):
+        return {rng.randrange(lo, hi): rng.randrange(1, F.order)
+                for _ in range(n)}
+
+    return [
+        ({e: top for e in range(-5, 60)}, {e: top for e in range(3, 70)}),
+        (rand(-40, 80, 50), rand(-40, 80, 45)),
+        (rand(0, 400, 30), {e: rng.randrange(1, F.order)
+                            for e in range(-7, 90)}),
+        (rand(-40, 80, 20), rand(-40, 80, 20)),
+        (rand(0, 5000, 30), rand(0, 5000, 40)),
+        ({7: rng.randrange(1, F.order)}, rand(-40, 80, 60)),
+    ]
+
+
 def test_fast_multiply_matches_schoolbook():
+    """_dict_mul against an inline schoolbook oracle on every route, over
+    q in {2,3,4,5,9} and s in {1,2,3} (the F_{4^2} tower among them) and
+    a 16-dimensional field too large for lookup tables."""
     rng = random.Random(23)
-    F = field_for(FieldParams.make(4, 2))
-    for _ in range(10):
-        A = {rng.randrange(-40, 80): rng.randrange(1, 16) for _ in range(50)}
-        B = {rng.randrange(-40, 80): rng.randrange(1, 16) for _ in range(45)}
-        lim = rng.choice([INF, 60])
-        fast = _dict_mul_gf2(F, A, B, lim)
-        ref = {}
-        for e1, c1 in A.items():
-            for e2, c2 in B.items():
-                e = e1 + e2
-                if e >= lim:
-                    continue
-                v = F.add(ref.get(e, 0), F.mul(c1, c2))
-                if v:
-                    ref[e] = v
-                elif e in ref:
-                    del ref[e]
-        assert fast == ref
-        assert _dict_mul(F, A, B, lim) == ref
+    fields = [(q, s) for q in (2, 3, 4, 5, 9) for s in (1, 2, 3)] + [(2, 16)]
+    for q, s in fields:
+        F = field_for(FieldParams.make(q, s))
+        sides = set()
+        for A, B in _operand_pairs(F, rng):
+            sides.add(_kronecker_side(A, B))
+            base = min(A) + min(B)
+            top = max(A) + max(B)
+            for lim in (INF, rng.randrange(base + 1, top), base,
+                        base - rng.randrange(1, 9)):
+                assert _dict_mul(F, A, B, lim) == _schoolbook(F, A, B, lim), \
+                    (q, s, lim)
+        assert sides == {True, False}

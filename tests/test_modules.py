@@ -350,3 +350,17 @@ def test_phi_action_values():
     # theta x + x^2 + x^4 at x = 1/theta
     want = ctx.one() + ctx.theta(-2) + ctx.theta(-4)
     assert phi.phi_action(x) == want
+
+
+def test_negative_index_rejected_after_cache_fills():
+    # a negative n used to slice the cached lists: [:n + 1] with n = -3
+    # returned the first three cached coefficients
+    phi = carlitz(CTX2)
+    for route in ("partitions", "recurrence"):
+        assert len(phi.exp_coeffs(4, route)) == 5
+        assert len(phi.log_coeffs(4, route)) == 5
+        with pytest.raises(InvalidInput):
+            phi.exp_coeffs(-3, route)
+        with pytest.raises(InvalidInput):
+            phi.log_coeffs(-1, route)
+    assert len(phi.exp_coeffs(0)) == 1

@@ -2,10 +2,57 @@
 
 import pytest
 
-from drinfeld.partitions import (ShadowedPartition, count_partitions,
-                                 enumerate_by_filter, enumerate_partitions,
-                                 pi_bijection, psi_injection,
+from drinfeld.partitions import (ShadowedPartition, _lex_key,
+                                 count_partitions, enumerate_partitions,
                                  restrict_to_support)
+
+
+def enumerate_by_filter(r, n):
+    """Oracle: scan all candidate subsets per slot against the defining
+    tiling condition, pruning branches whose shadows already overlap.
+    Exponential cost."""
+    if n < 0:
+        return []
+    full = (1 << n) - 1
+    out = []
+
+    def rec(masks, seen):
+        i = len(masks) + 1
+        if i > r:
+            if seen == full:
+                out.append(ShadowedPartition(r, n, masks))
+            return
+        for m in range(1 << n):
+            cells = 0
+            ok = True
+            for j in range(i):
+                cell = m << j
+                if cell & (seen | cells) or cell > full:
+                    ok = False
+                    break
+                cells |= cell
+            if ok:
+                rec(masks + [m], seen | cells)
+
+    rec([], 0)
+    out.sort(key=lambda sp: _lex_key(r, n)(sp.masks))
+    return out
+
+
+def pi_bijection(i, sp):
+    """Shift map P_r(n) -> P_r^i(n+i): add i to every element and put 0
+    into S_i.  Images are exactly the partitions whose S_i contains 0."""
+    masks = [m << i for m in sp.masks]
+    masks[i - 1] |= 1
+    return ShadowedPartition(sp.r, sp.n + i, masks)
+
+
+def psi_injection(i, sp):
+    """Last-element map P_r(n) -> P_r(n+i): adjoin n (the new n-i) to S_i.
+    Over i = 1..r the images partition the target."""
+    masks = list(sp.masks)
+    masks[i - 1] |= 1 << sp.n
+    return ShadowedPartition(sp.r, sp.n + i, masks)
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
