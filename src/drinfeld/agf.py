@@ -135,7 +135,7 @@ class DeformedLog:
         ctx = self.phi.ctx
         out = TateSeries.zero(ctx, t_prec)
         for term in self.terms:
-            out = out + term.to_series(t_prec)
+            out = out + term.truncate_u(self.ucap).to_series(t_prec)
         return out.truncate_u(self.ucap)
 
     def eval_theta(self):
@@ -200,7 +200,7 @@ class AGFValue:
         ctx = self.phi.ctx
         reg = TateSeries.zero(ctx, t_prec)
         for term in self.terms:
-            reg = reg + term.to_series(t_prec)
+            reg = reg + term.truncate_u(self.ucap).to_series(t_prec)
         return ThetaPoleForm(reg.truncate_u(self.ucap), self.residue)
 
 
@@ -233,17 +233,6 @@ def shift_precondition_violations(phi: DrinfeldModule, xi):
         if v >= conv.logq_R:
             out.append((i, v, conv.logq_R))
     return out
-
-
-def shifted_deformed_log(phi, series_xi_pair, t_prec):
-    """One application of the shift identity: from (L(xi) series, xi)
-    produce (L(phi_t(xi)) series, phi_t(xi)) without re-summing."""
-    s, xi = series_xi_pair
-    ctx = phi.ctx
-    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
-    shifted = s.shift_t(1).truncate_t(s.t_prec) - (
-        lin * TateSeries.from_scalar(ctx, xi)).truncate_t(s.t_prec)
-    return shifted, phi.phi_action(xi)
 
 
 def _report(ok, u_val, t_prec=None):
@@ -302,8 +291,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
 
     # (c) the delta operator recovers xi from -L/(t - theta).
     s = dl.series(t_prec)
-    geo = geometric_pole_series(ctx, 0, t_prec)
-    G = -(s * geo)
+    G = -s.div_pole(0)
     applied = apply_delta(delta_phi(phi), G)
     resid_c = applied - TateSeries.from_scalar(ctx, xi).truncate_t(applied.t_prec)
     ok_c, val_c, win_c = resid_c.residual_report()
@@ -372,20 +360,20 @@ class OmegaCarlitz:
 
     def regular_series(self):
         """W = prod_{i>=1} (1 - t/theta^(q^i))^(-1) as a series at the
-        internal cap."""
+        internal cap.  Every factor has u-exponents >= 0, so cutting at
+        that cap first drops nothing below it."""
         ctx = self.ctx
-        out = TateSeries.from_scalar(ctx, ctx.one(), self.t_prec)
+        out = TateSeries.from_scalar(ctx, ctx.one(), self.t_prec).truncate_u(
+            self._inner)
         for i in range(1, self.depth + 1):
-            g = geometric_pole_series(ctx, i, self.t_prec)
-            out = out * g.scale(-ctx.theta().pow_q(i))
-        return out.truncate_u(self._inner)
+            out = out.div_pole(i).scale(-ctx.theta().pow_q(i))
+        return out
 
     def series(self):
         ctx = self.ctx
         W = self.regular_series()
-        return (W.scale(self.root * (-ctx.theta()))
-                * geometric_pole_series(ctx, 0, self.t_prec)
-                ).truncate_u(self.ucap)
+        return (W.scale(self.root * (-ctx.theta())).div_pole(0)
+                .truncate_u(self.ucap))
 
     def theta_pole_form(self):
         """Split omega = regular + res/(t - theta), the residue being
@@ -441,9 +429,8 @@ class OmegaCarlitz:
         published cap."""
         ctx = self.ctx
         W = self.regular_series()
-        s = (W.scale(self.root * (-ctx.theta()))
-             * geometric_pole_series(ctx, 0, self.t_prec)
-             ).truncate_u(self._inner - ctx.m)
+        s = (W.scale(self.root * (-ctx.theta())).div_pole(0)
+             .truncate_u(self._inner - ctx.m))
         lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
         resid = s.twist(1) - (lin * s).truncate_t(s.t_prec)
         return resid.truncate_u(self.ucap)
@@ -456,14 +443,3 @@ def omega_carlitz(ctx, ucap, t_prec):
 def carlitz_pi(ctx, ucap):
     """Standalone period computation through the factored product."""
     return OmegaCarlitz(ctx, ucap, 4).pi_tilde("factored")
-
-
-def agf_orbit_series(phi, u, t_prec, ucap):
-    """Independent route to the generating function: coefficient k is
-    exp_phi(u / theta^(k+1)).  Matches the partial-fraction expansion
-    coefficientwise, which exercises the exponential instead of the
-    b-sequence."""
-    ctx = phi.ctx
-    coeffs = [phi.exp_eval(u * ctx.theta(-(k + 1)), ucap=ucap)
-              for k in range(t_prec)]
-    return TateSeries(ctx, coeffs, t_prec)

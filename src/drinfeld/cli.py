@@ -137,7 +137,7 @@ class SessionConfig:
         self.A = A
         self.seed = seed
         self.xi_text = xi
-        fp = FieldParams.make(q, s) if s > 1 else FieldParams.make(q)
+        fp = FieldParams.make(q, s)
         self.ctx = SeriesParams(fp, m, self.ucap)
         self.phi = DrinfeldModule(
             self.ctx, [self.ctx.from_poly(c) for c in A])

@@ -152,7 +152,8 @@ class _ExtLevel:
         return self.pow(a, self.order - 2)
 
 
-# ---- polynomial helpers over a level (for modulus searches) ----
+# ---- polynomial helpers over a level or field (modulus searches, residual
+# polynomials of torsion) ----
 
 
 def _pol_trim(f):
@@ -180,6 +181,22 @@ def _pol_mul(L, f, g):
         for j, y in enumerate(g):
             if y:
                 out[i + j] = L.add(out[i + j], L.mul(x, y))
+    return _pol_trim(out)
+
+
+def _pol_eval(L, f, y):
+    acc = 0
+    for c in reversed(f):
+        acc = L.add(L.mul(acc, y), c)
+    return acc
+
+
+def _pol_deriv(L, f):
+    out = [0] * max(len(f) - 1, 0)
+    for k in range(1, len(f)):
+        c = f[k]
+        for _ in range(k % L.p):
+            out[k - 1] = L.add(out[k - 1], c)
     return _pol_trim(out)
 
 

@@ -183,6 +183,14 @@ class LaurentElem:
         self.coeffs = coeffs
         self.cap = cap
 
+    @classmethod
+    def wrap(cls, ctx, coeffs, cap):
+        """An element on coeffs itself, which must hold no zero values
+        and no exponents at or beyond cap."""
+        x = cls.__new__(cls)
+        x.ctx, x.coeffs, x.cap = ctx, coeffs, cap
+        return x
+
     # -- structure --
 
     @property
@@ -420,14 +428,6 @@ class LaurentElem:
 
     def __hash__(self):
         return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
-    def agreement_cap(self, other):
-        """Cap below which self and other provably agree, or None if they
-        differ at a known coefficient."""
-        d = self - other
-        if d.coeffs:
-            return None
-        return d.cap
 
     def to_json(self):
         field = self.ctx.field

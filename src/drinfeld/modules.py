@@ -326,16 +326,6 @@ class DrinfeldModule:
         return ConvergenceData(self.support, rho, winners[0],
                                len(winners) == 1)
 
-    def partition_norm_logq(self, sp):
-        """Closed form for log_q of the Gauss norm of the summand attached
-        to a partition: sum_i w(S_i) (deg A_i - q^i)."""
-        q = self.ctx.q
-        total = Fraction(0)
-        for i, w in enumerate(sp.weights(q), start=1):
-            if w:
-                total += w * (self.A[i - 1].deg() - q ** i)
-        return total
-
     # -- degree bounds and certified tails --
 
     def exp_deg_bound(self, n):

@@ -15,10 +15,11 @@ from math import gcd, inf as INF
 
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
-from .ff import _pol_divide, _pol_gcd, _pol_mod, _pol_powmod, _pol_trim
+from .ff import (_pol_deriv, _pol_divide, _pol_eval, _pol_gcd, _pol_mod,
+                 _pol_powmod, _pol_trim)
 from .modules import BracketFrac, DrinfeldModule, bracket
 from .agf import DeformedLog, OmegaCarlitz
-from .tate import TateSeries, geometric_pole_series
+from .tate import TateSeries
 
 
 def newton_slopes(points):
@@ -41,28 +42,12 @@ def newton_slopes(points):
             for a, b in zip(hull, hull[1:])]
 
 
-def _poly_eval(field, coeffs, y):
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, y), c)
-    return acc
-
-
-def _poly_deriv(field, coeffs):
-    out = [0] * max(len(coeffs) - 1, 0)
-    for k in range(1, len(coeffs)):
-        c = coeffs[k]
-        for _ in range(k % field.p):
-            out[k - 1] = field.add(out[k - 1], c)
-    return _pol_trim(out)
-
-
 def _squarefree_part(field, g):
     """Squarefree part over F_(q^s), peeling p-th powers as needed."""
     p = field.p
     g = _pol_trim(list(g))
     while True:
-        d = _poly_deriv(field, g)
+        d = _pol_deriv(field, g)
         if d:
             common = _pol_gcd(field, g, d)
             if len(common) <= 1:
@@ -179,7 +164,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
     if field.order > (1 << 16):
         raise PrecisionExhausted("residue field too large to scan")
     ys = [y for y in range(1, field.order)
-          if _poly_eval(field, g, y) == 0]
+          if _pol_eval(field, g, y) == 0]
     if len(ys) < xb - xa:
         dd = _splitting_degree(field, _pol_trim(g))
         raise ResidueSplittingError(
@@ -426,9 +411,9 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
         s = dl.series(t_prec)
         row = []
         for col in range(2):
-            front = -(geometric_pole_series(ctx, col, t_prec)
-                      .shift_t(1).truncate_t(t_prec))
-            entry = front * s.twist(col) + TateSeries.from_scalar(
+            # zeta_i^(q^col) - t s^(col) / (t - theta^(q^col))
+            pole = s.twist(col).div_pole(col).shift_t(1).truncate_t(t_prec)
+            entry = -pole + TateSeries.from_scalar(
                 ctx, zetas[i].pow_q(col), t_prec)
             row.append(entry)
         rows.append(row)

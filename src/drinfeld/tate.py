@@ -7,11 +7,15 @@ and a series lies in the Tate algebra when |c_k| -> 0.
 
 TateRational is numerator * product (t - theta^(q^e))^(-mult) with every
 pole exponent e >= 1.  All such poles lie strictly outside the closed
-unit t-disk, so these expand into the Tate algebra via geometric series,
-evaluate exactly at points inside the disk and at theta, and twist by
-shifting pole exponents.  The value theta itself is never a pole of
-these objects; anything with a simple t = theta pole is carried in
-ThetaPoleForm, which keeps the residue split off exactly.
+unit t-disk, so these expand into the Tate algebra, evaluate exactly at
+points inside the disk and at theta, and twist by shifting pole
+exponents.  Expansion divides by one linear factor at a time
+(TateSeries.div_pole): the quotient's coefficients obey the recurrence
+y_k = theta^(-q^e) (y_(k-1) - c_k), so each pole costs O(t_prec)
+coefficient steps, not an O(t_prec^2) product with a geometric series.
+The value theta itself is never a pole of these objects; anything with
+a simple t = theta pole is carried in ThetaPoleForm, which keeps the
+residue split off exactly.
 """
 
 from math import inf as INF
@@ -124,6 +128,41 @@ class TateSeries:
                 if not b.is_exact_zero():
                     out[k] = out[k] + a * b
         return TateSeries(self.ctx, out, tp)
+
+    def div_pole(self, e):
+        """self / (t - theta^(q^e)) in the Tate algebra, to the same
+        t_prec: y_k = u^(m q^e) (y_(k-1) - c_k), each step one
+        subtraction and one u-shift.  Caps obey the same recurrence,
+        cap(y_k) = min(cap(y_(k-1)), cap(c_k)) + m q^e, so the result
+        equals self * geometric_pole_series(ctx, e, t_prec) coefficient
+        for coefficient and cap for cap."""
+        if self.t_prec == INF:
+            raise InvalidInput("dividing an exact polynomial by a pole "
+                               "needs a finite t_prec")
+        ctx = self.ctx
+        step = ctx.m * ctx.q ** e
+        neg, sub = ctx.field.neg, ctx.field.sub
+        y, cap = {}, INF
+        out = []
+        for c in self.coeffs:
+            lim = min(cap, c.cap)
+            y = {k + step: v for k, v in y.items() if k < lim}
+            for k, v in c.coeffs.items():
+                if k >= lim:
+                    continue
+                k += step
+                prev = y.get(k)
+                if prev is None:
+                    y[k] = neg(v)
+                else:
+                    v = sub(prev, v)
+                    if v:
+                        y[k] = v
+                    else:
+                        del y[k]
+            cap = lim + step
+            out.append(LaurentElem.wrap(ctx, y, cap))
+        return TateSeries(ctx, out, self.t_prec)
 
     def scale(self, c: LaurentElem):
         return TateSeries(self.ctx, [x * c for x in self.coeffs], self.t_prec)
@@ -303,14 +342,17 @@ class TateRational:
             raise InvalidInput("twist would move a pole to exponent < 1")
         return TateRational(self.ctx, self.numer.twist(ell), poles)
 
+    def truncate_u(self, cap):
+        """The numerator's coefficients cut at cap.  Pole division only
+        raises u-exponents, so the expansions of self and of the result
+        agree below cap."""
+        return TateRational(self.ctx, self.numer.truncate_u(cap), self.poles)
+
     def to_series(self, t_prec):
         out = self.numer.truncate_t(t_prec)
         for e, mlt in self.poles:
-            g = geometric_pole_series(self.ctx, e, t_prec)
             for _ in range(mlt):
-                out = out * g
-        if out.t_prec == INF:
-            out = TateSeries(self.ctx, out.coeffs, t_prec)
+                out = out.div_pole(e)
         return out
 
     def eval(self, z: LaurentElem):

@@ -40,7 +40,7 @@ def preset_session(name, prec=None, m=None, s=None):
     cfg = PRESETS[name]
     s = cfg["s"] if s is None else s
     m = cfg["m"] if m is None else m
-    fp = FieldParams.make(cfg["q"], s) if s > 1 else FieldParams.make(cfg["q"])
+    fp = FieldParams.make(cfg["q"], s)
     ctx = SeriesParams(fp, m, prec if prec is not None else 64 * m)
     A = [ctx.from_poly(c) for c in cfg["A"]]
     return ctx, DrinfeldModule(ctx, A)

@@ -14,10 +14,11 @@ from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.agf import (AGFValue, B_ROUTES, DeformedLog, OmegaCarlitz,
-                          agf, agf_orbit_series, b_seq, carlitz_bseq_product,
-                          carlitz_pi, check_main_theorem, delta_phi,
-                          eval_theta_frac, shift_precondition_violations,
-                          shifted_deformed_log, x_phi)
+                          agf, b_seq, carlitz_bseq_product, carlitz_pi,
+                          check_main_theorem, delta_phi, eval_theta_frac,
+                          shift_precondition_violations, x_phi)
+from drinfeld.tate import TateSeries
+from test_modules import partition_norm_logq
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3P = SeriesParams(FieldParams.make(3, 2), 2, 60)
@@ -29,6 +30,28 @@ def rank2_q2():
 
 def rank3_q2():
     return DrinfeldModule(CTX2, [CTX2.one(), CTX2.one(), CTX2.one()])
+
+
+def agf_orbit_series(phi, u, t_prec, ucap):
+    """Independent route to the generating function: coefficient k is
+    exp_phi(u / theta^(k+1)).  Matches the partial-fraction expansion
+    coefficientwise, which exercises the exponential instead of the
+    b-sequence."""
+    ctx = phi.ctx
+    coeffs = [phi.exp_eval(u * ctx.theta(-(k + 1)), ucap=ucap)
+              for k in range(t_prec)]
+    return TateSeries(ctx, coeffs, t_prec)
+
+
+def shifted_deformed_log(phi, series_xi_pair):
+    """One application of the shift identity: from (L(xi) series, xi)
+    produce (L(phi_t(xi)) series, phi_t(xi)) without re-summing."""
+    s, xi = series_xi_pair
+    ctx = phi.ctx
+    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
+    shifted = s.shift_t(1).truncate_t(s.t_prec) - (
+        lin * TateSeries.from_scalar(ctx, xi)).truncate_t(s.t_prec)
+    return shifted, phi.phi_action(xi)
 
 
 # -- partition summands --
@@ -47,7 +70,7 @@ def test_x_phi_norm_matches_closed_form():
         for sp in enumerate_partitions(2, n):
             f = x_phi(phi, sp)
             s = f.to_series(6)
-            want = phi.partition_norm_logq(sp)
+            want = partition_norm_logq(phi, sp)
             assert s.gauss_norm_logq() == want
             # the constant t-coefficient already attains the norm
             assert s.coeffs[0].deg() == want
@@ -126,7 +149,7 @@ def test_shift_identity_reuse():
     xi = CTX2.theta(-1)
     dl = DeformedLog(phi, xi, 44)
     s = dl.series(6)
-    shifted, phixi = shifted_deformed_log(phi, (s, xi), 6)
+    shifted, phixi = shifted_deformed_log(phi, (s, xi))
     direct = DeformedLog(phi, phixi, 44).series(6)
     diff = direct - shifted.truncate_t(direct.t_prec)
     assert diff.is_zero_to_prec()

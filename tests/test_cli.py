@@ -11,6 +11,7 @@ from drinfeld import cli
 from drinfeld.errors import ConfigError
 from drinfeld.laurent import SeriesParams
 from drinfeld.ff import FieldParams
+from drinfeld.verify import preset_session
 
 
 def run_cli(*args, config_text=None, tmp_path=None):
@@ -122,6 +123,26 @@ def test_zero_m_names_m():
     proc = run_cli("coeffs", "2", "--m", "0")
     assert proc.returncode == 2
     assert "m must be a positive integer" in proc.stderr
+
+
+@pytest.mark.parametrize("s", ["0", "-1"])
+def test_nonpositive_s_exit_2_names_s(s):
+    proc = run_cli("coeffs", "2", "--s", s)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "s must be >= 1" in proc.stderr
+
+
+def test_preset_session_rejects_nonpositive_s():
+    with pytest.raises(ConfigError, match="s must be >= 1"):
+        preset_session("carlitz-q2", s=0)
+
+
+def test_s_1_is_the_default_field():
+    plain = run_cli("coeffs", "2")
+    explicit = run_cli("coeffs", "2", "--s", "1")
+    assert plain.returncode == explicit.returncode == 0
+    assert explicit.stdout == plain.stdout
 
 
 def test_rank_mismatch_exit_2():

@@ -75,6 +75,49 @@ def test_geometric_expansion_inverts_linear_factor(ctx, e):
         assert c.is_exact_zero()
 
 
+def _pole_operand(ctx, rng, lead, n):
+    """A series to O(t^n) with lead exact-zero coefficients first, then
+    exact, capped, zero-to-precision and exact-zero coefficients in a
+    random order."""
+    def terms():
+        return {rng.randrange(-6, 20): rng.randrange(1, ctx.field.order)
+                for _ in range(rng.randrange(1, 6))}
+    kinds = [lambda: LaurentElem(ctx, terms(), INF),
+             lambda: LaurentElem(ctx, terms(), rng.randrange(-4, 24)),
+             lambda: ctx.zero(rng.randrange(-4, 24)),
+             ctx.zero]
+    body = kinds + [rng.choice(kinds) for _ in range(n - lead - len(kinds))]
+    rng.shuffle(body)
+    return TateSeries(ctx, [ctx.zero()] * lead + [k() for k in body], n)
+
+
+def test_div_pole_matches_geometric_product():
+    rng = random.Random(41)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                for e in (0, 1, 2):
+                    for lead in (0, rng.randrange(1, 4)):
+                        n = lead + 4 + rng.randrange(0, 5)
+                        x = _pole_operand(ctx, rng, lead, n)
+                        assert x.tval >= lead
+                        want = x * geometric_pole_series(ctx, e, n)
+                        assert x.div_pole(e) == want
+                    empty = TateSeries.zero(ctx, 0)
+                    assert empty.div_pole(e) == (
+                        empty * geometric_pole_series(ctx, e, 0))
+
+
+def test_div_pole_of_polynomial_raises():
+    f = TateSeries.t_poly(CTX2, [CTX2.one(), CTX2.theta()])
+    with pytest.raises(InvalidInput):
+        f.div_pole(1)
+    with pytest.raises(InvalidInput):
+        TateRational(CTX2, f, {1: 1}).to_series(INF)
+
+
 def test_series_eval_polynomial_horner():
     th = CTX2.theta()
     f = TateSeries.t_poly(CTX2, [th, CTX2.one(), th.invert()])
@@ -137,13 +180,15 @@ def test_rational_series_expansion_matches_cross_multiplication():
             numer = TateSeries(
                 ctx, [LaurentElem(ctx, c.coeffs, INF) for c in numer.coeffs],
                 INF)
-            poles = {rng.randrange(1, 4): rng.randrange(1, 3)}
+            poles = {e: rng.randrange(1, 4)
+                     for e in rng.sample(range(1, 4), rng.randrange(1, 3))}
             f = TateRational(ctx, numer, poles)
             n = 8
             s = f.to_series(n)
             back = s * f.den_poly()
-            diff = back - numer.truncate_t(back.t_prec)
-            assert diff.is_zero_to_prec()
+            assert back == numer.truncate_t(n)
+            cut = f.truncate_u(12).to_series(n)
+            assert cut.truncate_u(12) == s.truncate_u(12)
 
 
 def test_rational_eval_agrees_with_denominator_clearing():
