@@ -14,8 +14,7 @@ from math import inf as INF
 from .errors import (CompatPreconditionFailed, InvalidInput,
                      PrecisionExhausted, RamificationError)
 from .laurent import LaurentElem
-from .modules import (BracketFrac, DrinfeldModule, bracket, carlitz,
-                      check_index)
+from .modules import BracketFrac, DrinfeldModule, check_index
 from .partitions import enumerate_partitions, iter_bits
 from .tate import (TateRational, TateSeries, ThetaPoleForm, apply_delta,
                    geometric_pole_series)
@@ -29,14 +28,12 @@ def x_phi(phi: DrinfeldModule, sp):
     with the same sum would overlap at cell i+j-1), so the poles are
     simple."""
     ctx = phi.ctx
-    num = ctx.one()
     poles = {}
     for i, mask in enumerate(sp.masks, start=1):
         for j in iter_bits(mask):
-            num = num * phi.A[i - 1].pow_q(j)
-            e = i + j
-            poles[e] = poles.get(e, 0) + 1
-    return TateRational(ctx, TateSeries.from_scalar(ctx, num), poles)
+            poles[i + j] = poles.get(i + j, 0) + 1
+    return TateRational(ctx, TateSeries.from_scalar(ctx, phi._a_power(sp)),
+                        poles)
 
 
 def eval_theta_frac(phi, f: TateRational):
@@ -106,8 +103,7 @@ class DeformedLog:
     >= ucap in every t-coefficient (Gauss-norm bound
     log_q||b_n xi^(q^n)|| <= (q^n - 1) rho + q^n deg xi)."""
 
-    def __init__(self, phi: DrinfeldModule, xi: LaurentElem, ucap,
-                 route="definition"):
+    def __init__(self, phi: DrinfeldModule, xi: LaurentElem, ucap):
         ctx = phi.ctx
         self.phi = phi
         self.xi = xi
@@ -123,7 +119,7 @@ class DeformedLog:
             self.ucap = min(ucap, xi.cap)
             return
         self.cut = phi.log_tail_cut(xi.deg(), ucap)
-        seq = b_seq(phi, self.cut - 1, route)
+        seq = b_seq(phi, self.cut - 1)
         self.terms = []
         xq = xi
         for n in range(self.cut):
@@ -167,8 +163,7 @@ class AGFValue:
     kept as (simple pole at theta with residue -u) + rationals whose
     poles all lie outside the unit disk."""
 
-    def __init__(self, phi: DrinfeldModule, u: LaurentElem, ucap,
-                 route="partitions"):
+    def __init__(self, phi: DrinfeldModule, u: LaurentElem, ucap):
         ctx = phi.ctx
         self.phi = phi
         self.u = u
@@ -180,7 +175,7 @@ class AGFValue:
             return
         d = u.deg() if u.coeffs else Fraction(-u.cap, ctx.m)
         self.cut = phi.exp_tail_cut(d - 1, ucap)
-        alpha = phi.exp_coeffs(self.cut - 1, route)
+        alpha = phi.exp_coeffs(self.cut - 1)
         self.terms = []
         uq = u
         for n in range(1, self.cut):
@@ -193,9 +188,6 @@ class AGFValue:
                              {n: 1}))
         self.residue = -u
 
-    def residue_at_theta(self):
-        return self.residue
-
     def theta_pole_form(self, t_prec):
         ctx = self.phi.ctx
         reg = TateSeries.zero(ctx, t_prec)
@@ -204,8 +196,8 @@ class AGFValue:
         return ThetaPoleForm(reg.truncate_u(self.ucap), self.residue)
 
 
-def agf(phi, u, ucap, route="partitions"):
-    return AGFValue(phi, u, ucap, route)
+def agf(phi, u, ucap):
+    return AGFValue(phi, u, ucap)
 
 
 def delta_phi(phi: DrinfeldModule):
@@ -243,8 +235,7 @@ def _report(ok, u_val, t_prec=None):
     return rep
 
 
-def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
-                       route="definition"):
+def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     """Verify, below explicit caps, the convergence statement and the
     four identities satisfied by the deformed logarithm at xi.  Raises
     the appropriate precondition error instead of failing an identity
@@ -254,16 +245,19 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
     margin = ctx.m * (phi.r + 2)
     inner = ucap + margin
 
-    dl = DeformedLog(phi, xi, inner, route)
+    dl = DeformedLog(phi, xi, inner)
     report = {"logq_R": [conv.logq_R.numerator, conv.logq_R.denominator],
               "s": conv.s, "cut": dl.cut}
 
     # (a) convergence: the certified Gauss-norm bounds of the summands
     # strictly decrease once n is past the support, staying <= the
-    # radius bound.
+    # radius bound.  A zero xi has no summands (and no degree).
     rho = -conv.logq_R
-    d = xi.deg() if xi.coeffs else Fraction(-xi.cap, ctx.m)
-    bounds = [(ctx.q ** n - 1) * rho + ctx.q ** n * d for n in range(dl.cut)]
+    bounds = []
+    if dl.cut:
+        d = xi.deg()
+        bounds = [(ctx.q ** n - 1) * rho + ctx.q ** n * d
+                  for n in range(dl.cut)]
     dec = all(bounds[n + 1] < bounds[n] for n in range(len(bounds) - 1))
     report["a"] = {"holds": bool(dec),
                    "term_bound_logq": [[b.numerator, b.denominator]
@@ -284,7 +278,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
             termwise = False
             break
     lhs_theta = dl.eval_theta()
-    rhs_log = phi.log_eval(xi, ucap=inner, route="partitions")
+    rhs_log = phi.log_eval(xi, ucap=inner)
     diff_b = lhs_theta - rhs_log
     report["b"] = _report(termwise and not diff_b.coeffs,
                           min(diff_b.cap, ucap) if diff_b.cap != INF else ucap)
@@ -298,7 +292,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
     report["c"] = _report(ok_c, min(val_c, ucap), win_c)
 
     # (d) L(xi; t) = -(t - theta) f(u; t) at u = log_phi(xi).
-    u = phi.log_eval(xi, ucap=inner, route="partitions")
+    u = phi.log_eval(xi, ucap=inner)
     f = agf(phi, u, inner)
     form = f.theta_pole_form(t_prec)
     lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
@@ -317,7 +311,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec,
             " = %s but logq_R = %s; choose xi with smaller absolute value"
             % (i, v, rr))
     phixi = phi.phi_action(xi)
-    dl2 = DeformedLog(phi, phixi, inner, route)
+    dl2 = DeformedLog(phi, phixi, inner)
     lhs_e = dl2.series(t_prec)
     rhs_e = s.shift_t(1).truncate_t(t_prec) - (
         lin * TateSeries.from_scalar(ctx, xi)).truncate_t(t_prec)
@@ -407,13 +401,9 @@ class OmegaCarlitz:
                 prod = prod * f
             return prod.truncate(prod.val + rel).invert()
         if path == "series":
-            W = self.regular_series()
-            tail_val = ctx.m * (ctx.q - 1) * self.t_prec
-            acc = ctx.zero(INF)
-            th = ctx.theta()
-            for c in reversed(W.coeffs):
-                acc = acc * th + c
-            return acc.truncate(min(rel, tail_val))
+            return self.regular_series().eval(
+                ctx.theta(), tail_logq=-(ctx.q - 1) * self.t_prec
+            ).truncate(rel)
         raise InvalidInput("unknown path %r" % path)
 
     def pi_tilde(self, path="factored"):

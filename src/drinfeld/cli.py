@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConfigError, GateFailed, InvalidInput, PreconditionError
+from .errors import ConfigError, InvalidInput, PreconditionError
 from .ff import FieldParams
 from .laurent import INF, SeriesParams
 from .partitions import count_partitions, enumerate_partitions

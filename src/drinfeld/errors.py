@@ -70,10 +70,6 @@ class EvalAtPole(PreconditionError):
     """Evaluation point coincides with a pole."""
 
 
-class HigherOrderPole(PreconditionError):
-    """A residue was requested at a pole of order greater than one."""
-
-
 class IndeterminateNorm(PreconditionError):
     """Gauss norm cannot be certified from the known coefficients."""
 

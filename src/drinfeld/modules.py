@@ -14,6 +14,7 @@ from math import inf as INF
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
 from .partitions import enumerate_partitions, iter_bits
+from .tate import max_merge
 
 
 def bracket(ctx, n):
@@ -85,9 +86,7 @@ class BracketFrac:
         return self.num * _den_elem(self.ctx, extra) if extra else self.num
 
     def __add__(self, other):
-        merged = dict(self.den)
-        for e, m in other.den.items():
-            merged[e] = max(merged.get(e, 0), m)
+        merged = max_merge(self.den.items(), other.den.items())
         return BracketFrac(self.ctx, self._lift(merged) + other._lift(merged),
                            merged)
 
@@ -130,11 +129,12 @@ class BracketFrac:
         return d - sum(Fraction(m * self.ctx.q ** e) for e, m in self.den.items())
 
     def equals(self, other):
+        """Exact equality: the numerators lifted to the merged
+        denominator agree."""
         if self.num.cap != INF or other.num.cap != INF:
             raise InvalidInput("exact equality needs exact numerators")
-        lhs = self.num * _den_elem(self.ctx, tuple(sorted(other.den.items())))
-        rhs = other.num * _den_elem(self.ctx, tuple(sorted(self.den.items())))
-        return lhs == rhs
+        merged = max_merge(self.den.items(), other.den.items())
+        return self._lift(merged) == other._lift(merged)
 
     def to_laurent(self, ucap=INF):
         """Laurent expansion certified below the absolute cap ucap (when
@@ -210,9 +210,6 @@ class DrinfeldModule:
         self._da = [Fraction(0)]
 
     # -- the module action --
-
-    def phi_coeff_list(self):
-        return [self.ctx.theta()] + list(self.A)
 
     def phi_action(self, x):
         out = self.ctx.theta() * x
@@ -399,7 +396,7 @@ class DrinfeldModule:
             total = total + term.to_laurent(ucap)
         return total.truncate(ucap)
 
-    def exp_eval(self, xi, ucap=None, route="partitions"):
+    def exp_eval(self, xi, ucap=None):
         """exp_phi(xi) with a certified absolute cap."""
         if xi.is_exact_zero():
             return xi
@@ -408,10 +405,10 @@ class DrinfeldModule:
         if ucap is None:
             ucap = xi.vbound + self.ctx.prec
         cut = self.exp_tail_cut(xi.deg(), ucap)
-        self._extend_alpha(cut - 1, route)
-        return self._eval_series(self._alpha[route], cut, xi, ucap)
+        self._extend_alpha(cut - 1, "partitions")
+        return self._eval_series(self._alpha["partitions"], cut, xi, ucap)
 
-    def log_eval(self, xi, ucap=None, route="partitions"):
+    def log_eval(self, xi, ucap=None):
         """log_phi(xi) with a certified absolute cap; xi must lie inside
         the convergence radius."""
         if xi.is_exact_zero():
@@ -422,8 +419,8 @@ class DrinfeldModule:
         if ucap is None:
             ucap = xi.vbound + self.ctx.prec
         cut = self.log_tail_cut(xi.deg(), ucap)
-        self._extend_beta(cut - 1, route)
-        return self._eval_series(self._beta[route], cut, xi, ucap)
+        self._extend_beta(cut - 1, "partitions")
+        return self._eval_series(self._beta["partitions"], cut, xi, ucap)
 
     def to_json(self):
         return {"q": self.ctx.q, "m": self.ctx.m, "r": self.r,

@@ -61,9 +61,6 @@ class ShadowedPartition:
         return tuple(sum(q ** j for j in range(self.n) if m >> j & 1)
                      for m in self.masks)
 
-    def support(self):
-        return tuple(i for i, m in enumerate(self.masks, start=1) if m)
-
     def union_mask(self):
         out = 0
         for m in self.masks:

@@ -18,7 +18,7 @@ from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
 from .ff import (_pol_deriv, _pol_divide, _pol_eval, _pol_gcd, _pol_mod,
                  _pol_powmod, _pol_trim)
 from .modules import BracketFrac, DrinfeldModule, bracket
-from .agf import DeformedLog, OmegaCarlitz
+from .agf import DeformedLog, OmegaCarlitz, carlitz_pi
 from .tate import TateSeries
 
 
@@ -244,19 +244,19 @@ def _log_q(q, d):
     return i
 
 
-def period_from_torsion(phi: DrinfeldModule, zeta, ucap, ell=1):
-    """omega = theta^ell L(zeta; theta) for a torsion point zeta inside
-    the radius; re-verifies exp(omega / theta^ell) = zeta and that omega
-    is a genuine lattice point."""
+def period_from_torsion(phi: DrinfeldModule, zeta, ucap):
+    """omega = theta L(zeta; theta) for a torsion point zeta inside the
+    radius; re-verifies exp(omega / theta) = zeta and that omega is a
+    genuine lattice point."""
     ctx = phi.ctx
-    inner = ucap + ctx.m * (ell + 1)
+    inner = ucap + 2 * ctx.m
     u = phi.log_eval(zeta, ucap=inner)
-    omega = u * ctx.theta(ell)
-    back = phi.exp_eval(omega * ctx.theta(-ell), ucap=inner)
+    omega = u * ctx.theta()
+    back = phi.exp_eval(omega * ctx.theta(-1), ucap=inner)
     if (back - zeta).coeffs:
         raise PrecisionExhausted("period re-verification failed")
     if phi.exp_eval(omega, ucap=ucap).coeffs:
-        raise PrecisionExhausted("theta^ell log(zeta) is not a period")
+        raise PrecisionExhausted("theta log(zeta) is not a period")
     return omega.truncate(ucap)
 
 
@@ -323,11 +323,9 @@ def quasi_period_orbit(phi: DrinfeldModule, j, omega, ucap, terms=20):
     return acc.truncate(ucap), tail
 
 
-def quasi_periods(phi: DrinfeldModule, zeta, ucap, ell=1):
+def quasi_periods(phi: DrinfeldModule, zeta, ucap):
     """Quasi-periods F_j(omega), j = 1..r-1, of the period attached to
     the torsion point zeta; a rank-1 module has none."""
-    if ell != 1:
-        raise InvalidInput("only the single division step is supported")
     return [quasi_period_prop(phi, j, zeta, ucap)
             for j in range(1, phi.r)]
 
@@ -390,7 +388,7 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
 
     combo = omegas[0] * etas[1] - omegas[1] * etas[0]
     root = (-B).root_q_minus_1()
-    pi = OmegaCarlitz(ctx, inner, 4).pi_tilde("factored")
+    pi = carlitz_pi(ctx, inner)
     expected_unit = pi * root.invert()
     ratio = combo * expected_unit.invert()
     ok_ratio = bool(ratio.coeffs) and ratio.val == 0

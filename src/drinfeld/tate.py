@@ -13,6 +13,9 @@ exponents.  Expansion divides by one linear factor at a time
 (TateSeries.div_pole): the quotient's coefficients obey the recurrence
 y_k = theta^(-q^e) (y_(k-1) - c_k), so each pole costs O(t_prec)
 coefficient steps, not an O(t_prec^2) product with a geometric series.
+Sums and equality lift both numerators to the max-merged pole multiset,
+one missing factor (t - theta^(q^e)) at a time, so no denominator is
+ever expanded.
 The value theta itself is never a pole of these objects; anything with
 a simple t = theta pole is carried in ThetaPoleForm, which keeps the
 residue split off exactly.
@@ -61,13 +64,6 @@ class TateSeries:
         return TateSeries(ctx, coeffs, INF)
 
     # -- structure --
-
-    def coeff(self, k):
-        if k < len(self.coeffs):
-            return self.coeffs[k]
-        if self.t_prec == INF:
-            return self.ctx.zero()
-        raise InvalidInput("coefficient %d is beyond t_prec" % k)
 
     @property
     def tval(self):
@@ -266,6 +262,15 @@ def geometric_pole_series(ctx, e, t_prec):
     return TateSeries(ctx, coeffs, t_prec)
 
 
+def max_merge(a, b):
+    """{e: max multiplicity} over two iterables of (e, mult) pairs: the
+    least common denominator of two pole (or bracket) fractions."""
+    out = dict(a)
+    for e, mlt in b:
+        out[e] = max(out.get(e, 0), mlt)
+    return out
+
+
 class TateRational:
     """numer / prod (t - theta^(q^e))^mult with pole exponents e >= 1."""
 
@@ -288,30 +293,25 @@ class TateRational:
     def from_scalar(ctx, c):
         return TateRational(ctx, TateSeries.t_poly(ctx, [c]))
 
-    def den_poly(self, poles=None):
-        """Expanded denominator polynomial for the given pole multiset."""
-        ctx = self.ctx
-        out = TateSeries.t_poly(ctx, [ctx.one()])
-        for e, mlt in (self.poles if poles is None else poles):
-            factor = TateSeries.t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
-            for _ in range(mlt):
-                out = out * factor
+    def _lift(self, target):
+        """Numerator over the pole multiset target, which contains
+        self.poles: times each missing factor t - theta^(q^e), one
+        O(deg) shift and scale per factor."""
+        have = dict(self.poles)
+        out = self.numer
+        for e, mlt in target.items():
+            missing = mlt - have.get(e, 0)
+            if missing:
+                c = self.ctx.theta().pow_q(e)
+                for _ in range(missing):
+                    out = out.shift_t(1) - out.scale(c)
         return out
 
     def __add__(self, other):
         self._check(other)
-        merged = {}
-        for e, mlt in self.poles:
-            merged[e] = max(merged.get(e, 0), mlt)
-        for e, mlt in other.poles:
-            merged[e] = max(merged.get(e, 0), mlt)
-        lift_self = [(e, mlt - dict(self.poles).get(e, 0))
-                     for e, mlt in merged.items()]
-        lift_other = [(e, mlt - dict(other.poles).get(e, 0))
-                      for e, mlt in merged.items()]
-        n = (self.numer * self.den_poly([(e, m) for e, m in lift_self if m])
-             + other.numer * other.den_poly([(e, m) for e, m in lift_other if m]))
-        return TateRational(self.ctx, n, merged)
+        merged = max_merge(self.poles, other.poles)
+        return TateRational(self.ctx,
+                            self._lift(merged) + other._lift(merged), merged)
 
     def __neg__(self):
         return TateRational(self.ctx, -self.numer, self.poles)
@@ -366,20 +366,13 @@ class TateRational:
             den = den * d.pow(mlt)
         return num * den.invert()
 
-    def eval_at_theta(self):
-        return self.eval(self.ctx.theta())
-
-    def residue_at_theta(self):
-        """These objects are regular at t = theta."""
-        return self.ctx.zero()
-
     def equals(self, other):
-        """Exact cross-multiplied equality (for exact numerators)."""
+        """Exact equality (for exact numerators): (holds, difference of
+        the numerators lifted to the merged poles)."""
         self._check(other)
-        lhs = self.numer * other.den_poly()
-        rhs = other.numer * self.den_poly()
-        d = lhs - rhs
-        return all(not c.coeffs for c in d.coeffs), d
+        merged = max_merge(self.poles, other.poles)
+        d = self._lift(merged) - other._lift(merged)
+        return d.is_zero_to_prec(), d
 
     def to_json(self):
         return {"numer": self.numer.to_json(),
@@ -399,9 +392,6 @@ class ThetaPoleForm:
         self.regular = regular
         self.residue = residue
 
-    def residue_at_theta(self):
-        return self.residue
-
     def to_series(self, t_prec=None):
         ctx = self.regular.ctx
         tp = self.regular.t_prec if t_prec is None else t_prec
@@ -411,29 +401,14 @@ class ThetaPoleForm:
         return self.regular.truncate_t(tp) + geo.scale(self.residue)
 
 
-def residue_at_theta(f):
-    """Residue at t = theta for objects that know their pole structure."""
-    if isinstance(f, (TateRational, ThetaPoleForm)):
-        return f.residue_at_theta()
-    raise InvalidInput(
-        "a bare truncated series carries no information at t = theta; "
-        "use a structured form")
-
-
 def apply_delta(delta_coeffs, f: TateSeries):
     """Apply sum_i g_i * (Frobenius twist by i) to f.  Coefficients may be
-    LaurentElem scalars, exact t-polynomials, or TateRationals (expanded
-    at f's working t-precision)."""
+    LaurentElem scalars or exact t-polynomials."""
     out = None
     for i, g in enumerate(delta_coeffs):
         fi = f.twist(i)
         if isinstance(g, LaurentElem):
             term = fi.scale(g)
-        elif isinstance(g, TateRational):
-            tp = fi.t_prec if fi.t_prec != INF else f.t_prec
-            if tp == INF:
-                raise InvalidInput("rational delta coefficient needs finite t_prec")
-            term = g.to_series(tp) * fi
         elif isinstance(g, TateSeries):
             term = g * fi
         else:

@@ -9,13 +9,12 @@ are exact below the stated precision caps; nothing is tuned per run.
 import json
 import random
 from fractions import Fraction
-from math import inf as INF
 
 from .errors import CompatPreconditionFailed
 from .ff import FieldParams
 from .laurent import LaurentElem, SeriesParams
 from .partitions import count_partitions, enumerate_partitions
-from .modules import BracketFrac, DrinfeldModule, bracket, carlitz
+from .modules import BracketFrac, DrinfeldModule, carlitz
 from .agf import (DeformedLog, OmegaCarlitz, b_seq, carlitz_bseq_product,
                   check_main_theorem, eval_theta_frac, x_phi)
 from .tate import TateSeries
@@ -121,8 +120,6 @@ def check_coefficient_closed_forms():
         b_r = phi.log_coeffs(8, "recurrence")
         for n in range(9):
             pairs += 2
-            # subtraction lifts to the merged denominator, which is far
-            # cheaper than the cross-multiplied equality predicate
             if not (a_p[n] - a_r[n]).num.is_exact_zero():
                 ok = False
             if not (b_p[n] - b_r[n]).num.is_exact_zero():

@@ -209,7 +209,7 @@ def test_agf_residue_is_minus_u():
     phi = rank2_q2()
     u = CTX2.theta(-1)
     f = agf(phi, u, 30)
-    assert f.residue_at_theta() == -u
+    assert f.residue == -u
 
 
 def test_delta_phi_shape():

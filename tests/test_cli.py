@@ -241,6 +241,18 @@ def test_verify_mainthm_all_presets_fast_caps():
         assert len(rows) == 4  # three evaluation points plus summary
 
 
+@pytest.mark.parametrize("preset", [(), ("--preset", "rank2-q2")])
+def test_verify_mainthm_zero_xi_exit_0(preset):
+    proc = run_cli("verify-mainthm", *preset, "--xi", "0",
+                   "--ucap", "48", "--tprec", "8")
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    rows = json_lines(proc)
+    assert rows[-1] == {"check": "main-theorem", "pass": True}
+    assert rows[0]["identities"]["a"] == {"holds": True,
+                                          "term_bound_logq": []}
+
+
 def test_identity_failure_maps_to_exit_1(monkeypatch):
     # the identities cannot honestly fail, so exercise the exit path
     # through the suite runner contract

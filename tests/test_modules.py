@@ -75,6 +75,60 @@ def test_frac_arithmetic_and_equality():
     assert not a.equals(b)
 
 
+def _bracket_sets(rng, q):
+    """Two bracket multisets over indices 1..4, disjoint or sharing an
+    index, with multiplicities 1-3, q or q^2."""
+    idx = [1, 2, 3, 4]
+    rng.shuffle(idx)
+    k = rng.randrange(1, 4)
+    if rng.random() < 0.5:
+        sa, sb = idx[:k], idx[k:]
+    else:
+        sa, sb = idx[:k], idx[k - 1:k + 1]
+    mults = (1, 2, 3, q, q * q)
+    return ({e: rng.choice(mults) for e in sa},
+            {e: rng.choice(mults) for e in sb})
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_frac_equality_matches_cross_multiplication(q):
+    """equals (both numerators lifted to the merged denominator) agrees
+    with the cross-multiplied oracle on equal and unequal pairs."""
+    rng = random.Random(80 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+
+    def den(d):
+        return _den_elem(ctx, tuple(sorted(d.items())))
+
+    def cross_equal(x, y):
+        return x.num * den(y.den) == y.num * den(x.den)
+
+    def rand_num():
+        return ctx.make({rng.randrange(-6, 12): rng.randrange(
+            1, ctx.field.order) for _ in range(rng.randrange(1, 4))})
+
+    def lifted(x, extra):
+        merged = dict(x.den)
+        for e, m in extra.items():
+            merged[e] = merged.get(e, 0) + m
+        return BracketFrac(ctx, x.num * den(extra), merged)
+
+    for _ in range(12):
+        da, db = _bracket_sets(rng, q)
+        x = BracketFrac(ctx, rand_num(), da)
+        y = BracketFrac(ctx, rand_num(), db)
+        same_x = lifted(x, db)
+        other_x = lifted(x, _bracket_sets(rng, q)[1])
+        bumped = BracketFrac(ctx, same_x.num + ctx.one(), same_x.den)
+        for f, g, expect in ((x, y, None), (x, same_x, True),
+                             (same_x, other_x, True), (x, bumped, False),
+                             (x + y, y + x, True)):
+            ok = f.equals(g)
+            assert ok == cross_equal(f, g) == g.equals(f)
+            if expect is not None:
+                assert ok is expect
+
+
 def test_frac_pow_q_scales_denominator():
     ctx = CTX3
     a = BracketFrac(ctx, ctx.theta(), {1: 2})

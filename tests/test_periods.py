@@ -229,8 +229,6 @@ def test_quasi_index_validated():
         quasi_function_eval(_rank2(), 0, R2.one(), 20)
     with pytest.raises(InvalidInput):
         quasi_period_orbit(_rank2(), 0, R2.one(), 20)
-    with pytest.raises(InvalidInput):
-        quasi_periods(_rank2(), R2.zero(), 20, ell=2)
 
 
 def test_legendre_rank2_q2():

@@ -12,8 +12,7 @@ from drinfeld.errors import (EvalAtPole, IndeterminateNorm, InvalidInput,
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.tate import (TateRational, TateSeries, ThetaPoleForm,
-                           apply_delta, geometric_pole_series,
-                           residue_at_theta)
+                           apply_delta, geometric_pole_series)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
@@ -170,6 +169,17 @@ def test_gauss_norm_fractional():
     assert f.gauss_norm_logq() == Fraction(3, 2)
 
 
+def _den_product(ctx, poles):
+    """prod (t - theta^(q^e))^mult over (e, mult) pairs, expanded by
+    general products: the cross-multiplication oracle's denominator."""
+    out = TateSeries.t_poly(ctx, [ctx.one()])
+    for e, mlt in poles:
+        factor = TateSeries.t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
+        for _ in range(mlt):
+            out = out * factor
+    return out
+
+
 def test_rational_series_expansion_matches_cross_multiplication():
     rng = random.Random(21)
     for ctx in (CTX2, CTX3):
@@ -185,7 +195,7 @@ def test_rational_series_expansion_matches_cross_multiplication():
             f = TateRational(ctx, numer, poles)
             n = 8
             s = f.to_series(n)
-            back = s * f.den_poly()
+            back = s * _den_product(ctx, f.poles)
             assert back == numer.truncate_t(n)
             cut = f.truncate_u(12).to_series(n)
             assert cut.truncate_u(12) == s.truncate_u(12)
@@ -252,14 +262,76 @@ def test_rational_equality_by_cross_multiplication():
     assert not ok
 
 
-def test_residue_dispatch():
-    ctx = CTX2
-    f = TateRational(ctx, TateSeries.t_poly(ctx, [ctx.one()]), {1: 1})
-    assert f.residue_at_theta().is_exact_zero()
-    form = ThetaPoleForm(TateSeries.zero(ctx, 6), ctx.theta(3))
-    assert residue_at_theta(form) == ctx.theta(3)
-    with pytest.raises(InvalidInput):
-        residue_at_theta(TateSeries.zero(ctx, 6))
+def _pole_sets(rng, q):
+    """Two pole multisets over exponents 1..4, disjoint or sharing an
+    exponent, with multiplicities 1-3 or q."""
+    exps = [1, 2, 3, 4]
+    rng.shuffle(exps)
+    k = rng.randrange(1, 4)
+    if rng.random() < 0.5:
+        sa, sb = exps[:k], exps[k:]
+    else:
+        sa, sb = exps[:k], exps[k - 1:k + 1]
+    mults = (1, 2, 3, q)
+    return ({e: rng.choice(mults) for e in sa},
+            {e: rng.choice(mults) for e in sb})
+
+
+def _exact_numer(ctx, rng):
+    return TateSeries.t_poly(ctx, [
+        LaurentElem(ctx, {rng.randrange(-6, 12): rng.randrange(
+            1, ctx.field.order) for _ in range(rng.randrange(1, 4))})
+        for _ in range(rng.randrange(1, 4))])
+
+
+def _lifted(ctx, f, extra):
+    """f with numerator and poles both multiplied by the factors in
+    extra: the same rational, written over a larger denominator."""
+    poles = dict(f.poles)
+    for e, mlt in extra.items():
+        poles[e] = poles.get(e, 0) + mlt
+    return TateRational(ctx, f.numer * _den_product(ctx, extra.items()),
+                        poles)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_rational_lift_matches_cross_multiplication(q):
+    """Sum and equality through _lift agree with the cross-multiplied
+    oracle: numerators times expanded denominators."""
+    rng = random.Random(70 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+
+    def cross_equal(f, g):
+        d = (f.numer * _den_product(ctx, g.poles)
+             - g.numer * _den_product(ctx, f.poles))
+        return d.is_zero_to_prec()
+
+    for _ in range(12):
+        pa, pb = _pole_sets(rng, q)
+        a = TateRational(ctx, _exact_numer(ctx, rng), pa)
+        b = TateRational(ctx, _exact_numer(ctx, rng), pb)
+        merged = {e: max(pa.get(e, 0), pb.get(e, 0)) for e in {*pa, *pb}}
+        want = (a.numer * _den_product(
+                    ctx, [(e, m - pa.get(e, 0)) for e, m in merged.items()])
+                + b.numer * _den_product(
+                    ctx, [(e, m - pb.get(e, 0)) for e, m in merged.items()]))
+        got = a + b
+        assert got.numer == want
+        assert got.poles == tuple(sorted(merged.items()))
+        zero = TateRational(ctx, TateSeries.zero(ctx))
+        assert (zero + a).numer == a.numer and (zero + a).poles == a.poles
+
+        same_a = _lifted(ctx, a, pb)
+        other_a = _lifted(ctx, a, _pole_sets(rng, q)[0])
+        bumped = TateRational(ctx, same_a.numer + TateSeries.from_scalar(
+            ctx, ctx.one()), same_a.poles)
+        for f, g, expect in ((a, b, None), (a, same_a, True),
+                             (same_a, other_a, True), (a, bumped, False),
+                             (a + b, b + a, True)):
+            ok, _ = f.equals(g)
+            assert ok == cross_equal(f, g) == g.equals(f)[0]
+            if expect is not None:
+                assert ok is expect
 
 
 def test_theta_pole_form_expansion():
@@ -276,7 +348,7 @@ def test_theta_pole_form_expansion():
     assert (lhs - rhs.truncate_t(lhs.t_prec)).is_zero_to_prec()
 
 
-def test_apply_delta_scalar_and_rational_coefficients():
+def test_apply_delta_scalar_and_polynomial_coefficients():
     ctx = CTX2
     th = ctx.theta()
     f = TateSeries(ctx, [th, ctx.one(), th.invert()], 5)
@@ -284,9 +356,9 @@ def test_apply_delta_scalar_and_rational_coefficients():
     out = apply_delta([g0, g1], f)
     manual = f.scale(g0) + f.twist(1).scale(g1)
     assert (out - manual).is_zero_to_prec()
-    rat = TateRational(ctx, TateSeries.t_poly(ctx, [ctx.one()]), {1: 1})
-    out2 = apply_delta([rat], f)
-    manual2 = rat.to_series(f.t_prec) * f
+    lin = TateSeries.t_poly(ctx, [th, -ctx.one()])
+    out2 = apply_delta([lin, g1], f)
+    manual2 = lin * f + f.twist(1).scale(g1)
     assert (out2 - manual2).is_zero_to_prec()
 
 
