@@ -11,7 +11,7 @@ quasi-periods and the Legendre relation (periods).
 from .ff import (FieldParams, Field, ResidueElem, ff_make, ff_pow_q,
                  ff_root_q_minus_1)
 from .laurent import LaurentElem, SeriesParams
-from .tate import TateRational, TateSeries, geometric_pole_series
+from .tate import TateRational, TateSeries
 from .partitions import (ShadowedPartition, count_partitions,
                          enumerate_partitions)
 from .modules import BracketFrac, DrinfeldModule, bracket, carlitz
@@ -26,7 +26,7 @@ __all__ = [
     "FieldParams", "Field", "ResidueElem",
     "ff_make", "ff_pow_q", "ff_root_q_minus_1",
     "LaurentElem", "SeriesParams",
-    "TateRational", "TateSeries", "geometric_pole_series",
+    "TateRational", "TateSeries",
     "ShadowedPartition", "count_partitions", "enumerate_partitions",
     "BracketFrac", "DrinfeldModule", "bracket", "carlitz",
     "DeformedLog", "OmegaCarlitz", "agf", "b_seq", "carlitz_pi",

@@ -16,8 +16,7 @@ from .errors import (CompatPreconditionFailed, InvalidInput,
 from .laurent import LaurentElem
 from .modules import BracketFrac, DrinfeldModule, check_index
 from .partitions import enumerate_partitions, iter_bits
-from .tate import (TateRational, TateSeries, ThetaPoleForm, apply_delta,
-                   geometric_pole_series)
+from .tate import TateRational, TateSeries, ThetaPoleForm, expand_sum
 
 
 def x_phi(phi: DrinfeldModule, sp):
@@ -128,20 +127,14 @@ class DeformedLog:
             self.terms.append(seq[n] * xq)
 
     def series(self, t_prec):
-        ctx = self.phi.ctx
-        out = TateSeries.zero(ctx, t_prec)
-        for term in self.terms:
-            out = out + term.truncate_u(self.ucap).to_series(t_prec)
-        return out.truncate_u(self.ucap)
+        return expand_sum(self.phi.ctx,
+                          [term.truncate_u(self.ucap) for term in self.terms],
+                          t_prec).truncate_u(self.ucap)
 
     def eval_theta(self):
         """Value at t = theta via exact per-term rationals; agrees with
         log_phi(xi) termwise."""
-        ctx = self.phi.ctx
-        total = ctx.zero(INF)
-        for term in self.terms:
-            total = total + eval_theta_frac(self.phi, term).to_laurent(self.ucap)
-        return total.truncate(self.ucap)
+        return self.twist_eval_theta(0)
 
     def twist_eval_theta(self, j):
         """Value of the j-fold twisted sum at t = theta; the certified
@@ -189,10 +182,9 @@ class AGFValue:
         self.residue = -u
 
     def theta_pole_form(self, t_prec):
-        ctx = self.phi.ctx
-        reg = TateSeries.zero(ctx, t_prec)
-        for term in self.terms:
-            reg = reg + term.truncate_u(self.ucap).to_series(t_prec)
+        reg = expand_sum(self.phi.ctx,
+                         [term.truncate_u(self.ucap) for term in self.terms],
+                         t_prec)
         return ThetaPoleForm(reg.truncate_u(self.ucap), self.residue)
 
 
@@ -200,12 +192,13 @@ def agf(phi, u, ucap):
     return AGFValue(phi, u, ucap)
 
 
-def delta_phi(phi: DrinfeldModule):
-    """Coefficients of the operator A_r tau^r + ... + A_1 tau - (t - theta)
-    in the form consumed by apply_delta."""
-    ctx = phi.ctx
-    g0 = TateSeries.t_poly(ctx, [ctx.theta(), -ctx.one()])
-    return [g0] + list(phi.A)
+def delta(phi: DrinfeldModule, G: TateSeries):
+    """The operator A_r tau^r + ... + A_1 tau - (t - theta) applied to
+    G, tau being the coefficientwise Frobenius twist."""
+    out = -G.mul_pole(0)
+    for i in phi.support:
+        out = out + G.twist(i).scale(phi.A[i - 1])
+    return out
 
 
 def shift_precondition_violations(phi: DrinfeldModule, xi):
@@ -278,25 +271,21 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
             termwise = False
             break
     lhs_theta = dl.eval_theta()
-    rhs_log = phi.log_eval(xi, ucap=inner)
-    diff_b = lhs_theta - rhs_log
+    u = phi.log_eval(xi, ucap=inner)
+    diff_b = lhs_theta - u
     report["b"] = _report(termwise and not diff_b.coeffs,
                           min(diff_b.cap, ucap) if diff_b.cap != INF else ucap)
 
     # (c) the delta operator recovers xi from -L/(t - theta).
     s = dl.series(t_prec)
-    G = -s.div_pole(0)
-    applied = apply_delta(delta_phi(phi), G)
+    applied = delta(phi, -s.div_pole(0))
     resid_c = applied - TateSeries.from_scalar(ctx, xi).truncate_t(applied.t_prec)
     ok_c, val_c, win_c = resid_c.residual_report()
     report["c"] = _report(ok_c, min(val_c, ucap), win_c)
 
     # (d) L(xi; t) = -(t - theta) f(u; t) at u = log_phi(xi).
-    u = phi.log_eval(xi, ucap=inner)
-    f = agf(phi, u, inner)
-    form = f.theta_pole_form(t_prec)
-    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
-    rhs_d = -(lin * form.regular +
+    form = agf(phi, u, inner).theta_pole_form(t_prec)
+    rhs_d = -(form.regular.mul_pole(0) +
               TateSeries.from_scalar(ctx, form.residue))
     resid_d = s - rhs_d.truncate_t(s.t_prec)
     ok_d, val_d, win_d = resid_d.residual_report()
@@ -313,8 +302,8 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     phixi = phi.phi_action(xi)
     dl2 = DeformedLog(phi, phixi, inner)
     lhs_e = dl2.series(t_prec)
-    rhs_e = s.shift_t(1).truncate_t(t_prec) - (
-        lin * TateSeries.from_scalar(ctx, xi)).truncate_t(t_prec)
+    rhs_e = (s.shift_t(1).truncate_t(t_prec)
+             - TateSeries.from_scalar(ctx, xi).mul_pole(0).truncate_t(t_prec))
     resid_e = lhs_e - rhs_e.truncate_t(lhs_e.t_prec)
     ok_e, val_e, win_e = resid_e.residual_report()
     report["e"] = _report(ok_e, min(val_e, ucap), win_e)
@@ -374,8 +363,8 @@ class OmegaCarlitz:
         -theta * root * W(theta)."""
         ctx = self.ctx
         res = -(self.pi_tilde("factored"))
-        geo = geometric_pole_series(ctx, 0, self.t_prec)
-        reg = self.series() - geo.scale(res)
+        pole = TateSeries.from_scalar(ctx, res, self.t_prec).div_pole(0)
+        reg = self.series() - pole
         return ThetaPoleForm(reg.truncate_u(self.ucap), res)
 
     def _w_factors_theta(self):
@@ -421,8 +410,7 @@ class OmegaCarlitz:
         W = self.regular_series()
         s = (W.scale(self.root * (-ctx.theta())).div_pole(0)
              .truncate_u(self._inner - ctx.m))
-        lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
-        resid = s.twist(1) - (lin * s).truncate_t(s.t_prec)
+        resid = s.twist(1) - s.mul_pole(0)
         return resid.truncate_u(self.ucap)
 
 

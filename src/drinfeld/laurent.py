@@ -226,12 +226,6 @@ class LaurentElem:
             return -INF
         return Fraction(-vb, self.ctx.m)
 
-    def leading(self):
-        if not self.coeffs:
-            raise PrecisionExhausted("zero to working precision has no leading term")
-        v = min(self.coeffs)
-        return v, self.coeffs[v]
-
     # -- ring operations --
 
     def _check(self, other):
@@ -279,11 +273,6 @@ class LaurentElem:
         mul = self.ctx.field.mul
         return LaurentElem(self.ctx, {e: mul(c, x) for e, x in self.coeffs.items()},
                            self.cap)
-
-    def shift(self, k):
-        """Multiply by u^k."""
-        cap = self.cap if self.cap == INF else self.cap + k
-        return LaurentElem(self.ctx, {e + k: c for e, c in self.coeffs.items()}, cap)
 
     def pow(self, n):
         if n < 0:

@@ -309,6 +309,8 @@ def quasi_period_orbit(phi: DrinfeldModule, j, omega, ucap, terms=20):
     m = terms."""
     if j < 1:
         raise InvalidInput("quasi index must be >= 1")
+    if terms < 0:
+        raise InvalidInput("terms must be >= 0, got %d" % terms)
     ctx = phi.ctx
     if not omega.coeffs:
         return omega.truncate(ucap), -INF
@@ -416,8 +418,7 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
             row.append(entry)
         rows.append(row)
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
-    resid = det.twist(1).scale(B) + (lin * det).truncate_t(det.t_prec)
+    resid = det.twist(1).scale(B) + det.mul_pole(0)
     ok_det, uval, win = resid.residual_report()
     report["det_twist"] = {"holds": ok_det,
                            "u_val": None if uval == INF else int(uval),

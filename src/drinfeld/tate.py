@@ -13,9 +13,14 @@ exponents.  Expansion divides by one linear factor at a time
 (TateSeries.div_pole): the quotient's coefficients obey the recurrence
 y_k = theta^(-q^e) (y_(k-1) - c_k), so each pole costs O(t_prec)
 coefficient steps, not an O(t_prec^2) product with a geometric series.
-Sums and equality lift both numerators to the max-merged pole multiset,
-one missing factor (t - theta^(q^e)) at a time, so no denominator is
-ever expanded.
+Every sum of fractions is expanded by expand_sum, which adds the
+numerators that share a pole multiset and divides each group by its
+top pole once, Horner style, so a chain of nested pole sets costs one
+division per pole, not one per term and pole.  Its inverse,
+TateSeries.mul_pole, multiplies by (t - theta^(q^e)) with one O(deg)
+shift and scale; it serves every such product, including the lift of
+both numerators to the max-merged pole multiset in sums and equality,
+so no denominator is ever expanded.
 The value theta itself is never a pole of these objects; anything with
 a simple t = theta pole is carried in ThetaPoleForm, which keeps the
 residue split off exactly.
@@ -125,13 +130,19 @@ class TateSeries:
                     out[k] = out[k] + a * b
         return TateSeries(self.ctx, out, tp)
 
+    def mul_pole(self, e):
+        """self * (t - theta^(q^e)): one t-shift and one scale."""
+        return self.shift_t(1) - self.scale(self.ctx.theta().pow_q(e))
+
     def div_pole(self, e):
         """self / (t - theta^(q^e)) in the Tate algebra, to the same
         t_prec: y_k = u^(m q^e) (y_(k-1) - c_k), each step one
         subtraction and one u-shift.  Caps obey the same recurrence,
         cap(y_k) = min(cap(y_(k-1)), cap(c_k)) + m q^e, so the result
-        equals self * geometric_pole_series(ctx, e, t_prec) coefficient
-        for coefficient and cap for cap."""
+        equals the product with the geometric series
+        -sum_k theta^(-q^e (k+1)) t^k coefficient for coefficient and
+        cap for cap.  The cap recurrence is min-plus linear, so dividing
+        a sum gives the sum of the quotients, caps included."""
         if self.t_prec == INF:
             raise InvalidInput("dividing an exact polynomial by a pole "
                                "needs a finite t_prec")
@@ -252,16 +263,6 @@ class TateSeries:
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
 
-def geometric_pole_series(ctx, e, t_prec):
-    """Expansion of 1/(t - theta^(q^e)) in the Tate algebra:
-    -sum_k theta^(-q^e (k+1)) t^k (valid since |theta^(q^e)| > 1)."""
-    q = ctx.q
-    neg1 = ctx.field.neg(1)
-    step = ctx.m * (q ** e)
-    coeffs = [ctx.monomial(neg1, step * (k + 1)) for k in range(t_prec)]
-    return TateSeries(ctx, coeffs, t_prec)
-
-
 def max_merge(a, b):
     """{e: max multiplicity} over two iterables of (e, mult) pairs: the
     least common denominator of two pole (or bracket) fractions."""
@@ -289,22 +290,14 @@ class TateRational:
         self.numer = numer
         self.poles = poles
 
-    @staticmethod
-    def from_scalar(ctx, c):
-        return TateRational(ctx, TateSeries.t_poly(ctx, [c]))
-
     def _lift(self, target):
         """Numerator over the pole multiset target, which contains
-        self.poles: times each missing factor t - theta^(q^e), one
-        O(deg) shift and scale per factor."""
+        self.poles: times each missing factor t - theta^(q^e)."""
         have = dict(self.poles)
         out = self.numer
         for e, mlt in target.items():
-            missing = mlt - have.get(e, 0)
-            if missing:
-                c = self.ctx.theta().pow_q(e)
-                for _ in range(missing):
-                    out = out.shift_t(1) - out.scale(c)
+            for _ in range(mlt - have.get(e, 0)):
+                out = out.mul_pole(e)
         return out
 
     def __add__(self, other):
@@ -349,11 +342,7 @@ class TateRational:
         return TateRational(self.ctx, self.numer.truncate_u(cap), self.poles)
 
     def to_series(self, t_prec):
-        out = self.numer.truncate_t(t_prec)
-        for e, mlt in self.poles:
-            for _ in range(mlt):
-                out = out.div_pole(e)
-        return out
+        return expand_sum(self.ctx, [self], t_prec)
 
     def eval(self, z: LaurentElem):
         """Exact evaluation away from the poles."""
@@ -383,6 +372,27 @@ class TateRational:
             len(self.numer.coeffs) - 1, list(self.poles))
 
 
+def expand_sum(ctx, fracs, t_prec):
+    """sum(fracs) as a series to O(t^t_prec).  Numerators (cut to
+    t_prec) that share a pole multiset are added first; then the group
+    with the largest top pole is divided once by that pole and added
+    into the group with that pole removed, until only the pole-free
+    group is left."""
+    groups = {}
+
+    def put(poles, x):
+        groups[poles] = groups[poles] + x if poles in groups else x
+
+    for f in fracs:
+        put(f.poles, f.numer.truncate_t(t_prec))
+    while any(groups):
+        poles = max(groups, key=lambda p: p[-1][0] if p else 0)
+        e, mlt = poles[-1]
+        put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
+            groups.pop(poles).div_pole(e))
+    return groups.get((), TateSeries.zero(ctx, t_prec))
+
+
 class ThetaPoleForm:
     """regular + residue/(t - theta), with the residue kept exact."""
 
@@ -393,27 +403,8 @@ class ThetaPoleForm:
         self.residue = residue
 
     def to_series(self, t_prec=None):
-        ctx = self.regular.ctx
+        """regular + residue/(t - theta) to O(t^t_prec); t_prec defaults
+        to that of the regular part and must be finite."""
         tp = self.regular.t_prec if t_prec is None else t_prec
-        if tp == INF:
-            raise InvalidInput("pole expansion needs a finite t_prec")
-        geo = geometric_pole_series(ctx, 0, tp)
-        return self.regular.truncate_t(tp) + geo.scale(self.residue)
-
-
-def apply_delta(delta_coeffs, f: TateSeries):
-    """Apply sum_i g_i * (Frobenius twist by i) to f.  Coefficients may be
-    LaurentElem scalars or exact t-polynomials."""
-    out = None
-    for i, g in enumerate(delta_coeffs):
-        fi = f.twist(i)
-        if isinstance(g, LaurentElem):
-            term = fi.scale(g)
-        elif isinstance(g, TateSeries):
-            term = g * fi
-        else:
-            raise InvalidInput("unsupported delta coefficient")
-        out = term if out is None else out + term
-    if out is None:
-        raise InvalidInput("empty delta")
-    return out
+        pole = TateSeries.from_scalar(self.regular.ctx, self.residue, tp)
+        return self.regular.truncate_t(tp) + pole.div_pole(0)

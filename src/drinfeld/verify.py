@@ -285,12 +285,12 @@ def check_carlitz_compat(ucap=64, t_prec=12):
             acc = acc + f.to_series(t_prec).scale(xq).truncate_u(inner)
         return acc
 
-    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
     ok = True
     vals = []
     for xi in preset_xis(ctx):
         lhs = L(phi.phi_action(xi))
-        rhs = L(xi).shift_t(1).truncate_t(t_prec) - lin.scale(xi)
+        rhs = (L(xi).shift_t(1).truncate_t(t_prec)
+               - TateSeries.from_scalar(ctx, xi).mul_pole(0))
         holds, uval, win = (lhs - rhs).residual_report()
         ok = ok and holds and uval >= ucap and win >= t_prec
         vals.append(int(min(uval, 10 ** 9)))

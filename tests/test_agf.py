@@ -15,10 +15,12 @@ from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.agf import (AGFValue, B_ROUTES, DeformedLog, OmegaCarlitz,
                           agf, b_seq, carlitz_bseq_product, carlitz_pi,
-                          check_main_theorem, delta_phi, eval_theta_frac,
+                          check_main_theorem, delta, eval_theta_frac,
                           shift_precondition_violations, x_phi)
 from drinfeld.tate import TateSeries
+from drinfeld.verify import preset_session
 from test_modules import partition_norm_logq
+from test_tate import apply_delta
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3P = SeriesParams(FieldParams.make(3, 2), 2, 60)
@@ -52,6 +54,14 @@ def shifted_deformed_log(phi, series_xi_pair):
     shifted = s.shift_t(1).truncate_t(s.t_prec) - (
         lin * TateSeries.from_scalar(ctx, xi)).truncate_t(s.t_prec)
     return shifted, phi.phi_action(xi)
+
+
+def delta_phi(phi: DrinfeldModule):
+    """Coefficients of the operator A_r tau^r + ... + A_1 tau - (t - theta)
+    in the form consumed by apply_delta: the oracle for agf.delta."""
+    ctx = phi.ctx
+    g0 = TateSeries.t_poly(ctx, [ctx.theta(), -ctx.one()])
+    return [g0] + list(phi.A)
 
 
 # -- partition summands --
@@ -218,6 +228,36 @@ def test_delta_phi_shape():
     assert len(d) == 3
     assert d[0].coeffs[0] == CTX2.theta()
     assert d[0].coeffs[1] == -CTX2.one()
+
+
+def test_delta_matches_apply_delta_oracle():
+    """delta(phi, G), as check (c) applies it, against the
+    coefficient-list operator; sparse supports skip the zero A_i."""
+    fp3 = FieldParams.make(3)
+    cases = [(rank2_q2(), CTX2.one()), (rank3_q2(), CTX2.theta(-1)),
+             (carlitz(CTX3P), CTX3P.theta(-1))]
+    for A in ([0, 1], [0, 0, 1], [1, 0, 1]):
+        for ctx in (CTX2, SeriesParams(fp3, 1, 48)):
+            phi = DrinfeldModule(ctx, [ctx.int_scalar(a) for a in A])
+            cases.append((phi, ctx.theta(-1) + ctx.one()))
+    for phi, xi in cases:
+        G = -DeformedLog(phi, xi, 30).series(6).div_pole(0)
+        assert delta(phi, G) == apply_delta(delta_phi(phi), G)
+
+
+def test_deformed_log_series_division_count(monkeypatch):
+    """The terms of L(xi) at rank3-q2 have the nested pole sets {},
+    {1}, ..., {1..6}: summed numerators cost one division per pole (6),
+    where expanding term by term cost 1 + 2 + ... + 6 = 21."""
+    ctx, phi = preset_session("rank3-q2")
+    dl = DeformedLog(phi, ctx.one(), 96)
+    assert sum(m for term in dl.terms for _, m in term.poles) == 21
+    calls = []
+    div_pole = TateSeries.div_pole
+    monkeypatch.setattr(TateSeries, "div_pole",
+                        lambda self, e: calls.append(e) or div_pole(self, e))
+    dl.series(8)
+    assert calls == [6, 5, 4, 3, 2, 1]
 
 
 # -- omega and the period --

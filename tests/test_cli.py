@@ -119,6 +119,15 @@ def test_zero_ucap_exit_2_names_ucap(args):
     assert "prec must" not in proc.stderr
 
 
+@pytest.mark.parametrize("terms", ["-1", "-5"])
+def test_negative_terms_exit_2_names_terms(terms):
+    proc = run_cli("quasiperiod", "--preset", "rank2-q2", "--terms", terms)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "terms must be >= 0" in proc.stderr
+
+
 def test_zero_m_names_m():
     proc = run_cli("coeffs", "2", "--m", "0")
     assert proc.returncode == 2

@@ -229,6 +229,8 @@ def test_quasi_index_validated():
         quasi_function_eval(_rank2(), 0, R2.one(), 20)
     with pytest.raises(InvalidInput):
         quasi_period_orbit(_rank2(), 0, R2.one(), 20)
+    with pytest.raises(InvalidInput, match="terms"):
+        quasi_period_orbit(_rank2(), 1, R2.one(), 20, terms=-1)
 
 
 def test_legendre_rank2_q2():

@@ -12,10 +12,39 @@ from drinfeld.errors import (EvalAtPole, IndeterminateNorm, InvalidInput,
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.tate import (TateRational, TateSeries, ThetaPoleForm,
-                           apply_delta, geometric_pole_series)
+                           expand_sum)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
+
+
+def geometric_pole_series(ctx, e, t_prec):
+    """Expansion of 1/(t - theta^(q^e)) in the Tate algebra:
+    -sum_k theta^(-q^e (k+1)) t^k (valid since |theta^(q^e)| > 1).
+    The product with it is the oracle for TateSeries.div_pole."""
+    q = ctx.q
+    neg1 = ctx.field.neg(1)
+    step = ctx.m * (q ** e)
+    coeffs = [ctx.monomial(neg1, step * (k + 1)) for k in range(t_prec)]
+    return TateSeries(ctx, coeffs, t_prec)
+
+
+def apply_delta(delta_coeffs, f: TateSeries):
+    """Apply sum_i g_i * (Frobenius twist by i) to f.  Coefficients may be
+    LaurentElem scalars or exact t-polynomials."""
+    out = None
+    for i, g in enumerate(delta_coeffs):
+        fi = f.twist(i)
+        if isinstance(g, LaurentElem):
+            term = fi.scale(g)
+        elif isinstance(g, TateSeries):
+            term = g * fi
+        else:
+            raise InvalidInput("unsupported delta coefficient")
+        out = term if out is None else out + term
+    if out is None:
+        raise InvalidInput("empty delta")
+    return out
 
 
 def _rand_scalar(ctx, rng, exact_ok=True):
@@ -115,6 +144,93 @@ def test_div_pole_of_polynomial_raises():
         f.div_pole(1)
     with pytest.raises(InvalidInput):
         TateRational(CTX2, f, {1: 1}).to_series(INF)
+
+
+def test_mul_pole_matches_linear_product():
+    rng = random.Random(43)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                for e in (0, 1, 2):
+                    lin = TateSeries.t_poly(
+                        ctx, [-ctx.theta().pow_q(e), ctx.one()])
+                    lead = rng.randrange(0, 3)
+                    x = _pole_operand(ctx, rng, lead, lead + 4
+                                      + rng.randrange(0, 5))
+                    for y in (x, TateSeries(ctx, x.coeffs, INF),
+                              TateSeries.zero(ctx), TateSeries.zero(ctx, 0)):
+                        assert y.mul_pole(e) == lin * y
+
+
+def _per_term_sum(ctx, fracs, t_prec):
+    """The expansion of a sum of fractions one term at a time: each
+    numerator divided by all of its own poles, the quotients added."""
+    out = TateSeries.zero(ctx, t_prec)
+    for f in fracs:
+        x = f.numer.truncate_t(t_prec)
+        for e, mlt in f.poles:
+            for _ in range(mlt):
+                x = x.div_pole(e)
+        out = out + x
+    return out
+
+
+def _rand_numer(ctx, rng):
+    """An exact t-polynomial whose coefficients are exact, capped, zero
+    to a cap or exactly zero; sometimes the zero polynomial."""
+    if rng.random() < 0.1:
+        return TateSeries.zero(ctx)
+
+    def terms():
+        return {rng.randrange(-6, 20): rng.randrange(1, ctx.field.order)
+                for _ in range(rng.randrange(1, 5))}
+    kinds = [lambda: LaurentElem(ctx, terms(), INF),
+             lambda: LaurentElem(ctx, terms(), rng.randrange(-4, 24)),
+             lambda: ctx.zero(rng.randrange(-4, 24)),
+             ctx.zero]
+    return TateSeries(ctx, [rng.choice(kinds)()
+                            for _ in range(rng.randrange(1, 4))], INF)
+
+
+def _rand_fracs(ctx, rng):
+    """Fractions over a nested chain of pole sets, over random (disjoint
+    or overlapping) subsets of 1..4, or drawn from a small pool so that
+    pole multisets repeat; multiplicities 1-3."""
+    shape = rng.choice(("chain", "subsets", "pool"))
+    if shape == "chain":
+        mults = [rng.choice((1, 1, 2, 3)) for _ in range(5)]
+        sets = [{e: mults[e - 1] for e in range(1, k + 1)}
+                for k in range(rng.randrange(1, 6))]
+    else:
+        def subset():
+            return {e: rng.randrange(1, 4)
+                    for e in rng.sample(range(1, 5), rng.randrange(0, 4))}
+        pool = [subset() for _ in range(2)]
+        sets = [rng.choice(pool) if shape == "pool" else subset()
+                for _ in range(rng.randrange(1, 6))]
+    return [TateRational(ctx, _rand_numer(ctx, rng), p) for p in sets]
+
+
+def test_expand_sum_matches_per_term_oracle():
+    rng = random.Random(47)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                for t_prec in range(9):
+                    assert expand_sum(ctx, [], t_prec) == \
+                        TateSeries.zero(ctx, t_prec)
+                    for _ in range(2):
+                        fracs = _rand_fracs(ctx, rng)
+                        want = _per_term_sum(ctx, fracs, t_prec)
+                        assert expand_sum(ctx, fracs, t_prec) == want
+                        assert expand_sum(ctx, fracs[::-1], t_prec) == want
+                        f = fracs[0]
+                        assert f.to_series(t_prec) == _per_term_sum(
+                            ctx, [f], t_prec)
 
 
 def test_series_eval_polynomial_horner():
@@ -346,6 +462,18 @@ def test_theta_pole_form_expansion():
     lhs = lin * s
     rhs = lin * reg + TateSeries.from_scalar(ctx, res)
     assert (lhs - rhs.truncate_t(lhs.t_prec)).is_zero_to_prec()
+
+
+def test_theta_pole_form_matches_geometric_oracle():
+    rng = random.Random(49)
+    for ctx in (CTX2, CTX3):
+        for n in (0, 1, 6):
+            reg = _pole_operand(ctx, rng, 0, 4 + n)
+            for res in (_rand_scalar(ctx, rng, exact_ok=False),
+                        ctx.theta(), ctx.zero()):
+                want = (reg.truncate_t(n)
+                        + geometric_pole_series(ctx, 0, n).scale(res))
+                assert ThetaPoleForm(reg, res).to_series(n) == want
 
 
 def test_apply_delta_scalar_and_polynomial_coefficients():
