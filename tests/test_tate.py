@@ -182,16 +182,8 @@ def _rand_numer(ctx, rng):
     to a cap or exactly zero; sometimes the zero polynomial."""
     if rng.random() < 0.1:
         return TateSeries.zero(ctx)
-
-    def terms():
-        return {rng.randrange(-6, 20): rng.randrange(1, ctx.field.order)
-                for _ in range(rng.randrange(1, 5))}
-    kinds = [lambda: LaurentElem(ctx, terms(), INF),
-             lambda: LaurentElem(ctx, terms(), rng.randrange(-4, 24)),
-             lambda: ctx.zero(rng.randrange(-4, 24)),
-             ctx.zero]
-    return TateSeries(ctx, [rng.choice(kinds)()
-                            for _ in range(rng.randrange(1, 4))], INF)
+    body = _pole_operand(ctx, rng, 0, 4).coeffs
+    return TateSeries(ctx, body[:rng.randrange(1, 4)], INF)
 
 
 def _rand_fracs(ctx, rng):
