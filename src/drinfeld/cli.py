@@ -11,6 +11,7 @@ the parameter to enlarge named in the message.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -193,11 +194,21 @@ class SessionConfig:
 
 # -- subcommands ------------------------------------------------------
 
+def parse_support(text, r):
+    """--support: a comma list of rows in 1..r."""
+    try:
+        rows = tuple(int(x) for x in text.split(","))
+    except ValueError:
+        rows = ()
+    if not rows or not all(1 <= x <= r for x in rows):
+        raise ConfigError("bad --support %r: want a comma list of rows "
+                          "in 1..%d" % (text, r))
+    return rows
+
+
 def cmd_partitions(args):
     cfg = SessionConfig.from_args(args)
-    support = None
-    if args.support:
-        support = tuple(int(x) for x in args.support.split(","))
+    support = parse_support(args.support, args.r) if args.support else None
     found = 0
     for sp in enumerate_partitions(args.r, args.n, support=support):
         _emit(sp.to_json(cfg.q))
@@ -393,10 +404,10 @@ def _preset_scorecard(name, ucap, tprec):
 
 
 def cmd_verify(args):
+    if args.preset is not None and args.preset not in verify_mod.PRESETS:
+        raise ConfigError("unknown preset %r (have: %s)" % (
+            args.preset, ", ".join(verify_mod.PRESET_ORDER)))
     if args.preset is not None and not args.full:
-        if args.preset not in verify_mod.PRESETS:
-            raise ConfigError("unknown preset %r (have: %s)" % (
-                args.preset, ", ".join(verify_mod.PRESET_ORDER)))
         ucap = args.ucap if args.ucap is not None else \
             64 * verify_mod.PRESETS[args.preset]["m"]
         _check_ucap(ucap)
@@ -498,8 +509,15 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    # parse_args leaves the parser unchanged, so one tree serves every
+    # call of main in a process
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

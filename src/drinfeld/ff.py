@@ -317,6 +317,12 @@ class FieldParams:
     @staticmethod
     def make(q, s=1, modulus=None, modulus_s=None):
         """Build params for F_{q^s} with canonical default moduli."""
+        if modulus is None and modulus_s is None:
+            return _default_params(q, s)
+        return FieldParams._build(q, s, modulus, modulus_s)
+
+    @staticmethod
+    def _build(q, s, modulus, modulus_s):
         if q < 2:
             raise ConfigError("q must be a prime power >= 2")
         p = _factor(q)[0]
@@ -348,6 +354,14 @@ class FieldParams:
         if s > 1 and not _is_irreducible(Lq, list(modulus_s)):
             raise ConfigError("modulus_s is reducible over F_q")
         return FieldParams(p, e, modulus, s, modulus_s)
+
+
+@lru_cache(maxsize=None)
+def _default_params(q, s):
+    # the canonical moduli cost a search plus irreducibility tests, and
+    # the params are frozen, so one instance per (q, s) is shared;
+    # errors are not cached and raise on every call
+    return FieldParams._build(q, s, None, None)
 
 
 class Field:

@@ -423,7 +423,9 @@ class LaurentElem:
         if self.coeffs:
             v = min(self.coeffs)
             top = max(self.coeffs)
-            dense = [list(field.coords(self.coeffs.get(e, 0)))
+            # the absent slots of the dense window share one zero row
+            coords, get, zero = field.coords, self.coeffs.get, [0] * field.dim
+            dense = [list(coords(c)) if (c := get(e)) else zero
                      for e in range(v, top + 1)]
         else:
             v = None

@@ -63,11 +63,6 @@ class TateSeries:
     def from_scalar(ctx, c, t_prec=INF):
         return TateSeries(ctx, [c], t_prec)
 
-    @staticmethod
-    def t_poly(ctx, coeffs):
-        """Exact polynomial in t with LaurentElem coefficients."""
-        return TateSeries(ctx, coeffs, INF)
-
     # -- structure --
 
     @property
@@ -81,12 +76,6 @@ class TateSeries:
 
     def is_zero_to_prec(self):
         return all(not c.coeffs for c in self.coeffs)
-
-    def deg_t(self):
-        """Degree as a polynomial (exact series only)."""
-        if self.t_prec != INF:
-            raise InvalidInput("degree of a truncated series is unknown")
-        return len(self.coeffs) - 1
 
     # -- arithmetic --
 

@@ -1,7 +1,6 @@
 """t-deformation layer: partition summands, the b-sequence routes, the
 deformed logarithm, the generating function, omega and the period."""
 
-from fractions import Fraction
 from math import inf as INF
 
 import pytest
@@ -13,14 +12,14 @@ from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
-from drinfeld.agf import (AGFValue, B_ROUTES, DeformedLog, OmegaCarlitz,
-                          agf, b_seq, carlitz_bseq_product, carlitz_pi,
+from drinfeld.agf import (B_ROUTES, DeformedLog, OmegaCarlitz, agf, b_seq,
+                          carlitz_bseq_product, carlitz_pi,
                           check_main_theorem, delta, eval_theta_frac,
                           shift_precondition_violations, x_phi)
 from drinfeld.tate import TateSeries
 from drinfeld.verify import preset_session
 from test_modules import partition_norm_logq
-from test_tate import apply_delta
+from test_tate import apply_delta, t_poly
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3P = SeriesParams(FieldParams.make(3, 2), 2, 60)
@@ -50,7 +49,7 @@ def shifted_deformed_log(phi, series_xi_pair):
     produce (L(phi_t(xi)) series, phi_t(xi)) without re-summing."""
     s, xi = series_xi_pair
     ctx = phi.ctx
-    lin = TateSeries.t_poly(ctx, [-ctx.theta(), ctx.one()])
+    lin = t_poly(ctx, [-ctx.theta(), ctx.one()])
     shifted = s.shift_t(1).truncate_t(s.t_prec) - (
         lin * TateSeries.from_scalar(ctx, xi)).truncate_t(s.t_prec)
     return shifted, phi.phi_action(xi)
@@ -60,7 +59,7 @@ def delta_phi(phi: DrinfeldModule):
     """Coefficients of the operator A_r tau^r + ... + A_1 tau - (t - theta)
     in the form consumed by apply_delta: the oracle for agf.delta."""
     ctx = phi.ctx
-    g0 = TateSeries.t_poly(ctx, [ctx.theta(), -ctx.one()])
+    g0 = t_poly(ctx, [ctx.theta(), -ctx.one()])
     return [g0] + list(phi.A)
 
 

@@ -1,7 +1,10 @@
 """End-to-end tests of the command line front end: exit codes, JSON
 shape, determinism, config-file handling."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -105,6 +108,23 @@ def test_negative_index_exit_2(args):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "n must be a non-negative integer" in proc.stderr
+
+
+@pytest.mark.parametrize("args,needle", [
+    (("partitions", "2", "3", "--support", "a"), "'a'"),
+    (("partitions", "2", "3", "--support", "1,,2"), "'1,,2'"),
+    (("partitions", "2", "3", "--support", "5"), "'5'"),
+    (("partitions", "2", "3", "--support", "0"), "'0'"),
+    (("verify", "--full", "--preset", "nope"), "'nope'"),
+])
+def test_bad_value_exit_2_names_it(args, needle):
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ")
+    assert needle in proc.stderr
+    if "--support" in args:
+        assert "rows in 1..2" in proc.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -260,6 +280,32 @@ def test_verify_mainthm_zero_xi_exit_0(preset):
     assert rows[-1] == {"check": "main-theorem", "pass": True}
     assert rows[0]["identities"]["a"] == {"holds": True,
                                           "term_bound_logq": []}
+
+
+def test_one_process_matches_fresh_processes(monkeypatch):
+    # main reuses one parser per process; a parser that carried state
+    # from one call to the next (a route default, a parsed subcommand)
+    # would make a later call differ from a fresh process
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, COLUMNS="80")
+    seq = [("coeffs", "3", "--route", "recurrence"),
+           ("bseq", "2"),
+           ("coeffs", "3"),
+           ("coeffs", "3", "--route", "bogus"),
+           (),
+           ("partitions", "2", "3", "--support", "5"),
+           ("partitions", "2", "3")]
+    for argv in seq:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        fresh = subprocess.run([sys.executable, "-m", "drinfeld.cli", *argv],
+                               capture_output=True, text=True, env=env)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_identity_failure_maps_to_exit_1(monkeypatch):

@@ -132,6 +132,21 @@ def test_canonical_moduli_for_builtin_q():
     assert FieldParams.make(8).modulus == (1, 0, 1, 1)
 
 
+@pytest.mark.parametrize("q,s", FIELDS)
+def test_make_default_moduli_are_canonical(q, s):
+    P = FieldParams.make(q, s)
+    assert FieldParams.make(q, s) == P
+    assert FieldParams._build(q, s, None, None) == P  # uncached
+    assert FieldParams.make(q, s, P.modulus, P.modulus_s) == P
+
+
+@pytest.mark.parametrize("q", [6, 1])
+def test_make_bad_q_raises_every_call(q):
+    for _ in range(2):
+        with pytest.raises(ConfigError):
+            FieldParams.make(q)
+
+
 def test_tables_match_schoolbook():
     # same field with and without tables must agree
     P = FieldParams.make(3, 2)

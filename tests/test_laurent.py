@@ -181,6 +181,32 @@ def test_json_round_trip():
             assert x == y
 
 
+def _to_json_oracle(x):
+    """LaurentElem.to_json by the plain rule: one coordinate vector per
+    slot of the dense window, zero slots included."""
+    out = x.to_json()
+    if x.coeffs:
+        out["coeffs"] = [list(x.ctx.field.coords(x.coeffs.get(e, 0)))
+                         for e in range(min(x.coeffs), max(x.coeffs) + 1)]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("s", [1, 2])
+def test_to_json_matches_per_slot_coords(q, s):
+    ctx = SeriesParams(FieldParams.make(q, s), 2, 40)
+    rng = random.Random(100 * q + s)
+    order = ctx.field.order
+    cases = [ctx.zero(), LaurentElem(ctx, {}, 7),
+             ctx.monomial(rng.randrange(1, order), -5),
+             LaurentElem(ctx, {-9: 1, 0: order - 1, 13: 1}, 30)]
+    cases += [_random_elem(ctx, rng) for _ in range(40)]
+    for x in cases:
+        got = x.to_json()
+        assert got == _to_json_oracle(x)
+        assert LaurentElem.from_json(ctx, got) == x
+
+
 def _schoolbook(F, A, B, lim):
     ref = {}
     for e1, c1 in A.items():

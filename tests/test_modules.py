@@ -12,7 +12,7 @@ from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import (BracketFrac, DrinfeldModule, _den_elem,
                               bracket, carlitz)
-from drinfeld.partitions import ShadowedPartition, enumerate_partitions
+from drinfeld.partitions import enumerate_partitions
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)

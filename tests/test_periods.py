@@ -9,7 +9,6 @@ from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
-from drinfeld.agf import carlitz_pi
 from drinfeld.periods import (carlitz_period_routes, legendre_check,
                               newton_slopes, period_from_torsion,
                               quasi_function_eval, quasi_period_orbit,

@@ -18,6 +18,17 @@ CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
 
 
+def t_poly(ctx, coeffs):
+    """Exact polynomial in t with LaurentElem coefficients."""
+    return TateSeries(ctx, coeffs, INF)
+
+
+def deg_t(f):
+    """Degree of an exact polynomial in t."""
+    assert f.t_prec == INF, "degree of a truncated series is unknown"
+    return len(f.coeffs) - 1
+
+
 def geometric_pole_series(ctx, e, t_prec):
     """Expansion of 1/(t - theta^(q^e)) in the Tate algebra:
     -sum_k theta^(-q^e (k+1)) t^k (valid since |theta^(q^e)| > 1).
@@ -81,21 +92,21 @@ def test_series_ring_axioms(ctx, seed):
 
 def test_polynomial_product_is_exact():
     th = CTX2.theta()
-    f = TateSeries.t_poly(CTX2, [th, CTX2.one()])          # t + theta
-    g = TateSeries.t_poly(CTX2, [th, CTX2.one()])
+    f = t_poly(CTX2, [th, CTX2.one()])                     # t + theta
+    g = t_poly(CTX2, [th, CTX2.one()])
     h = f * g                                              # (t + theta)^2
     assert h.t_prec == INF
     assert h.coeffs[0] == th * th
     assert h.coeffs[1].is_exact_zero()                     # char 2 cross term
     assert h.coeffs[2] == CTX2.one()
-    assert h.deg_t() == 2
+    assert deg_t(h) == 2
 
 
 @pytest.mark.parametrize("ctx,e", [(CTX2, 1), (CTX2, 2), (CTX3, 1)])
 def test_geometric_expansion_inverts_linear_factor(ctx, e):
     n = 9
     g = geometric_pole_series(ctx, e, n)
-    lin = TateSeries.t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
+    lin = t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
     prod = lin * g
     assert prod.t_prec == n
     assert prod.coeffs[0] == ctx.one()
@@ -139,7 +150,7 @@ def test_div_pole_matches_geometric_product():
 
 
 def test_div_pole_of_polynomial_raises():
-    f = TateSeries.t_poly(CTX2, [CTX2.one(), CTX2.theta()])
+    f = t_poly(CTX2, [CTX2.one(), CTX2.theta()])
     with pytest.raises(InvalidInput):
         f.div_pole(1)
     with pytest.raises(InvalidInput):
@@ -154,8 +165,7 @@ def test_mul_pole_matches_linear_product():
             for m in (1, 2, 3):
                 ctx = SeriesParams(fp, m, 32)
                 for e in (0, 1, 2):
-                    lin = TateSeries.t_poly(
-                        ctx, [-ctx.theta().pow_q(e), ctx.one()])
+                    lin = t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
                     lead = rng.randrange(0, 3)
                     x = _pole_operand(ctx, rng, lead, lead + 4
                                       + rng.randrange(0, 5))
@@ -227,7 +237,7 @@ def test_expand_sum_matches_per_term_oracle():
 
 def test_series_eval_polynomial_horner():
     th = CTX2.theta()
-    f = TateSeries.t_poly(CTX2, [th, CTX2.one(), th.invert()])
+    f = t_poly(CTX2, [th, CTX2.one(), th.invert()])
     z = CTX2.theta(2)
     # theta + theta^2 + theta^3
     want = th + z + z * z * th.invert()
@@ -259,7 +269,7 @@ def test_twist_is_coefficientwise_frobenius():
 
 def test_gauss_norm_known_values():
     th = CTX2.theta()
-    f = TateSeries.t_poly(CTX2, [th * th, th.invert()])
+    f = t_poly(CTX2, [th * th, th.invert()])
     assert f.gauss_norm_logq() == 2
     assert TateSeries.zero(CTX2).gauss_norm_logq() == -INF
     # a capped-zero coefficient that could dominate blocks the norm
@@ -273,16 +283,16 @@ def test_gauss_norm_known_values():
 
 def test_gauss_norm_fractional():
     ctx = CTX3  # m = 2: half-integral slopes are representable
-    f = TateSeries.t_poly(ctx, [ctx.monomial(1, -3)])
+    f = t_poly(ctx, [ctx.monomial(1, -3)])
     assert f.gauss_norm_logq() == Fraction(3, 2)
 
 
 def _den_product(ctx, poles):
     """prod (t - theta^(q^e))^mult over (e, mult) pairs, expanded by
     general products: the cross-multiplication oracle's denominator."""
-    out = TateSeries.t_poly(ctx, [ctx.one()])
+    out = t_poly(ctx, [ctx.one()])
     for e, mlt in poles:
-        factor = TateSeries.t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
+        factor = t_poly(ctx, [-ctx.theta().pow_q(e), ctx.one()])
         for _ in range(mlt):
             out = out * factor
     return out
@@ -312,7 +322,7 @@ def test_rational_series_expansion_matches_cross_multiplication():
 def test_rational_eval_agrees_with_denominator_clearing():
     ctx = CTX2
     th = ctx.theta()
-    numer = TateSeries.t_poly(ctx, [ctx.one(), th])
+    numer = t_poly(ctx, [ctx.one(), th])
     f = TateRational(ctx, numer, {1: 1, 2: 1})
     z = ctx.theta(-1) + ctx.one()
     val = f.eval(z)
@@ -322,7 +332,7 @@ def test_rational_eval_agrees_with_denominator_clearing():
 
 def test_rational_eval_at_pole_raises():
     ctx = CTX2
-    f = TateRational(ctx, TateSeries.t_poly(ctx, [ctx.one()]), {2: 1})
+    f = TateRational(ctx, t_poly(ctx, [ctx.one()]), {2: 1})
     with pytest.raises(EvalAtPole):
         f.eval(ctx.theta().pow_q(2))
 
@@ -347,7 +357,7 @@ def test_rational_arithmetic_via_evaluation():
 def test_rational_twist_commutes_with_expansion():
     ctx = CTX3
     th = ctx.theta()
-    numer = TateSeries.t_poly(ctx, [th, ctx.one()])
+    numer = t_poly(ctx, [th, ctx.one()])
     f = TateRational(ctx, numer, {1: 1})
     n = 7
     lhs = f.twist(2).to_series(n)
@@ -360,12 +370,12 @@ def test_rational_equality_by_cross_multiplication():
     ctx = CTX2
     th = ctx.theta()
     one = ctx.one()
-    f = TateRational(ctx, TateSeries.t_poly(ctx, [one]), {1: 1})
-    lifted = TateSeries.t_poly(ctx, [-th.pow_q(2), one])
+    f = TateRational(ctx, t_poly(ctx, [one]), {1: 1})
+    lifted = t_poly(ctx, [-th.pow_q(2), one])
     g = TateRational(ctx, lifted, {1: 1, 2: 1})
     ok, _ = f.equals(g)
     assert ok
-    h = TateRational(ctx, TateSeries.t_poly(ctx, [one]), {2: 1})
+    h = TateRational(ctx, t_poly(ctx, [one]), {2: 1})
     ok, _ = f.equals(h)
     assert not ok
 
@@ -386,7 +396,7 @@ def _pole_sets(rng, q):
 
 
 def _exact_numer(ctx, rng):
-    return TateSeries.t_poly(ctx, [
+    return t_poly(ctx, [
         LaurentElem(ctx, {rng.randrange(-6, 12): rng.randrange(
             1, ctx.field.order) for _ in range(rng.randrange(1, 4))})
         for _ in range(rng.randrange(1, 4))])
@@ -450,7 +460,7 @@ def test_theta_pole_form_expansion():
     form = ThetaPoleForm(reg, res)
     s = form.to_series()
     # (t - theta) * s == (t - theta) * reg + res on the known window
-    lin = TateSeries.t_poly(ctx, [-th, ctx.one()])
+    lin = t_poly(ctx, [-th, ctx.one()])
     lhs = lin * s
     rhs = lin * reg + TateSeries.from_scalar(ctx, res)
     assert (lhs - rhs.truncate_t(lhs.t_prec)).is_zero_to_prec()
@@ -476,7 +486,7 @@ def test_apply_delta_scalar_and_polynomial_coefficients():
     out = apply_delta([g0, g1], f)
     manual = f.scale(g0) + f.twist(1).scale(g1)
     assert (out - manual).is_zero_to_prec()
-    lin = TateSeries.t_poly(ctx, [th, -ctx.one()])
+    lin = t_poly(ctx, [th, -ctx.one()])
     out2 = apply_delta([lin, g1], f)
     manual2 = lin * f + f.twist(1).scale(g1)
     assert (out2 - manual2).is_zero_to_prec()
@@ -507,5 +517,5 @@ def test_series_json_roundtrip_shape():
     f = TateSeries(ctx, [ctx.theta(), ctx.zero(cap=3)], 2)
     j = f.to_json()
     assert j["t_prec"] == 2 and len(j["coeffs"]) == 2
-    r = TateRational(ctx, TateSeries.t_poly(ctx, [ctx.one()]), {1: 2})
+    r = TateRational(ctx, t_poly(ctx, [ctx.one()]), {1: 2})
     assert r.to_json()["poles"] == [[1, 2]]
