@@ -8,8 +8,7 @@ deformed logarithm and generating-function identities (agf), and periods,
 quasi-periods and the Legendre relation (periods).
 """
 
-from .ff import (FieldParams, Field, ResidueElem, ff_make, ff_pow_q,
-                 ff_root_q_minus_1)
+from .ff import FieldParams, Field
 from .laurent import LaurentElem, SeriesParams
 from .tate import TateRational, TateSeries
 from .partitions import (ShadowedPartition, count_partitions,
@@ -23,8 +22,7 @@ from .periods import (TorsionData, carlitz_period_routes, legendre_check,
 from .verify import PRESETS, PRESET_ORDER, preset_session, run_all
 
 __all__ = [
-    "FieldParams", "Field", "ResidueElem",
-    "ff_make", "ff_pow_q", "ff_root_q_minus_1",
+    "FieldParams", "Field",
     "LaurentElem", "SeriesParams",
     "TateRational", "TateSeries",
     "ShadowedPartition", "count_partitions", "enumerate_partitions",

@@ -228,11 +228,19 @@ def _report(ok, u_val, t_prec=None):
     return rep
 
 
+def _check_t_prec(t_prec):
+    """An identity checked on an empty t-window checks nothing."""
+    if t_prec < 1:
+        raise InvalidInput("t_prec must be >= 1 to check an identity (got %s)"
+                           % t_prec)
+
+
 def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     """Verify, below explicit caps, the convergence statement and the
     four identities satisfied by the deformed logarithm at xi.  Raises
     the appropriate precondition error instead of failing an identity
     when xi is out of range."""
+    _check_t_prec(t_prec)
     ctx = phi.ctx
     conv = phi.convergence_data()
     margin = ctx.m * (phi.r + 2)

@@ -14,7 +14,6 @@ generator and Frobenius permutation tables; larger fields (capped at
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product as _iproduct, repeat
-from math import gcd
 from operator import add, mod, mul
 
 from .errors import ConfigError, InvalidElement, InvalidInput, NoRootInField
@@ -462,9 +461,6 @@ class Field:
             return self._exp[(-self._log[a]) % n]
         return self._level.inv(a)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def pow_int(self, a, n):
         if a == 0:
             if n == 0:
@@ -520,32 +516,36 @@ class Field:
         return self.frob(a, 1) == a
 
     def root_q_minus_1(self, c):
-        """Lexicographically smallest y with y^(q-1) = c."""
+        """A y with y^(q-1) = c: c itself when q = 2 or c is 0 or 1, else
+        the lexicographically smallest root.
+
+        y^(q-1) = frob(y)/y, so by Hilbert 90 a root exists iff the norm
+        c^((q^s-1)/(q-1)) to F_q is 1, and then 1/b(a) is one, where
+        b(a) = sum_{j<s} c frob(c) ... frob^(j-1)(c) frob^j(a).  b is
+        F_q-linear and not identically 0, so it is nonzero at some
+        element q^j (packed) of the F_q-basis.  The roots are that one
+        times F_q^x, the packed ints 1..q-1."""
         q = self.q
         if q == 2 or c == 0 or c == 1:
             return c
-        d = q - 1
-        n = self.order - 1
-        if self._log is not None:
-            a = self._log[c]
-            if a % d:
-                k = d // gcd(a, d)
-                raise NoRootInField(
-                    "no (q-1)-st root in F_{q^s}; residue degree s=%d would "
-                    "contain one" % (self.s * k), required_s=self.s * k)
-            base = a // d
-            step = n // d
-            roots = [self._exp[(base + j * step) % n] for j in range(d)]
-            return min(roots, key=self.lex_key)
-        # big-field fallback: existence test then lexicographic scan
-        if self.pow_int(c, n // d) != 1:
+        norm = self.pow_int(c, (self.order - 1) // (q - 1))
+        if norm != 1:
+            k, unit = 1, norm
+            while unit != 1:
+                k, unit = k + 1, self.mul(unit, norm)
             raise NoRootInField(
-                "no (q-1)-st root in F_{q^s}; enlarge s (a multiple of "
-                "%d suffices)" % (self.s * d), required_s=self.s * d)
-        for y in sorted(range(1, self.order), key=self.lex_key):
-            if self.pow_int(y, d) == c:
-                return y
-        raise NoRootInField("unreachable", required_s=self.s * d)
+                "no (q-1)-st root in F_{q^s}; residue degree s=%d would "
+                "contain one" % (self.s * k), required_s=self.s * k)
+
+        def b(a):
+            out, prod = 0, 1
+            for j in range(self.s):
+                out = self.add(out, self.mul(prod, self.frob(a, j)))
+                prod = self.mul(prod, self.frob(c, j))
+            return out
+
+        y = self.inv(next(v for v in (b(q ** j) for j in range(self.s)) if v))
+        return min((self.mul(y, a) for a in range(1, q)), key=self.lex_key)
 
 
 # memoryview format of a lane, by its width in bytes
@@ -689,63 +689,3 @@ def field_for(params):
     if isinstance(params, Field):
         return params
     return _field_for(params)
-
-
-class ResidueElem:
-    """An element of F_{q^s} bound to its field context."""
-
-    __slots__ = ("field", "n")
-
-    def __init__(self, field, n):
-        self.field = field_for(field)
-        if not 0 <= n < self.field.order:
-            raise InvalidElement("packed element out of range")
-        self.n = n
-
-    @property
-    def coords(self):
-        return self.field.coords(self.n)
-
-    def __add__(self, other):
-        return ResidueElem(self.field, self.field.add(self.n, other.n))
-
-    def __sub__(self, other):
-        return ResidueElem(self.field, self.field.sub(self.n, other.n))
-
-    def __neg__(self):
-        return ResidueElem(self.field, self.field.neg(self.n))
-
-    def __mul__(self, other):
-        return ResidueElem(self.field, self.field.mul(self.n, other.n))
-
-    def __truediv__(self, other):
-        return ResidueElem(self.field, self.field.div(self.n, other.n))
-
-    def __pow__(self, n):
-        return ResidueElem(self.field, self.field.pow_int(self.n, n))
-
-    def __eq__(self, other):
-        return (isinstance(other, ResidueElem)
-                and self.field is other.field and self.n == other.n)
-
-    def __hash__(self):
-        return hash((id(self.field), self.n))
-
-    def __repr__(self):
-        return "ResidueElem%r" % (self.coords,)
-
-
-def ff_make(params, coords):
-    """Element of F_{q^s} from an F_p coordinate vector."""
-    f = field_for(params)
-    return ResidueElem(f, f.element(coords))
-
-
-def ff_pow_q(x: ResidueElem, k: int) -> ResidueElem:
-    """Frobenius power x^(q^k); k any integer, reduced mod s."""
-    return ResidueElem(x.field, x.field.frob(x.n, k))
-
-
-def ff_root_q_minus_1(c: ResidueElem) -> ResidueElem:
-    """Deterministic (q-1)-st root, smallest in lexicographic coordinate order."""
-    return ResidueElem(c.field, c.field.root_q_minus_1(c.n))

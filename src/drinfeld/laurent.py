@@ -343,8 +343,11 @@ class LaurentElem:
         return self * other.invert()
 
     def root_q_minus_1(self):
-        """Deterministic y with y^(q-1) = x, leading coefficient chosen
-        lexicographically smallest; Hensel refinement for the rest."""
+        """Deterministic y with y^(q-1) = x.  The lead is
+        Field.root_q_minus_1 of x's lead; the unit part is the unique Z
+        with Z = 1 + O(u) and Z^(q-1) = W, where W is x's unit part:
+        with w = 1/W, Z = w * w^q * ... * w^(q^K) for q^(K+1) >= R,
+        since then Z^q / Z = W * w^(q^(K+1)) = W below u^R."""
         q = self.ctx.q
         if q == 2:
             return self
@@ -369,45 +372,15 @@ class LaurentElem:
             return LaurentElem(self.ctx, {v // (q - 1): y0}, cap)
         R = self.ctx.prec if rel == INF else int(rel)
         c0i = field.inv(c0)
-        W = {}
-        for e, c in self.coeffs.items():
-            k = e - v
-            if k < R:
-                W[k] = field.mul(c, c0i)
-        # solve Z^(q-1) = W with Z = 1 + ..., Newton with doubling windows
-        Z = {0: 1}
-        d = 1
-        two = field.int_scalar(2)
-        qm1 = field.int_scalar(q - 1)
-        qm1_inv = field.inv(qm1)
-        while d < R:
-            d = min(2 * d, R)
-            Wd = {e: c for e, c in W.items() if e < d}
-            Zp = {0: 1}
-            for _ in range(q - 2):
-                Zp = _dict_mul(field, Zp, Z, d)  # Z^(q-2)
-            F = _dict_mul(field, Zp, Z, d)  # Z^(q-1)
-            for e, c in Wd.items():
-                x = field.sub(F.get(e, 0), c)
-                if x:
-                    F[e] = x
-                elif e in F:
-                    del F[e]
-            if not F:
-                continue
-            G = {e: field.mul(qm1, c) for e, c in Zp.items()}
-            Gi = _dict_inv(field, {e: field.mul(c, field.inv(G[0])) for e, c in G.items()},
-                           d, two)
-            Gi = {e: field.mul(c, field.inv(G[0])) for e, c in Gi.items()}
-            step = _dict_mul(field, F, Gi, d)
-            for e, c in step.items():
-                x = field.sub(Z.get(e, 0), c)
-                if x:
-                    Z[e] = x
-                elif e in Z:
-                    del Z[e]
-        out = _dict_mul(field, {v // (q - 1): y0}, Z, INF)
-        return LaurentElem(self.ctx, out, v // (q - 1) + R)
+        W = LaurentElem(self.ctx, {e - v: field.mul(c, c0i)
+                                   for e, c in self.coeffs.items()}, R)
+        w = Z = W.invert()
+        Q = q
+        while Q < R:
+            w = w.pow_q(1).truncate(R)
+            Z = Z * w
+            Q *= q
+        return self.ctx.monomial(y0, v // (q - 1)) * Z
 
     # -- comparisons and serialization --
 

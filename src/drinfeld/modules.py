@@ -171,9 +171,6 @@ class ConvergenceData:
         self.strict = strict
         self.logq_R = -rho[s]
 
-    def mu(self, i, k):
-        return self.rho[k] - self.rho[i]
-
     def to_json(self):
         return {
             "support": list(self.support),

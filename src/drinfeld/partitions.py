@@ -91,7 +91,9 @@ def _lex_key(r, n):
     return key
 
 
-def _enumerate_masks(r, n, memo):
+def _enumerate_masks(r, n, rows, memo):
+    """Mask tuples of P_r(n) whose nonempty sets all have their index in
+    rows: n-i is adjoined to S_i only for i in rows."""
     if n < 0:
         return []
     if n == 0:
@@ -101,8 +103,10 @@ def _enumerate_masks(r, n, memo):
         return got
     out = []
     for i in range(1, min(r, n) + 1):
+        if i not in rows:
+            continue
         bit = 1 << (n - i)
-        for masks in _enumerate_masks(r, n - i, memo):
+        for masks in _enumerate_masks(r, n - i, rows, memo):
             lst = list(masks)
             lst[i - 1] |= bit
             out.append(tuple(lst))
@@ -118,11 +122,10 @@ def enumerate_partitions(r, n, support=None):
         raise InvalidInput("r must be >= 1")
     if n < 0:
         return []
-    out = [ShadowedPartition(r, n, masks)
-           for masks in sorted(_enumerate_masks(r, n, {}), key=_lex_key(r, n))]
-    if support is not None:
-        out = restrict_to_support(out, support)
-    return out
+    rows = range(1, r + 1) if support is None else set(support)
+    return [ShadowedPartition(r, n, masks)
+            for masks in sorted(_enumerate_masks(r, n, rows, {}),
+                                key=_lex_key(r, n))]
 
 
 def count_partitions(r, n):
@@ -136,11 +139,3 @@ def count_partitions(r, n):
     for k in range(1, n + 1):
         f[k] = sum(f.get(k - i, 0) for i in range(1, r + 1))
     return f[n]
-
-
-def restrict_to_support(partitions, support):
-    """Partitions with S_i = empty for every i outside `support`."""
-    support = set(support)
-    return [sp for sp in partitions
-            if all(m == 0 for i, m in enumerate(sp.masks, start=1)
-                   if i not in support)]

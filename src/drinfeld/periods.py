@@ -18,7 +18,7 @@ from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
 from .ff import (_pol_deriv, _pol_divide, _pol_eval, _pol_gcd, _pol_mod,
                  _pol_powmod, _pol_trim)
 from .modules import BracketFrac, DrinfeldModule, bracket
-from .agf import DeformedLog, OmegaCarlitz, carlitz_pi
+from .agf import DeformedLog, OmegaCarlitz, _check_t_prec, carlitz_pi
 from .tate import TateSeries
 
 
@@ -116,6 +116,18 @@ def _elem_key(x, cap):
     return tuple(sorted(t.coeffs.items()))
 
 
+def _span_with(span, x, scalars, ucap):
+    """The span {key at ucap: element} grown by c*x for c in scalars;
+    the first representative found for a key is kept.  Since every cap
+    is >= ucap, the key of s + c*x depends only on the key of s."""
+    out = dict(span)
+    for s in span.values():
+        for c in scalars:
+            cand = s + x.scale(c)
+            out.setdefault(_elem_key(cand, ucap), cand)
+    return out
+
+
 def _sort_key(field, x):
     head = -x.val if x.coeffs else -INF  # zero sorts first
     return (head, tuple((e, field.lex_key(c))
@@ -193,17 +205,10 @@ def torsion_roots(phi: DrinfeldModule, ucap):
         traces.append(trace)
 
     # close under the F_q-module structure
-    base_scalars = [c for c in range(1, field.order) if field.in_base(c)]
+    base_scalars = range(1, q)  # F_q^x, as packed ints
     span = {(): ctx.zero(inner)}
     for x in lifted:
-        new = dict(span)
-        for key, s in span.items():
-            for c in base_scalars:
-                cand = s + x.scale(c)
-                k = _elem_key(cand, ucap)
-                if k not in new:
-                    new[k] = cand
-        span = new
+        span = _span_with(span, x, base_scalars, ucap)
     roots = sorted(span.values(), key=lambda x: _sort_key(field, x))
     if len(roots) != q ** phi.r:
         raise PrecisionExhausted(
@@ -223,12 +228,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
         basis.append(cand)
         if len(basis) == phi.r:
             break
-        grown = dict(span_map)
-        for s in span_map.values():
-            for c in base_scalars:
-                v2 = s + cand.scale(c)
-                grown[_elem_key(v2, ucap)] = v2
-        span_map = grown
+        span_map = _span_with(span_map, cand, base_scalars, ucap)
     if len(basis) != phi.r:
         raise PrecisionExhausted("could not extract a full torsion basis")
 
@@ -358,6 +358,7 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
       * B det P^(1) + (t - theta) det P vanishes,
       * omega_1 eta_2 - omega_2 eta_1 = c pi / (-B)^(1/(q-1)), c in F_q*.
     """
+    _check_t_prec(t_prec)
     ctx = phi.ctx
     q = ctx.q
     if phi.r != 2:

@@ -139,6 +139,37 @@ def test_zero_ucap_exit_2_names_ucap(args):
     assert "prec must" not in proc.stderr
 
 
+# (argv, exit code, stderr needle): an identity check on an empty
+# t-window checks nothing, so it is refused; the commands that only
+# compute a series still accept --tprec 0.
+EXIT_CODES = [
+    (("verify-mainthm", "--xi", "1", "--tprec", "0"), 2,
+     "t_prec must be >= 1"),
+    (("verify-mainthm", "--xi", "1", "--tprec", "-3"), 2,
+     "t_prec must be >= 1"),
+    (("legendre", "--preset", "rank2-q2", "--tprec", "0"), 2,
+     "t_prec must be >= 1"),
+    (("verify", "--preset", "rank2-q2", "--tprec", "0"), 2,
+     "t_prec must be >= 1"),
+    (("verify", "--preset", "carlitz-q2", "--tprec", "0"), 2,
+     "t_prec must be >= 1"),
+    (("deform", "--xi", "1", "--tprec", "0"), 0, ""),
+    (("agf", "--xi", "1", "--tprec", "0"), 0, ""),
+    (("bseq", "3", "--tprec", "0"), 0, ""),
+]
+
+
+@pytest.mark.parametrize("args,code,needle", EXIT_CODES)
+def test_exit_code_table(args, code, needle):
+    proc = run_cli(*args)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: ")
+
+
 @pytest.mark.parametrize("terms", ["-1", "-5"])
 def test_negative_terms_exit_2_names_terms(terms):
     proc = run_cli("quasiperiod", "--preset", "rank2-q2", "--terms", terms)

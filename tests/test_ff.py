@@ -1,12 +1,12 @@
 """Residue field arithmetic: axioms, Frobenius, (q-1)-st roots."""
 
 import random
+from math import gcd
 
 import pytest
 
 from drinfeld.errors import ConfigError, InvalidElement, NoRootInField
-from drinfeld.ff import (FieldParams, field_for, ff_make, ff_pow_q,
-                         ff_root_q_minus_1, ResidueElem)
+from drinfeld.ff import FieldParams, field_for
 
 FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2), (5, 1),
           (7, 1), (8, 1), (9, 1), (9, 2), (3, 8)]
@@ -93,27 +93,91 @@ def test_root_q_minus_1_failure_names_required_s():
     assert F2.mul(y, y) == 2
 
 
-def test_ff_make_validates_coords():
-    P = FieldParams.make(4)
+def test_element_validates_coords():
+    F = field_for(FieldParams.make(4))
     with pytest.raises(InvalidElement):
-        ff_make(P, (1,))
+        F.element((1,))
     with pytest.raises(InvalidElement):
-        ff_make(P, (2, 0))
-    x = ff_make(P, (1, 1))
-    assert x.coords == (1, 1)
+        F.element((2, 0))
+    x = F.element((1, 1))
+    assert F.coords(x) == (1, 1)
+    with pytest.raises(InvalidElement):
+        F.coords(F.order)
 
 
-def test_residue_elem_ops_and_pow_q():
-    P = FieldParams.make(9, 2)
-    F = field_for(P)
-    a = ResidueElem(F, 7)
-    b = ResidueElem(F, 52)
-    assert (a + b - b) == a
-    assert (a * b / b) == a
-    assert ff_pow_q(ff_pow_q(a, 1), -1) == a
-    assert ff_pow_q(a, 2) == a  # s = 2: q^2-power Frobenius is the identity
-    c = ff_root_q_minus_1(a * a * a * a * a * a * a * a)  # a^8 = (a^4)^{q-1}
-    assert c ** 8 == a ** 64
+def test_field_ops_frob_and_root():
+    F = field_for(FieldParams.make(9, 2))
+    a, b = 7, 52
+    assert F.sub(F.add(a, b), b) == a
+    assert F.mul(F.mul(a, b), F.inv(b)) == a
+    assert F.frob(F.frob(a, 1), -1) == a
+    assert F.frob(a, 2) == a  # s = 2: q^2-power Frobenius is the identity
+    c = F.root_q_minus_1(F.pow_int(a, 8))  # a^8 = (a^4)^{q-1}
+    assert F.pow_int(c, 8) == F.pow_int(a, 64)
+
+
+def _discrete_log_oracle(F):
+    """{c: log_g c} for a generator g found by brute force."""
+    n = F.order - 1
+    for g in range(2, F.order):
+        logs, x = {}, 1
+        for j in range(n):
+            logs.setdefault(x, j)
+            x = F.mul(x, g)
+        if len(logs) == n:
+            return logs
+    return {1: 0}  # F_2
+
+
+@pytest.mark.parametrize("q,s", [(3, 1), (3, 2), (3, 4), (4, 1), (4, 2),
+                                 (5, 2), (7, 2), (8, 2), (9, 2)])
+def test_root_q_minus_1_matches_brute_force(q, s):
+    """Every c: 1 for c = 1, else the lexicographically smallest of all
+    roots; without a root, required_s = s (q-1) / gcd(log c, q-1)."""
+    F = field_for(FieldParams.make(q, s))
+    logs = _discrete_log_oracle(F)
+    for c in range(1, F.order):
+        roots = [y for y in range(1, F.order) if F.pow_int(y, q - 1) == c]
+        if roots:
+            want = 1 if c == 1 else min(roots, key=F.lex_key)
+            assert F.root_q_minus_1(c) == want
+        else:
+            with pytest.raises(NoRootInField) as e:
+                F.root_q_minus_1(c)
+            assert e.value.required_s == s * (q - 1) // gcd(logs[c], q - 1)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_root_of_one_is_one_not_lex_min(q):
+    # F_q^x holds every (q-1)-st root of 1; the lexicographic minimum is
+    # the class of x (packed 2 in F_4, 3 in F_9), but 1 is returned
+    F = field_for(FieldParams.make(q))
+    roots = [y for y in range(1, q) if F.pow_int(y, q - 1) == 1]
+    assert min(roots, key=F.lex_key) == {4: 2, 9: 3}[q]
+    assert F.root_q_minus_1(1) == 1
+
+
+def test_root_q_minus_1_untabled_field_exact_required_s():
+    # F_{5^6} has no log tables (order 15625 > 4096).  c has a 4th root
+    # iff its norm c^((5^6-1)/4) to F_5 is 1; otherwise a root appears
+    # first at residue degree 6 times the order of the norm mod 5.
+    F = field_for(FieldParams.make(5, 6))
+    N = (F.order - 1) // 4
+    seen = set()
+    for c in range(2, 60):
+        norm = F.pow_int(c, N)
+        if norm == 1:
+            y = F.root_q_minus_1(c)
+            assert F.pow_int(y, 4) == c
+            assert all(F.lex_key(y) <= F.lex_key(F.mul(y, a))
+                       for a in range(1, 5))
+        else:
+            k = next(k for k in range(1, 5) if pow(norm, k, 5) == 1)
+            with pytest.raises(NoRootInField) as e:
+                F.root_q_minus_1(c)
+            assert e.value.required_s == 6 * k
+        seen.add(norm)
+    assert seen == {1, 2, 3, 4}
 
 
 def test_order_cap_enforced():

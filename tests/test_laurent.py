@@ -109,18 +109,36 @@ def test_pow_q_negative_requires_divisibility():
     assert e.value.required_m == CTX3.m * 3
 
 
-def test_root_q_minus_1_squares_back():
-    rng = random.Random(5)
-    for _ in range(40):
-        y = _random_elem(CTX3, rng)
-        x = y * y
-        if not x.coeffs:
-            continue
+@pytest.mark.parametrize("shape", ["mono", "sparse", "dense"])
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q", [3, 4, 5, 9])
+def test_root_q_minus_1_squares_back(q, s, exact, shape):
+    ctx = SeriesParams(FieldParams.make(q, s), q - 1, 40)
+    F = ctx.field
+    rng = random.Random(1000 * q + 100 * s + 10 * exact + len(shape))
+    for _ in range(4):
+        v = (q - 1) * rng.randrange(-3, 4)
+        cap = INF if exact else v + rng.randrange(1, 60)
+        coeffs = {v: F.pow_int(rng.randrange(1, F.order), q - 1)}
+        if shape == "sparse":
+            for _ in range(3):
+                coeffs[v + rng.randrange(1, 50)] = rng.randrange(1, F.order)
+        elif shape == "dense":
+            for e in range(v + 1, v + 50):
+                coeffs[e] = rng.randrange(F.order)
+        x = LaurentElem(ctx, coeffs, cap)
         r = x.root_q_minus_1()
-        res = r * r - x
+        R = ctx.prec if exact else cap - v
+        res = r.pow(q - 1) - x
         assert not res.coeffs
-        expected = x.cap if x.cap != INF else x.val + CTX3.prec
-        assert res.cap >= expected
+        if exact and len(x.coeffs) == 1:
+            assert r.cap == INF and res.is_exact_zero()
+        else:
+            assert r.cap == v // (q - 1) + R
+            assert res.cap == v + R
+        assert r.val == v // (q - 1)
+        assert r.coeffs[r.val] == F.root_q_minus_1(x.coeffs[v])
 
 
 def test_root_q_minus_1_val_divisibility():

@@ -282,7 +282,8 @@ def test_partition_norm_decomposition_identity():
             for i in phi.support:
                 anchor = Fraction(q ** n - 1, q ** i - 1) * (
                     phi.A[i - 1].deg() - q ** i)
-                corr = sum((q ** k - 1) * w[k - 1] * conv.mu(i, k)
+                corr = sum((q ** k - 1) * w[k - 1]
+                           * (conv.rho[k] - conv.rho[i])
                            for k in phi.support)
                 assert val == anchor + corr
 

@@ -3,8 +3,7 @@
 import pytest
 
 from drinfeld.partitions import (ShadowedPartition, _lex_key,
-                                 count_partitions, enumerate_partitions,
-                                 restrict_to_support)
+                                 count_partitions, enumerate_partitions)
 
 
 def enumerate_by_filter(r, n):
@@ -58,9 +57,19 @@ def psi_injection(i, sp):
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 @pytest.mark.parametrize("n", list(range(0, 7)))
 def test_enumeration_matches_filter_oracle(r, n):
-    fast = enumerate_partitions(r, n)
     slow = enumerate_by_filter(r, n)
-    assert [sp.masks for sp in fast] == [sp.masks for sp in slow]
+    # every support: none, each subset of the rows (the empty one too),
+    # and rows outside 1..r, which select nothing
+    supports = [None, (0, r + 1)] + [
+        tuple(i for i in range(1, r + 1) if bits >> (i - 1) & 1)
+        for bits in range(1 << r)]
+    for support in supports:
+        fast = enumerate_partitions(r, n, support=support)
+        rows = range(1, r + 1) if support is None else support
+        want = [sp.masks for sp in slow
+                if all(m == 0 for i, m in enumerate(sp.masks, start=1)
+                       if i not in rows)]
+        assert [sp.masks for sp in fast] == want, support
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -149,9 +158,12 @@ def test_restrict_to_support():
     # support {1} reduces rank-3 enumeration to the rank-1 (Carlitz) case
     got = enumerate_partitions(3, 5, support=(1,))
     assert len(got) == 1 and got[0].sets[0] == (0, 1, 2, 3, 4)
-    # dropping no index changes nothing
-    assert (restrict_to_support(enumerate_partitions(2, 6), (1, 2))
+    # a support of every row changes nothing, and rows outside 1..r
+    # select nothing
+    assert (enumerate_partitions(2, 6, support=(1, 2))
             == enumerate_partitions(2, 6))
+    assert enumerate_partitions(2, 6, support=(0, 3)) == []
+    assert enumerate_partitions(2, 0, support=()) == enumerate_partitions(2, 0)
 
 
 def test_rank2_worked_layout_for_n3():
