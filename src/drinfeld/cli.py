@@ -19,7 +19,7 @@ from .errors import ConfigError, InvalidInput, PreconditionError
 from .ff import FieldParams
 from .laurent import INF, SeriesParams
 from .partitions import count_partitions, enumerate_partitions
-from .modules import DrinfeldModule
+from .modules import DrinfeldModule, check_index
 from .agf import (DeformedLog, agf, b_seq, check_main_theorem,
                   eval_theta_frac, omega_carlitz)
 from .periods import (legendre_check, period_from_torsion, quasi_period_orbit,
@@ -208,6 +208,7 @@ def parse_support(text, r):
 
 def cmd_partitions(args):
     cfg = SessionConfig.from_args(args)
+    check_index(args.n)
     support = parse_support(args.support, args.r) if args.support else None
     found = 0
     for sp in enumerate_partitions(args.r, args.n, support=support):

@@ -17,7 +17,12 @@ term pairs directly; it serves single terms, products of at most 512
 term pairs, and sparse products whose exponent window is at least their
 number of term pairs.  Every other product is one Kronecker
 substitution: both operands are packed into integers by the field's
-lane layout (ff.Lanes), multiplied once, and unpacked.
+lane layout (ff.Lanes), multiplied once, and unpacked.  Before the
+route is chosen, a product of more than 512 term pairs whose operands
+share an exponent stride g > 1 (Frobenius twists multiply exponents by
+q^k, and the brackets [e] have exponents -m and -m q^e) is taken on
+the exponents divided by g, so no packed lane is wasted on slots that
+are zero by construction.
 """
 
 from fractions import Fraction
@@ -108,12 +113,24 @@ def _dict_mul_kron(field, A, B, lim):
     return dict(compress(zip(range(base, base + n), vals), vals))
 
 
+def _stride(exps, lo, g):
+    """gcd of g and every e - lo, stopping as soon as it reaches 1."""
+    for e in exps:
+        g = gcd(g, e - lo)
+        if g == 1:
+            break
+    return g
+
+
 def _dict_mul(field, A, B, lim):
     """Product of sparse coefficient dicts, dropping exponents >= lim.
 
-    Schoolbook when there are few term pairs or when they are spread
-    over a window at least as wide as their number; one Kronecker
-    product otherwise.
+    With more than 512 term pairs on a common stride g > 1 (exponents
+    amin + g*i and bmin + g*j), the product is taken on i and j below
+    ceil((lim - amin - bmin) / g) and mapped back to amin + bmin + g*k.
+    Then schoolbook when there are few term pairs or when they are
+    spread over a window at least as wide as their number; one
+    Kronecker product otherwise.
     """
     if not A or not B:
         return {}
@@ -129,8 +146,18 @@ def _dict_mul(field, A, B, lim):
                 out[e] = mul(c1, c2)
         return out
     pairs = len(A) * len(B)
-    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
-        return _dict_mul_kron(field, A, B, lim)
+    if pairs > 512:
+        amin, bmin = min(A), min(B)
+        g = _stride(B, bmin, _stride(A, amin, 0))
+        if g > 1:
+            base = amin + bmin
+            out = _dict_mul(field,
+                            {(e - amin) // g: c for e, c in A.items()},
+                            {(e - bmin) // g: c for e, c in B.items()},
+                            lim if lim == INF else -((base - lim) // g))
+            return {base + g * e: c for e, c in out.items()}
+        if max(A) - amin + max(B) - bmin + 1 < pairs:
+            return _dict_mul_kron(field, A, B, lim)
     mul, add = field.mul, field.add
     out = {}
     for e1, c1 in A.items():

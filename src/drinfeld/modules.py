@@ -9,7 +9,9 @@ cross-checks and composition identities are exact, not numerical.
 """
 
 from fractions import Fraction
-from math import inf as INF
+from functools import reduce
+from math import comb, inf as INF
+from operator import add
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
@@ -17,11 +19,23 @@ from .partitions import enumerate_partitions, iter_bits
 from .tate import max_merge
 
 
+def _bracket_power(ctx, e, k, d):
+    """([e]^(q^k))^d for 0 < d < q, written directly as its d + 1 terms.
+    [e]^(q^k) = theta^(q^(e+k)) - theta^(q^k), so the i-th term is
+    C(d, i) (-1)^(d-i) theta^(i q^(e+k) + (d-i) q^k); the binomial
+    coefficients are taken mod p, and some vanish when q is not prime."""
+    int_scalar = ctx.field.int_scalar
+    hi, lo = -ctx.m * ctx.q ** (e + k), -ctx.m * ctx.q ** k
+    return ctx.make({i * hi + (d - i) * lo:
+                     int_scalar((-1) ** (d - i) * comb(d, i))
+                     for i in range(d + 1)})
+
+
 def bracket(ctx, n):
     """[n] = theta^(q^n) - theta, exact; n >= 1."""
     if n < 1:
         raise InvalidInput("bracket index must be >= 1")
-    return ctx.theta().pow_q(n) - ctx.theta()
+    return _bracket_power(ctx, n, 0, 1)
 
 
 def check_index(n):
@@ -31,18 +45,18 @@ def check_index(n):
 
 
 def _den_elem(ctx, items):
-    """Expand prod [e]^mult exactly.  mult is split into base-q digits so
-    each factor is a Frobenius power of a two-term binomial."""
+    """Expand prod [e]^mult exactly.  mult is split into base-q digits d
+    at places k, and each factor ([e]^(q^k))^d, a Frobenius power of a
+    two-term binomial raised to d < q, is written out directly as its
+    d + 1 terms (_bracket_power)."""
     out = ctx.one()
     q = ctx.q
     for e, mult in items:
-        b = bracket(ctx, e)
         k = 0
         while mult:
-            d = mult % q
+            mult, d = divmod(mult, q)
             if d:
-                out = out * b.pow_q(k).pow(d)
-            mult //= q
+                out = out * _bracket_power(ctx, e, k, d)
             k += 1
     return out
 
@@ -79,7 +93,10 @@ class BracketFrac:
         return _den_elem(self.ctx, tuple(sorted(self.den.items())))
 
     def _lift(self, target):
-        """Numerator after lifting to the denominator multiset target."""
+        """Numerator after lifting to the denominator multiset target.  An
+        exact zero stays as it is: no denominator is expanded for it."""
+        if self.num.is_exact_zero():
+            return self.num
         extra = tuple(sorted((e, m - self.den.get(e, 0))
                              for e, m in target.items()
                              if m - self.den.get(e, 0) > 0))
@@ -126,7 +143,12 @@ class BracketFrac:
         d = self.num.deg()
         if d is None:
             return None
-        return d - sum(Fraction(m * self.ctx.q ** e) for e, m in self.den.items())
+        return d - self.den_deg()
+
+    def den_deg(self):
+        """Degree in theta of the expanded denominator: sum m q^e."""
+        q = self.ctx.q
+        return sum(m * q ** e for e, m in self.den.items())
 
     def equals(self, other):
         """Exact equality: the numerators lifted to the merged
@@ -295,17 +317,19 @@ class DrinfeldModule:
 
     def compose_check(self, n, route="partitions"):
         """sum_{i+j=m} beta_i alpha_j^(q^i) = delta_{m,0} and the mirror
-        identity with alpha and beta swapped, for all m <= n."""
+        identity with alpha and beta swapped, for all m <= n.  Each sum
+        is folded in ascending order of denominator degree, so the
+        running sum is lifted to small denominators first; only its
+        zero test is reported, never a denominator."""
         alpha = self.exp_coeffs(n, route)
         beta = self.log_coeffs(n, route)
         for m in range(1, n + 1):
-            lhs = BracketFrac.zero(self.ctx)
-            rhs = BracketFrac.zero(self.ctx)
-            for i in range(m + 1):
-                lhs = lhs + beta[i] * alpha[m - i].pow_q(i)
-                rhs = rhs + alpha[i] * beta[m - i].pow_q(i)
-            if not lhs.is_exact_zero() or not rhs.is_exact_zero():
-                return False
+            for a, b in ((beta, alpha), (alpha, beta)):
+                terms = sorted((a[i] * b[m - i].pow_q(i)
+                                for i in range(m + 1)),
+                               key=BracketFrac.den_deg)
+                if not reduce(add, terms).is_exact_zero():
+                    return False
         return True
 
     # -- convergence --

@@ -141,7 +141,8 @@ def test_zero_ucap_exit_2_names_ucap(args):
 
 # (argv, exit code, stderr needle): an identity check on an empty
 # t-window checks nothing, so it is refused; the commands that only
-# compute a series still accept --tprec 0.
+# compute a series still accept --tprec 0.  A negative n names no list
+# of partitions or coefficients, so every command that takes n refuses it.
 EXIT_CODES = [
     (("verify-mainthm", "--xi", "1", "--tprec", "0"), 2,
      "t_prec must be >= 1"),
@@ -156,6 +157,12 @@ EXIT_CODES = [
     (("deform", "--xi", "1", "--tprec", "0"), 0, ""),
     (("agf", "--xi", "1", "--tprec", "0"), 0, ""),
     (("bseq", "3", "--tprec", "0"), 0, ""),
+    (("partitions", "2", "-1"), 2, "n must be a non-negative integer, got -1"),
+    (("partitions", "1", "-7", "--support", "1"), 2,
+     "n must be a non-negative integer, got -7"),
+    (("coeffs", "-1"), 2, "n must be a non-negative integer, got -1"),
+    (("bseq", "-2"), 2, "n must be a non-negative integer, got -2"),
+    (("partitions", "2", "0"), 0, ""),
 ]
 
 
@@ -177,6 +184,13 @@ def test_negative_terms_exit_2_names_terms(terms):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "terms must be >= 0" in proc.stderr
+
+
+def test_coeffs_check_q5_depth_7():
+    """The composition check at depth 7 over F_5 runs to the end."""
+    proc = run_cli("coeffs", "7", "--q", "5", "--check")
+    assert proc.returncode == 0
+    assert json_lines(proc)[-1] == {"compose_check": True}
 
 
 def test_zero_m_names_m():

@@ -59,6 +59,67 @@ def test_den_expansion_matches_plain_power():
         assert _den_elem(ctx, ((e, mult),)) == bracket(ctx, e).pow(mult)
 
 
+def _den_elem_oracle(ctx, items):
+    """The plain expansion of prod [e]^mult: [e] = theta^(q^e) - theta
+    by a Frobenius twist, and each base-q digit d of mult at place k
+    as the square-and-multiply power ([e]^(q^k))^d."""
+    out = ctx.one()
+    q = ctx.q
+    for e, mult in items:
+        b = ctx.theta().pow_q(e) - ctx.theta()
+        k = 0
+        while mult:
+            d = mult % q
+            if d:
+                out = out * b.pow_q(k).pow(d)
+            mult //= q
+            k += 1
+    return out
+
+
+def _mixed_digit_mult(rng, q):
+    """A multiplicity with three base-q digits, at least one zero and at
+    least one nonzero."""
+    while True:
+        digits = [rng.choice((0, rng.randrange(1, q))) for _ in range(3)]
+        if 0 in digits and any(digits):
+            return sum(d * q ** k for k, d in enumerate(digits))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_den_elem_matches_bracket_power_oracle(q, s, m):
+    """_den_elem writes each factor ([e]^(q^k))^d out as its d + 1 terms;
+    it equals the bracket-power product on 1-3 brackets, including the
+    digits whose binomial coefficients vanish mod p (d = 2 at q = 4,
+    d = 3 and 6 at q = 9)."""
+    ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+    rng = random.Random(1000 * q + 10 * s + m)
+    cases = [((1, 1),), ((2, q),), ((1, q - 1), (2, (q - 1) * q * q))]
+    if q == 4:
+        cases.append(((1, 2 + 2 * 16),))
+    if q == 9:
+        cases.append(((1, 3 + 6 * 81),))
+    top = 3 if q < 9 else 2
+    while len(cases) < 12:
+        es = rng.sample(range(1, top + 1), rng.randrange(1, top + 1))
+        items = tuple(sorted((e, _mixed_digit_mult(rng, q)) for e in es))
+        terms = 1
+        for _, mult in items:
+            while mult:
+                mult, d = divmod(mult, q)
+                terms *= d + 1
+        if terms <= 400:
+            cases.append(items)
+    for items in cases:
+        assert _den_elem(ctx, items) == _den_elem_oracle(ctx, items), items
+    for n in (1, 2, 3):
+        assert bracket(ctx, n) == ctx.theta().pow_q(n) - ctx.theta()
+    lifted = BracketFrac.zero(ctx)._lift({1: 3, 2: q})
+    assert lifted.is_exact_zero() and lifted.cap == INF
+
+
 def test_frac_arithmetic_and_equality():
     ctx = CTX3
     th = ctx.theta()
@@ -200,6 +261,40 @@ def test_routes_agree(make, depth):
                                   rank3_q2])
 def test_composition_inverts(make):
     assert make().compose_check(6)
+
+
+def _perturbed_compose_check(make, route, which, seed):
+    """compose_check after one cached alpha_k or beta_k numerator is
+    moved by a monomial."""
+    phi = make()
+    ctx = phi.ctx
+    n = 4
+    phi.exp_coeffs(n, route)
+    phi.log_coeffs(n, route)
+    rng = random.Random(seed)
+    seq = (phi._alpha if which == "alpha" else phi._beta)[route]
+    k = rng.randrange(1, n + 1)
+    f = seq[k]
+    bump = ctx.monomial(rng.randrange(1, ctx.field.order),
+                        rng.randrange(-12, 4))
+    seq[k] = BracketFrac(ctx, f.num + bump, f.den)
+    return phi.compose_check(n, route)
+
+
+@pytest.mark.parametrize("which", ["alpha", "beta"])
+@pytest.mark.parametrize("route", ["partitions", "recurrence"])
+@pytest.mark.parametrize("make", [
+    lambda: carlitz(CTX2),
+    lambda: carlitz(CTX3),
+    rank2_q2,
+    rank2_q3,
+    rank3_q2,
+    lambda: DrinfeldModule(CTX3, [CTX3.one(), CTX3.theta(),
+                                  CTX3.theta() + CTX3.one()]),
+])
+def test_composition_catches_a_wrong_coefficient(make, route, which):
+    for seed in range(3):
+        assert _perturbed_compose_check(make, route, which, seed) is False
 
 
 def test_rank2_worked_third_coefficients():
