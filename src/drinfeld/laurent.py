@@ -19,10 +19,11 @@ number of term pairs.  Every other product is one Kronecker
 substitution: both operands are packed into integers by the field's
 lane layout (ff.Lanes), multiplied once, and unpacked.  Before the
 route is chosen, a product of more than 512 term pairs whose operands
-share an exponent stride g > 1 (Frobenius twists multiply exponents by
-q^k, and the brackets [e] have exponents -m and -m q^e) is taken on
-the exponents divided by g, so no packed lane is wasted on slots that
-are zero by construction.
+share an exponent stride g > 1 is taken on the exponents divided by g:
+no packed lane is spent on slots that are zero by construction, and a
+window that is wide only by the factor g no longer forces schoolbook.
+The large products of the composition check are strided this way
+(g = q - 1 or a multiple of it, measured at q = 3, 4 and 5).
 """
 
 from fractions import Fraction
