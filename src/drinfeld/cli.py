@@ -183,9 +183,10 @@ class SessionConfig:
         if getattr(args, "A", None) is not None:
             merged["A"] = parse_coeff_polys(args.A)
         rank = getattr(args, "rank", None)
-        if rank is not None and rank != len(merged.get("A", ((1,),))):
+        polys = len(merged.get("A", ((1,),)))
+        if rank is not None and rank != polys:
             raise ConfigError("rank %d does not match %d coefficient "
-                              "polynomials" % (rank, len(merged["A"])))
+                              "polynomials" % (rank, polys))
         try:
             return SessionConfig(**merged)
         except TypeError as exc:

@@ -17,13 +17,7 @@ term pairs directly; it serves single terms, products of at most 512
 term pairs, and sparse products whose exponent window is at least their
 number of term pairs.  Every other product is one Kronecker
 substitution: both operands are packed into integers by the field's
-lane layout (ff.Lanes), multiplied once, and unpacked.  Before the
-route is chosen, a product of more than 512 term pairs whose operands
-share an exponent stride g > 1 is taken on the exponents divided by g:
-no packed lane is spent on slots that are zero by construction, and a
-window that is wide only by the factor g no longer forces schoolbook.
-The large products of the composition check are strided this way
-(g = q - 1 or a multiple of it, measured at q = 3, 4 and 5).
+lane layout (ff.Lanes), multiplied once, and unpacked.
 """
 
 from fractions import Fraction
@@ -114,24 +108,12 @@ def _dict_mul_kron(field, A, B, lim):
     return dict(compress(zip(range(base, base + n), vals), vals))
 
 
-def _stride(exps, lo, g):
-    """gcd of g and every e - lo, stopping as soon as it reaches 1."""
-    for e in exps:
-        g = gcd(g, e - lo)
-        if g == 1:
-            break
-    return g
-
-
 def _dict_mul(field, A, B, lim):
     """Product of sparse coefficient dicts, dropping exponents >= lim.
 
-    With more than 512 term pairs on a common stride g > 1 (exponents
-    amin + g*i and bmin + g*j), the product is taken on i and j below
-    ceil((lim - amin - bmin) / g) and mapped back to amin + bmin + g*k.
-    Then schoolbook when there are few term pairs or when they are
-    spread over a window at least as wide as their number; one
-    Kronecker product otherwise.
+    Schoolbook when there are few term pairs or when they are spread
+    over a window at least as wide as their number; one Kronecker
+    product otherwise.
     """
     if not A or not B:
         return {}
@@ -147,18 +129,8 @@ def _dict_mul(field, A, B, lim):
                 out[e] = mul(c1, c2)
         return out
     pairs = len(A) * len(B)
-    if pairs > 512:
-        amin, bmin = min(A), min(B)
-        g = _stride(B, bmin, _stride(A, amin, 0))
-        if g > 1:
-            base = amin + bmin
-            out = _dict_mul(field,
-                            {(e - amin) // g: c for e, c in A.items()},
-                            {(e - bmin) // g: c for e, c in B.items()},
-                            lim if lim == INF else -((base - lim) // g))
-            return {base + g * e: c for e, c in out.items()}
-        if max(A) - amin + max(B) - bmin + 1 < pairs:
-            return _dict_mul_kron(field, A, B, lim)
+    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
+        return _dict_mul_kron(field, A, B, lim)
     mul, add = field.mul, field.add
     out = {}
     for e1, c1 in A.items():

@@ -316,20 +316,23 @@ class DrinfeldModule:
         return self._beta[route][:n + 1]
 
     def compose_check(self, n, route="partitions"):
-        """sum_{i+j=m} beta_i alpha_j^(q^i) = delta_{m,0} and the mirror
-        identity with alpha and beta swapped, for all m <= n.  Each sum
-        is folded in ascending order of denominator degree, so the
-        running sum is lifted to small denominators first; only its
-        zero test is reported, never a denominator."""
+        """sum_{i+j=m} beta_i alpha_j^(q^i) = delta_{m,0} for all m <= n,
+        i.e. log o exp = 1 mod tau^(n+1).  The mirror exp o log = 1
+        follows: alpha_0 = beta_0 = 1 and (tau^(n+1)) is a two-sided
+        ideal, so a one-sided inverse mod tau^(n+1) is two-sided.  On
+        route="recurrence" beta is defined by this identity, so there the
+        check tests only the exact arithmetic.  Each sum is folded in
+        ascending order of denominator degree, so the running sum is
+        lifted to small denominators first; only its zero test is
+        reported, never a denominator."""
         alpha = self.exp_coeffs(n, route)
         beta = self.log_coeffs(n, route)
         for m in range(1, n + 1):
-            for a, b in ((beta, alpha), (alpha, beta)):
-                terms = sorted((a[i] * b[m - i].pow_q(i)
-                                for i in range(m + 1)),
-                               key=BracketFrac.den_deg)
-                if not reduce(add, terms).is_exact_zero():
-                    return False
+            terms = sorted((beta[i] * alpha[m - i].pow_q(i)
+                            for i in range(m + 1)),
+                           key=BracketFrac.den_deg)
+            if not reduce(add, terms).is_exact_zero():
+                return False
         return True
 
     # -- convergence --

@@ -143,6 +143,7 @@ def test_zero_ucap_exit_2_names_ucap(args):
 # t-window checks nothing, so it is refused; the commands that only
 # compute a series still accept --tprec 0.  A negative n names no list
 # of partitions or coefficients, so every command that takes n refuses it.
+# --rank without --A is checked against the default A, one polynomial.
 EXIT_CODES = [
     (("verify-mainthm", "--xi", "1", "--tprec", "0"), 2,
      "t_prec must be >= 1"),
@@ -163,6 +164,10 @@ EXIT_CODES = [
     (("coeffs", "-1"), 2, "n must be a non-negative integer, got -1"),
     (("bseq", "-2"), 2, "n must be a non-negative integer, got -2"),
     (("partitions", "2", "0"), 0, ""),
+    (("coeffs", "2", "--rank", "3"), 2,
+     "rank 3 does not match 1 coefficient polynomials"),
+    (("agf", "--rank", "0", "--xi", "1"), 2,
+     "rank 0 does not match 1 coefficient polynomials"),
 ]
 
 
@@ -186,9 +191,9 @@ def test_negative_terms_exit_2_names_terms(terms):
     assert "terms must be >= 0" in proc.stderr
 
 
-def test_coeffs_check_q5_depth_7():
-    """The composition check at depth 7 over F_5 runs to the end."""
-    proc = run_cli("coeffs", "7", "--q", "5", "--check")
+def test_coeffs_check_q5_depth_8():
+    """The composition check at depth 8 over F_5 runs to the end."""
+    proc = run_cli("coeffs", "8", "--q", "5", "--check")
     assert proc.returncode == 0
     assert json_lines(proc)[-1] == {"compose_check": True}
 

@@ -3,7 +3,9 @@ convergence data, degree bounds, certified evaluation."""
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import inf as INF
+from operator import add
 
 import pytest
 
@@ -257,10 +259,56 @@ def test_routes_agree(make, depth):
         assert b1[n].equals(b2[n]), "log coefficient %d" % n
 
 
+def _assert_mirror(phi, n, route):
+    """sum_{i+j=m} alpha_i beta_j^(q^i) is an exact zero for 1 <= m <= n:
+    exp o log = 1 mod tau^(n+1), the identity compose_check leaves out
+    because it follows from log o exp = 1."""
+    alpha = phi.exp_coeffs(n, route)
+    beta = phi.log_coeffs(n, route)
+    for m in range(1, n + 1):
+        terms = sorted((alpha[i] * beta[m - i].pow_q(i)
+                        for i in range(m + 1)), key=BracketFrac.den_deg)
+        assert reduce(add, terms).is_exact_zero(), (route, m)
+
+
 @pytest.mark.parametrize("make", [lambda: carlitz(CTX3), rank2_q2, rank2_q3,
                                   rank3_q2])
 def test_composition_inverts(make):
-    assert make().compose_check(6)
+    phi = make()
+    for route in ("partitions", "recurrence"):
+        assert phi.compose_check(6, route), route
+        _assert_mirror(phi, 6, route)
+
+
+def _random_module(ctx, r, rng):
+    """phi_t with random A_i in F_q[theta] of degree <= 2; A_i may be
+    zero below the top, so supports have gaps."""
+    q = ctx.q
+    A = [[rng.randrange(q) for _ in range(rng.randrange(1, 4))]
+         for _ in range(r)]
+    if not any(A[-1]):
+        A[-1][-1] = rng.randrange(1, q)
+    return DrinfeldModule(ctx, [ctx.from_poly(c) for c in A])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_composition_random_modules(q):
+    """On seeded random modules of rank 1-3, compose_check holds on both
+    routes, so does the mirror identity, and the routes agree."""
+    rng = random.Random(90 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 48)
+    depth = 5 if q < 9 else 4
+    routes = ("partitions", "recurrence")
+    for r in (1, 2, 3):
+        phi = _random_module(ctx, r, rng)
+        for route in routes:
+            assert phi.compose_check(depth, route), (r, route)
+            _assert_mirror(phi, depth, route)
+        a1, a2 = (phi.exp_coeffs(depth, route) for route in routes)
+        b1, b2 = (phi.log_coeffs(depth, route) for route in routes)
+        for n in range(depth + 1):
+            assert a1[n].equals(a2[n]), (r, "exp", n)
+            assert b1[n].equals(b2[n]), (r, "log", n)
 
 
 def _perturbed_compose_check(make, route, which, seed):
