@@ -8,13 +8,16 @@ i + e*j, so packing nests correctly (p^i * q^j = p^(i+e*j)).
 
 Small fields (order <= 2^12) get exp/log tables relative to a fixed
 generator and Frobenius permutation tables; larger fields (capped at
-2^20) fall back to schoolbook polynomial arithmetic per operation.
+2^20) fall back to schoolbook polynomial arithmetic per operation, and
+their Laurent products are all Kronecker products over the field's lane
+layout (Lanes), so no per-coefficient multiply serves them.  In
+characteristic 2, addition and subtraction are operator.xor.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import product as _iproduct, repeat
-from operator import add, mod, mul
+from operator import add, floordiv, mod, mul, xor
 
 from .errors import ConfigError, InvalidElement, InvalidInput, NoRootInField
 
@@ -181,13 +184,6 @@ def _pol_mul(L, f, g):
             if y:
                 out[i + j] = L.add(out[i + j], L.mul(x, y))
     return _pol_trim(out)
-
-
-def _pol_eval(L, f, y):
-    acc = 0
-    for c in reversed(f):
-        acc = L.add(L.mul(acc, y), c)
-    return acc
 
 
 def _pol_deriv(L, f):
@@ -379,10 +375,14 @@ class Field:
         Lp = _PrimeLevel(self.p)
         Lq = _ExtLevel(Lp, params.modulus) if self.e > 1 else Lp
         self._level = _ExtLevel(Lq, params.modulus_s) if self.s > 1 else Lq
-        self._exp = self._log = None
+        self.exp_tab = self.log_tab = None
         self._frob_tabs = None
         self._addtab = None
         self._lanes = None
+        self.coord_rows = _CoordRows(self)
+        if self.p == 2:
+            # the packed coordinates are bits: adding is XOR
+            self.add = self.sub = xor
         if self.order <= TABLE_MAX:
             self._build_tables()
 
@@ -405,7 +405,9 @@ class Field:
         log = [0] * self.order
         for i, a in enumerate(exp):
             log[a] = i
-        self._exp, self._log = exp, log
+        # exp_tab holds the cycle twice, so a sum of two logs indexes it
+        # without a reduction mod n
+        self.exp_tab, self.log_tab = exp + exp, log
         self._frob_tabs = {}
         q = self.q
         for k in range(1, self.s):
@@ -429,15 +431,11 @@ class Field:
     # -- scalar operations --
 
     def add(self, a, b):
-        if self.p == 2:
-            return a ^ b
         if self._addtab is not None:
             return self._addtab[a][b]
         return self._level.add(a, b)
 
     def sub(self, a, b):
-        if self.p == 2:
-            return a ^ b
         return self._level.sub(a, b)
 
     def neg(self, a):
@@ -448,17 +446,15 @@ class Field:
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] + self._log[b]) % n]
+        if self.exp_tab is not None:
+            return self.exp_tab[self.log_tab[a] + self.log_tab[b]]
         return self._level.mul(a, b)
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_{q^s}")
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(-self._log[a]) % n]
+        if self.exp_tab is not None:
+            return self.exp_tab[self.order - 1 - self.log_tab[a]]
         return self._level.inv(a)
 
     def pow_int(self, a, n):
@@ -468,9 +464,8 @@ class Field:
             if n < 0:
                 raise ZeroDivisionError("inverse of 0 in F_{q^s}")
             return 0
-        if self._exp is not None:
-            N = self.order - 1
-            return self._exp[(self._log[a] * n) % N]
+        if self.exp_tab is not None:
+            return self.exp_tab[(self.log_tab[a] * n) % (self.order - 1)]
         return self._level.pow(a, n % (self.order - 1))
 
     def frob(self, a, k=1):
@@ -546,6 +541,20 @@ class Field:
 
         y = self.inv(next(v for v in (b(q ** j) for j in range(self.s)) if v))
         return min((self.mul(y, a) for a in range(1, q)), key=self.lex_key)
+
+
+class _CoordRows(dict):
+    """Field.coord_rows: packed element -> its coordinate vector as a list,
+    built on first use.  The lists are shared; callers must not mutate
+    them."""
+
+    def __init__(self, field):
+        super().__init__()
+        self.coords = field.coords
+
+    def __missing__(self, a):
+        row = self[a] = list(self.coords(a))
+        return row
 
 
 # memoryview format of a lane, by its width in bytes
@@ -643,7 +652,8 @@ class Lanes:
                 for lane in reversed(lanes):
                     img = monomial(lane)
                     mults = [f.mul(d, img) for d in range(p)]
-                    tab = [f.add(t, v) for t in tab for v in mults]
+                    tab = _add_rows(f, [[t for t in tab for _ in mults],
+                                        mults * len(tab)])
                 self._tables.append((lanes, tab))
         return self._tables
 
@@ -669,14 +679,33 @@ class Lanes:
         digits = list(map(mod, lanes.tolist(), repeat(p)))
         if count == 1:
             return digits
-        out = None
+        runs = []
         for run, tab in self._lane_tables():
             idx = digits[run[-1]::count]
             for lane in reversed(run[:-1]):
                 idx = map(add, map(mul, idx, repeat(p)), digits[lane::count])
-            vals = list(map(tab.__getitem__, idx))
-            out = vals if out is None else list(map(f.add, out, vals))
-        return out
+            runs.append(list(map(tab.__getitem__, idx)))
+        return _add_rows(f, runs)
+
+
+def _add_rows(field, rows):
+    """Slotwise sums of equal-length lists of packed elements: by XOR in
+    characteristic 2, else one F_p coordinate at a time, so that no field
+    addition runs per slot (on a field without an addition table each
+    one unpacks and repacks its operands)."""
+    if len(rows) == 1:
+        return rows[0]
+    p = field.p
+    if p == 2:
+        return list(reduce(partial(map, xor), rows))
+    out = repeat(0)
+    for k in reversed(range(field.dim)):
+        coord = repeat(0)
+        for r in rows:
+            coord = map(add, coord, map(mod, map(floordiv, r, repeat(p ** k)),
+                                        repeat(p)))
+        out = map(add, map(mul, out, repeat(p)), map(mod, coord, repeat(p)))
+    return list(out)
 
 
 @lru_cache(maxsize=None)

@@ -12,12 +12,21 @@ min(val(x) + cap(y), val(y) + cap(x)); inversion and (q-1)-st roots of
 exact non-monomials get the session's relative precision budget.  All
 caps are conservative, so any coefficient below a cap is certified.
 
-Products take one of two routes, on every field.  Schoolbook sums the
-term pairs directly; it serves single terms, products of at most 512
-term pairs, and sparse products whose exponent window is at least their
-number of term pairs.  Every other product is one Kronecker
-substitution: both operands are packed into integers by the field's
-lane layout (ff.Lanes), multiplied once, and unpacked.
+Products take one of three routes.  A single-term operand scales the
+other term by term.  On fields with exp/log tables (order <= TABLE_MAX),
+a product of at most 512 term pairs, or a sparse one whose exponent
+window is at least its number of term pairs, is a schoolbook sum in the
+log domain: each term pair costs one read of the exp table and one
+field addition.  Every other product, and every multi-term product on a
+field without tables, is one Kronecker substitution: both operands are
+packed into integers by the field's lane layout (ff.Lanes), multiplied
+once, and unpacked.
+
+Elements are immutable: nothing changes .coeffs after construction.
+Results the kernel builds itself (products, sums of equal caps,
+negations, forward Frobenius twists, scalings by a nonzero scalar) are
+valid by construction and skip the constructor's filter through
+LaurentElem.wrap; everything else goes through the constructor.
 """
 
 from fractions import Fraction
@@ -110,10 +119,15 @@ def _dict_mul_kron(field, A, B, lim):
 
 def _dict_mul(field, A, B, lim):
     """Product of sparse coefficient dicts, dropping exponents >= lim.
+    The result holds no zero values.
 
-    Schoolbook when there are few term pairs or when they are spread
-    over a window at least as wide as their number; one Kronecker
-    product otherwise.
+    A single-term operand takes one dictcomp.  On a field with tables,
+    few term pairs, or pairs spread over a window at least as wide as
+    their number, take the log-domain schoolbook: the logs of the larger
+    operand are read once, each pair adds two logs and reads the doubled
+    exp table, sums that cancel are dropped once at the end, and the
+    exponent test is skipped when no pair reaches lim.  Every other
+    product is one Kronecker product.
     """
     if not A or not B:
         return {}
@@ -122,32 +136,30 @@ def _dict_mul(field, A, B, lim):
     if len(A) == 1:
         (e1, c1), = A.items()
         mul = field.mul
-        out = {}
-        for e2, c2 in B.items():
-            e = e1 + e2
-            if e < lim:
-                out[e] = mul(c1, c2)
-        return out
+        return {e1 + e2: mul(c1, c2) for e2, c2 in B.items() if e1 + e2 < lim}
+    exp, log = field.exp_tab, field.log_tab
     pairs = len(A) * len(B)
-    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
+    if exp is None or (pairs > 512 and
+                       max(A) - min(A) + max(B) - min(B) + 1 < pairs):
         return _dict_mul_kron(field, A, B, lim)
-    mul, add = field.mul, field.add
+    add = field.add
+    logs = [(e, log[c]) for e, c in B.items()]
     out = {}
-    for e1, c1 in A.items():
-        for e2, c2 in B.items():
-            e = e1 + e2
-            if e >= lim:
-                continue
-            prev = out.get(e)
-            if prev is None:
-                out[e] = mul(c1, c2)
-            else:
-                v = add(prev, mul(c1, c2))
-                if v:
-                    out[e] = v
-                else:
-                    del out[e]
-    return out
+    get = out.get
+    if max(A) + max(B) < lim:
+        for e1, c1 in A.items():
+            l1 = log[c1]
+            for e2, l2 in logs:
+                e = e1 + e2
+                out[e] = add(get(e, 0), exp[l1 + l2])
+    else:
+        for e1, c1 in A.items():
+            l1 = log[c1]
+            for e2, l2 in logs:
+                e = e1 + e2
+                if e < lim:
+                    out[e] = add(get(e, 0), exp[l1 + l2])
+    return {e: c for e, c in out.items() if c}
 
 
 def _dict_inv(field, W, lim, two):
@@ -250,12 +262,18 @@ class LaurentElem:
                     out[e] = v
                 else:
                     del out[e]
+        if self.cap == other.cap:
+            return LaurentElem.wrap(self.ctx, out, cap)
         return LaurentElem(self.ctx, out, cap)
 
     def __neg__(self):
-        neg = self.ctx.field.neg
-        return LaurentElem(self.ctx, {e: neg(c) for e, c in self.coeffs.items()},
-                           self.cap)
+        field = self.ctx.field
+        if field.p == 2:
+            return self
+        neg = field.neg
+        return LaurentElem.wrap(self.ctx,
+                                {e: neg(c) for e, c in self.coeffs.items()},
+                                self.cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -264,15 +282,16 @@ class LaurentElem:
         self._check(other)
         cap = min(self.vbound + other.cap, other.vbound + self.cap)
         out = _dict_mul(self.ctx.field, self.coeffs, other.coeffs, cap)
-        return LaurentElem(self.ctx, out, cap)
+        return LaurentElem.wrap(self.ctx, out, cap)
 
     def scale(self, c):
         """Multiply by a field scalar (packed int)."""
         if c == 0:
             return LaurentElem(self.ctx, {}, INF)
         mul = self.ctx.field.mul
-        return LaurentElem(self.ctx, {e: mul(c, x) for e, x in self.coeffs.items()},
-                           self.cap)
+        return LaurentElem.wrap(self.ctx,
+                                {e: mul(c, x) for e, x in self.coeffs.items()},
+                                self.cap)
 
     def pow(self, n):
         if n < 0:
@@ -300,9 +319,9 @@ class LaurentElem:
         if k > 0:
             Q = self.ctx.q ** k
             cap = self.cap if self.cap == INF else self.cap * Q
-            return LaurentElem(self.ctx,
-                               {e * Q: field.frob(c, k) for e, c in self.coeffs.items()},
-                               cap)
+            return LaurentElem.wrap(self.ctx, {e * Q: field.frob(c, k)
+                                               for e, c in self.coeffs.items()},
+                                    cap)
         Q = self.ctx.q ** (-k)
         bad = [e for e in self.coeffs if e % Q]
         if bad:
@@ -396,10 +415,9 @@ class LaurentElem:
         if self.coeffs:
             v = min(self.coeffs)
             top = max(self.coeffs)
-            # the absent slots of the dense window share one zero row
-            coords, get, zero = field.coords, self.coeffs.get, [0] * field.dim
-            dense = [list(coords(c)) if (c := get(e)) else zero
-                     for e in range(v, top + 1)]
+            # one shared row per element, absent slots included (as 0)
+            rows, get = field.coord_rows, self.coeffs.get
+            dense = [rows[get(e, 0)] for e in range(v, top + 1)]
         else:
             v = None
             dense = []

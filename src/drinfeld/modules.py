@@ -227,6 +227,7 @@ class DrinfeldModule:
         self._beta = {"partitions": [BracketFrac.one(ctx)],
                       "recurrence": [BracketFrac.one(ctx)]}
         self._da = [Fraction(0)]
+        self._a_powers = {}
 
     # -- the module action --
 
@@ -239,11 +240,16 @@ class DrinfeldModule:
     # -- exp/log coefficients --
 
     def _a_power(self, sp):
-        """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse."""
-        out = self.ctx.one()
-        for i, mask in enumerate(sp.masks, start=1):
-            for j in iter_bits(mask):
-                out = out * self.A[i - 1].pow_q(j)
+        """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse;
+        memoised on sp.masks, since the exp and log terms, the AGF and
+        both beta routes of one module visit the same partitions."""
+        out = self._a_powers.get(sp.masks)
+        if out is None:
+            out = self.ctx.one()
+            for i, mask in enumerate(sp.masks, start=1):
+                for j in iter_bits(mask):
+                    out = out * self.A[i - 1].pow_q(j)
+            self._a_powers[sp.masks] = out
         return out
 
     def exp_term(self, sp, n):

@@ -15,8 +15,8 @@ from math import gcd, inf as INF
 
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
-from .ff import (_pol_deriv, _pol_divide, _pol_eval, _pol_gcd, _pol_mod,
-                 _pol_powmod, _pol_trim)
+from .ff import (_pol_deriv, _pol_divide, _pol_gcd, _pol_mod, _pol_powmod,
+                 _pol_trim)
 from .modules import BracketFrac, DrinfeldModule, bracket
 from .agf import DeformedLog, OmegaCarlitz, _check_t_prec, carlitz_pi
 from .tate import TateSeries
@@ -170,15 +170,14 @@ def torsion_roots(phi: DrinfeldModule, ucap):
         if val + d * v == vmin:
             lead = (ctx.theta() if d == 1 else phi.A[_log_q(q, d) - 1])
             terms[d] = lead.coeffs[lead.val]
-    g = [0] * (max(terms) + 1)
-    for d, c in terms.items():
-        g[d] = c
     if field.order > (1 << 16):
         raise PrecisionExhausted("residue field too large to scan")
-    ys = [y for y in range(1, field.order)
-          if _pol_eval(field, g, y) == 0]
+    ys = [y for y in range(1, field.order) if not _residual(field, terms, y)]
     if len(ys) < xb - xa:
-        dd = _splitting_degree(field, _pol_trim(g))
+        g = [0] * (max(terms) + 1)
+        for d, c in terms.items():
+            g[d] = c
+        dd = _splitting_degree(field, g)
         raise ResidueSplittingError(
             "the residual polynomial splits over residue degree %d; "
             "enlarge s to %d" % (field.s * dd, field.s * dd),
@@ -235,6 +234,16 @@ def torsion_roots(phi: DrinfeldModule, ucap):
     conv = phi.convergence_data()
     in_radius = [bool(z.deg() < conv.logq_R) for z in basis]
     return TorsionData(phi, roots, basis, slopes, traces, in_radius)
+
+
+def _residual(field, terms, y):
+    """g(y) for the residual polynomial g = sum c y^d over its nonzero
+    terms {d: c}; g is linearised (d = 1 or q^i), so it has at most
+    r + 1 terms against a degree of up to q^r."""
+    acc = 0
+    for d, c in terms.items():
+        acc = field.add(acc, field.mul(c, field.pow_int(y, d)))
+    return acc
 
 
 def _log_q(q, d):

@@ -209,9 +209,11 @@ def _to_json_oracle(x):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
-@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("s,q", [(s, q) for s in (1, 2)
+                                 for q in (2, 3, 4, 5, 9)] + [(8, 3), (13, 2)])
 def test_to_json_matches_per_slot_coords(q, s):
+    """The coordinate rows of to_json, on fields with tables and on two
+    without (F_{3^8}, F_{2^13}), whose rows come from the same memo."""
     ctx = SeriesParams(FieldParams.make(q, s), 2, 40)
     rng = random.Random(100 * q + s)
     order = ctx.field.order
@@ -240,13 +242,19 @@ def _schoolbook(F, A, B, lim):
     return ref
 
 
-def _kronecker_side(A, B):
-    """Whether _dict_mul sends the pair to the Kronecker product: more
-    than 512 term pairs on a raw exponent window narrower than their
-    number."""
+def _route(F, A, B):
+    """The route _dict_mul takes: one dictcomp for a single-term operand;
+    on fields with tables, the log-domain schoolbook unless there are
+    more than 512 term pairs on a raw exponent window narrower than
+    their number; the Kronecker product otherwise, and for every
+    multi-term product on a field without tables."""
+    if min(len(A), len(B)) == 1:
+        return "single"
     pairs = len(A) * len(B)
     window = max(A) - min(A) + max(B) - min(B) + 1
-    return pairs > 512 and window < pairs
+    if F.exp_tab is None or (pairs > 512 and window < pairs):
+        return "kronecker"
+    return "schoolbook"
 
 
 def _operand_pairs(F, rng):
@@ -290,23 +298,25 @@ def _strided_pairs(F, rng, g):
 
 
 def test_fast_multiply_matches_schoolbook():
-    """_dict_mul against an inline schoolbook oracle on both sides of its
-    one selection rule, over q in {2,3,4,5,9} and s in {1,2,3} (the
-    F_{4^2} tower among them) and a 16-dimensional field too large for
-    lookup tables.  For s <= 2, strided pairs with a stride g in
-    {2, q-1, q, q^2} are further inputs, not a separate route; their
-    limits also fall on a strided slot and strictly between two slots."""
+    """_dict_mul against an inline schoolbook oracle on every route, over
+    q in {2,3,4,5,9} and s in {1,2,3} (the F_{4^2} tower among them) and
+    two fields too large for lookup tables, F_{2^16} and F_{3^8}, whose
+    multi-term products all take the Kronecker route.  For s <= 2,
+    strided pairs with a stride g in {2, q-1, q, q^2} are further
+    inputs, not a separate route; their limits also fall on a strided
+    slot and strictly between two slots."""
     rng = random.Random(23)
-    fields = [(q, s) for q in (2, 3, 4, 5, 9) for s in (1, 2, 3)] + [(2, 16)]
+    fields = [(q, s) for q in (2, 3, 4, 5, 9) for s in (1, 2, 3)]
+    fields += [(2, 16), (3, 8)]
     for q, s in fields:
         F = field_for(FieldParams.make(q, s))
-        sides = set()
+        routes = set()
         cases = [(1, A, B) for A, B in _operand_pairs(F, rng)]
         if s <= 2:
             cases += [(g, A, B) for g in sorted({2, q - 1, q, q * q})
                       for A, B in _strided_pairs(F, rng, g)]
         for g, A, B in cases:
-            sides.add(_kronecker_side(A, B))
+            routes.add(_route(F, A, B))
             full = _schoolbook(F, A, B, INF)
             base = min(A) + min(B)
             top = max(A) + max(B)
@@ -318,4 +328,44 @@ def test_fast_multiply_matches_schoolbook():
             for lim in lims:
                 want = {e: c for e, c in full.items() if e < lim}
                 assert _dict_mul(F, A, B, lim) == want, (q, s, g, lim)
-        assert sides == {True, False}
+        if F.exp_tab is None:
+            assert routes == {"single", "kronecker"}, (q, s)
+        else:
+            assert routes == {"single", "schoolbook", "kronecker"}, (q, s)
+
+
+def _cancelling_elem(ctx, rng, lo, hi):
+    """A random element whose coefficients lie in F_p half the time, so
+    sums and products of such elements cancel often, with a cap that is
+    exact, beyond its support, or inside it."""
+    F = ctx.field
+    small = rng.random() < 0.5
+    coeffs = {rng.randrange(lo, hi): (rng.randrange(1, F.p) if small
+                                      else rng.randrange(1, F.order))
+              for _ in range(rng.randrange(0, 40))}
+    cap = rng.choice([INF, hi + rng.randrange(0, 5),
+                      rng.randrange(lo, hi + 1)])
+    return LaurentElem(ctx, coeffs, cap)
+
+
+@pytest.mark.parametrize("q,s", [(2, 1), (9, 1), (3, 6), (2, 13)])
+def test_kernel_results_are_valid(q, s):
+    """Results that skip the constructor's filter (sum, difference,
+    negation, product, scaling, forward Frobenius twist) hold no zero
+    value and no exponent at or beyond their cap, so each equals the
+    element the constructor builds from its own coeffs and cap.  Fields:
+    F_2, F_9, F_729 (odd p, tables, no addition table) and F_{2^13}
+    (no tables)."""
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 40)
+    F = ctx.field
+    rng = random.Random(1000 * q + s)
+    for _ in range(150):
+        x = _cancelling_elem(ctx, rng, -20, 30)
+        y = _cancelling_elem(ctx, rng, -20, 30)
+        results = [x + y, x - y, x + x, x - x, -x, x * y, x * x,
+                   (x + y) * (x - y), x.scale(rng.randrange(F.order)),
+                   x.pow_q(rng.randrange(1, 3))]
+        for r in results:
+            assert all(r.coeffs.values())
+            assert all(e < r.cap for e in r.coeffs)
+            assert r == LaurentElem(ctx, r.coeffs, r.cap)

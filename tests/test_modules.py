@@ -386,6 +386,28 @@ def test_per_partition_terms_rank2_depth3():
     assert total.equals(phi.log_coeffs(3)[3])
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_power_memo_matches_fresh_product(q):
+    """A^S from the module's memo, after the exp and log terms have
+    filled it, equals a fresh product on every partition."""
+    rng = random.Random(40 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 48)
+    for r in (1, 2, 3):
+        phi = _random_module(ctx, r, rng)
+        phi.exp_coeffs(5)
+        phi.log_coeffs(5)
+        for n in range(1, 6):
+            for sp in enumerate_partitions(r, n, support=phi.support):
+                fresh = ctx.one()
+                for i, mask in enumerate(sp.masks, start=1):
+                    for j in range(n):
+                        if mask >> j & 1:
+                            fresh = fresh * phi.A[i - 1].pow_q(j)
+                assert sp.masks in phi._a_powers
+                assert phi._a_power(sp) == fresh
+                assert phi._a_power(sp) is phi._a_power(sp)
+
+
 # -- convergence data --
 
 def test_convergence_known_values():

@@ -6,14 +6,14 @@ import pytest
 
 from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
                              RamificationError, ResidueSplittingError)
-from drinfeld.ff import FieldParams
+from drinfeld.ff import FieldParams, field_for
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
-from drinfeld.periods import (carlitz_period_routes, legendre_check,
-                              newton_slopes, period_from_torsion,
-                              quasi_function_eval, quasi_period_orbit,
-                              quasi_period_prop, quasi_periods,
-                              torsion_roots)
+from drinfeld.periods import (_residual, carlitz_period_routes,
+                              legendre_check, newton_slopes,
+                              period_from_torsion, quasi_function_eval,
+                              quasi_period_orbit, quasi_period_prop,
+                              quasi_periods, torsion_roots)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 R2 = SeriesParams(FieldParams.make(2, 2), 3, 96)
@@ -300,6 +300,38 @@ def test_residue_splitting_degree_six():
     with pytest.raises(ResidueSplittingError) as ei:
         torsion_roots(phi, 30)
     assert ei.value.required_s == 6
+
+
+def _pol_eval(L, f, y):
+    """Dense Horner evaluation of the coefficient list f at y."""
+    acc = 0
+    for c in reversed(f):
+        acc = L.add(L.mul(acc, y), c)
+    return acc
+
+
+@pytest.mark.parametrize("q,s", [(2, 1), (2, 3), (3, 2), (5, 4), (3, 8)])
+def test_sparse_residual_matches_horner(q, s):
+    """The residual of torsion_roots, summed over its nonzero terms,
+    equals dense Horner evaluation on random linearised polynomials
+    c_0 y + sum c_i y^(q^i), on every y of small fields and on a sample
+    of F_625 and of the table-less F_{3^8}."""
+    F = field_for(FieldParams.make(q, s))
+    rng = random.Random(10 * q + s)
+    ys = range(F.order) if F.order <= 64 else \
+        [0, 1] + [rng.randrange(2, F.order) for _ in range(60)]
+    for _ in range(4):
+        r = rng.randrange(1, 3 if q ** 3 > 30 else 4)
+        terms = {1: rng.randrange(1, F.order)}
+        for i in range(1, r + 1):
+            c = rng.randrange(F.order)
+            if c:
+                terms[q ** i] = c
+        g = [0] * (max(terms) + 1)
+        for d, c in terms.items():
+            g[d] = c
+        for y in ys:
+            assert _residual(F, terms, y) == _pol_eval(F, g, y), (terms, y)
 
 
 def test_multilayer_kernel_rejected():
