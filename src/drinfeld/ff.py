@@ -8,16 +8,13 @@ i + e*j, so packing nests correctly (p^i * q^j = p^(i+e*j)).
 
 Small fields (order <= 2^12) get exp/log tables relative to a fixed
 generator and Frobenius permutation tables; larger fields (capped at
-2^20) fall back to schoolbook polynomial arithmetic per operation, and
-their Laurent products are all Kronecker products over the field's lane
-layout (Lanes), so no per-coefficient multiply serves them.  In
-characteristic 2, addition and subtraction are operator.xor.
+2^20) fall back to schoolbook polynomial arithmetic per operation.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from collections import namedtuple
+from functools import lru_cache, partial
 from itertools import product as _iproduct, repeat
-from operator import add, floordiv, mod, mul, xor
+from operator import add, mod, mul
 
 from .errors import ConfigError, InvalidElement, InvalidInput, NoRootInField
 
@@ -291,15 +288,12 @@ def canonical_irreducible(level, d):
     raise ConfigError("no irreducible polynomial found (impossible)")
 
 
-@dataclass(frozen=True)
-class FieldParams:
-    """Description of F_{q^s}: q = p^e via modulus over F_p, then modulus_s over F_q."""
+class FieldParams(namedtuple("FieldParams", "p e modulus s modulus_s")):
+    """Description of F_{q^s}: q = p^e via modulus over F_p, then modulus_s over F_q.
+    A named tuple: immutable and hashable without importing dataclasses,
+    which costs every process about 5 ms."""
 
-    p: int
-    e: int
-    modulus: tuple
-    s: int
-    modulus_s: tuple
+    __slots__ = ()
 
     @property
     def q(self):
@@ -359,6 +353,19 @@ def _default_params(q, s):
     return FieldParams._build(q, s, None, None)
 
 
+def _add_table(p, order):
+    """Addition table of the packed elements of a field of order p^d.
+    Packed elements add digit by digit in base p, so the table of the
+    first n * p elements follows from that of the first n, one top digit
+    at a time."""
+    tab, n = [[0]], 1
+    while n < order:
+        tab = [[t + n * ((hi + bh) % p) for bh in range(p) for t in row]
+               for hi in range(p) for row in tab]
+        n *= p
+    return tab
+
+
 class Field:
     """Arithmetic context for F_{q^s} on packed-integer elements."""
 
@@ -380,9 +387,6 @@ class Field:
         self._addtab = None
         self._lanes = None
         self.coord_rows = _CoordRows(self)
-        if self.p == 2:
-            # the packed coordinates are bits: adding is XOR
-            self.add = self.sub = xor
         if self.order <= TABLE_MAX:
             self._build_tables()
 
@@ -417,9 +421,7 @@ class Field:
                 tab[a] = exp[(i * step) % n] if n > 1 else a
             self._frob_tabs[k] = tab
         if self.p != 2 and self.order <= 512:
-            add = self._level.add
-            self._addtab = [[add(a, b) for b in range(self.order)]
-                            for a in range(self.order)]
+            self._addtab = _add_table(self.p, self.order)
 
     @property
     def lanes(self):
@@ -431,11 +433,15 @@ class Field:
     # -- scalar operations --
 
     def add(self, a, b):
+        if self.p == 2:
+            return a ^ b
         if self._addtab is not None:
             return self._addtab[a][b]
         return self._level.add(a, b)
 
     def sub(self, a, b):
+        if self.p == 2:
+            return a ^ b
         return self._level.sub(a, b)
 
     def neg(self, a):
@@ -652,8 +658,7 @@ class Lanes:
                 for lane in reversed(lanes):
                     img = monomial(lane)
                     mults = [f.mul(d, img) for d in range(p)]
-                    tab = _add_rows(f, [[t for t in tab for _ in mults],
-                                        mults * len(tab)])
+                    tab = [f.add(t, v) for t in tab for v in mults]
                 self._tables.append((lanes, tab))
         return self._tables
 
@@ -679,33 +684,14 @@ class Lanes:
         digits = list(map(mod, lanes.tolist(), repeat(p)))
         if count == 1:
             return digits
-        runs = []
+        out = None
         for run, tab in self._lane_tables():
             idx = digits[run[-1]::count]
             for lane in reversed(run[:-1]):
                 idx = map(add, map(mul, idx, repeat(p)), digits[lane::count])
-            runs.append(list(map(tab.__getitem__, idx)))
-        return _add_rows(f, runs)
-
-
-def _add_rows(field, rows):
-    """Slotwise sums of equal-length lists of packed elements: by XOR in
-    characteristic 2, else one F_p coordinate at a time, so that no field
-    addition runs per slot (on a field without an addition table each
-    one unpacks and repacks its operands)."""
-    if len(rows) == 1:
-        return rows[0]
-    p = field.p
-    if p == 2:
-        return list(reduce(partial(map, xor), rows))
-    out = repeat(0)
-    for k in reversed(range(field.dim)):
-        coord = repeat(0)
-        for r in rows:
-            coord = map(add, coord, map(mod, map(floordiv, r, repeat(p ** k)),
-                                        repeat(p)))
-        out = map(add, map(mul, out, repeat(p)), map(mod, coord, repeat(p)))
-    return list(out)
+            vals = list(map(tab.__getitem__, idx))
+            out = vals if out is None else list(map(f.add, out, vals))
+        return out
 
 
 @lru_cache(maxsize=None)

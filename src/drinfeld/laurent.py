@@ -13,14 +13,14 @@ exact non-monomials get the session's relative precision budget.  All
 caps are conservative, so any coefficient below a cap is certified.
 
 Products take one of three routes.  A single-term operand scales the
-other term by term.  On fields with exp/log tables (order <= TABLE_MAX),
-a product of at most 512 term pairs, or a sparse one whose exponent
-window is at least its number of term pairs, is a schoolbook sum in the
-log domain: each term pair costs one read of the exp table and one
-field addition.  Every other product, and every multi-term product on a
-field without tables, is one Kronecker substitution: both operands are
-packed into integers by the field's lane layout (ff.Lanes), multiplied
-once, and unpacked.
+other term by term.  A product of at most 512 term pairs, or a sparse
+one whose exponent window is at least its number of term pairs, is a
+schoolbook sum: on fields with exp/log tables (order <= TABLE_MAX) in
+the log domain, where each term pair costs one read of the exp table
+and at most one field addition, and on larger fields by Field.mul per
+term pair.  Every other product is one Kronecker substitution: both
+operands are packed into integers by the field's lane layout
+(ff.Lanes), multiplied once, and unpacked.
 
 Elements are immutable: nothing changes .coeffs after construction.
 Results the kernel builds itself (products, sums of equal caps,
@@ -32,6 +32,7 @@ LaurentElem.wrap; everything else goes through the constructor.
 from fractions import Fraction
 from itertools import compress
 from math import ceil, gcd, inf as INF
+from operator import xor
 
 from .errors import (DivideByZero, InvalidInput, PrecisionExhausted,
                      RamificationError)
@@ -121,13 +122,15 @@ def _dict_mul(field, A, B, lim):
     """Product of sparse coefficient dicts, dropping exponents >= lim.
     The result holds no zero values.
 
-    A single-term operand takes one dictcomp.  On a field with tables,
-    few term pairs, or pairs spread over a window at least as wide as
-    their number, take the log-domain schoolbook: the logs of the larger
-    operand are read once, each pair adds two logs and reads the doubled
-    exp table, sums that cancel are dropped once at the end, and the
-    exponent test is skipped when no pair reaches lim.  Every other
-    product is one Kronecker product.
+    A single-term operand takes one dictcomp.  Few term pairs, or pairs
+    spread over a window at least as wide as their number, take the
+    schoolbook.  On a field with tables it runs in the log domain: the
+    logs of the larger operand are read once, and each pair adds two
+    logs and reads the doubled exp table; on a field without tables each
+    pair is one Field.mul.  A pair that lands on an empty slot is stored
+    without an addition (XOR in characteristic 2), and sums that cancel
+    are dropped once at the end.  Every other product is one Kronecker
+    product.
     """
     if not A or not B:
         return {}
@@ -137,28 +140,30 @@ def _dict_mul(field, A, B, lim):
         (e1, c1), = A.items()
         mul = field.mul
         return {e1 + e2: mul(c1, c2) for e2, c2 in B.items() if e1 + e2 < lim}
-    exp, log = field.exp_tab, field.log_tab
     pairs = len(A) * len(B)
-    if exp is None or (pairs > 512 and
-                       max(A) - min(A) + max(B) - min(B) + 1 < pairs):
+    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
         return _dict_mul_kron(field, A, B, lim)
-    add = field.add
-    logs = [(e, log[c]) for e, c in B.items()]
+    add = xor if field.p == 2 else field.add
+    exp, log = field.exp_tab, field.log_tab
     out = {}
     get = out.get
-    if max(A) + max(B) < lim:
+    if exp is None:
+        mul = field.mul
         for e1, c1 in A.items():
-            l1 = log[c1]
-            for e2, l2 in logs:
+            for e2, c2 in B.items():
                 e = e1 + e2
-                out[e] = add(get(e, 0), exp[l1 + l2])
+                if e < lim:
+                    v = mul(c1, c2)
+                    out[e] = add(prev, v) if (prev := get(e)) else v
     else:
+        logs = [(e, log[c]) for e, c in B.items()]
         for e1, c1 in A.items():
             l1 = log[c1]
             for e2, l2 in logs:
                 e = e1 + e2
                 if e < lim:
-                    out[e] = add(get(e, 0), exp[l1 + l2])
+                    v = exp[l1 + l2]
+                    out[e] = add(prev, v) if (prev := get(e)) else v
     return {e: c for e, c in out.items() if c}
 
 
@@ -247,7 +252,8 @@ class LaurentElem:
     def __add__(self, other):
         self._check(other)
         cap = min(self.cap, other.cap)
-        add = self.ctx.field.add
+        field = self.ctx.field
+        add = xor if field.p == 2 else field.add
         big, small = self.coeffs, other.coeffs
         if len(big) < len(small):
             big, small = small, big

@@ -27,6 +27,7 @@ residue split off exactly.
 """
 
 from math import inf as INF
+from operator import xor
 
 from .errors import (EvalAtPole, IndeterminateNorm, InvalidInput,
                      TailNotNegligible)
@@ -137,7 +138,8 @@ class TateSeries:
                                "needs a finite t_prec")
         ctx = self.ctx
         step = ctx.m * ctx.q ** e
-        neg, sub = ctx.field.neg, ctx.field.sub
+        field = ctx.field
+        neg, sub = field.neg, xor if field.p == 2 else field.sub
         y, cap = {}, INF
         out = []
         for c in self.coeffs:

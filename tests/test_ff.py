@@ -222,3 +222,15 @@ def test_tables_match_schoolbook():
         for b in range(9):
             assert F.mul(a, b) == L.mul(a, b)
             assert F.add(a, b) == L.add(a, b)
+
+
+@pytest.mark.parametrize("q,s", [(3, 1), (5, 1), (9, 1), (3, 4), (9, 2),
+                                 (25, 1), (3, 5)])
+def test_addition_table_matches_level_add(q, s):
+    """The addition table, built digit by digit in base p, against the
+    tower's own addition on every pair, for odd-p fields of order <= 512
+    (F_{3^4} and F_{9^2} are the same order on different towers)."""
+    F = field_for(FieldParams.make(q, s))
+    add = F._level.add
+    n = F.order
+    assert F._addtab == [[add(a, b) for b in range(n)] for a in range(n)]

@@ -244,17 +244,17 @@ def _schoolbook(F, A, B, lim):
 
 def _route(F, A, B):
     """The route _dict_mul takes: one dictcomp for a single-term operand;
-    on fields with tables, the log-domain schoolbook unless there are
-    more than 512 term pairs on a raw exponent window narrower than
-    their number; the Kronecker product otherwise, and for every
-    multi-term product on a field without tables."""
+    the Kronecker product for more than 512 term pairs on a raw exponent
+    window narrower than their number; the schoolbook otherwise, in the
+    log domain on fields with tables and by Field.mul on fields
+    without."""
     if min(len(A), len(B)) == 1:
         return "single"
     pairs = len(A) * len(B)
     window = max(A) - min(A) + max(B) - min(B) + 1
-    if F.exp_tab is None or (pairs > 512 and window < pairs):
+    if pairs > 512 and window < pairs:
         return "kronecker"
-    return "schoolbook"
+    return "schoolbook" if F.exp_tab is not None else "plain schoolbook"
 
 
 def _operand_pairs(F, rng):
@@ -301,7 +301,7 @@ def test_fast_multiply_matches_schoolbook():
     """_dict_mul against an inline schoolbook oracle on every route, over
     q in {2,3,4,5,9} and s in {1,2,3} (the F_{4^2} tower among them) and
     two fields too large for lookup tables, F_{2^16} and F_{3^8}, whose
-    multi-term products all take the Kronecker route.  For s <= 2,
+    schoolbook multiplies by Field.mul.  For s <= 2,
     strided pairs with a stride g in {2, q-1, q, q^2} are further
     inputs, not a separate route; their limits also fall on a strided
     slot and strictly between two slots."""
@@ -328,10 +328,8 @@ def test_fast_multiply_matches_schoolbook():
             for lim in lims:
                 want = {e: c for e, c in full.items() if e < lim}
                 assert _dict_mul(F, A, B, lim) == want, (q, s, g, lim)
-        if F.exp_tab is None:
-            assert routes == {"single", "kronecker"}, (q, s)
-        else:
-            assert routes == {"single", "schoolbook", "kronecker"}, (q, s)
+        school = "schoolbook" if F.exp_tab is not None else "plain schoolbook"
+        assert routes == {"single", school, "kronecker"}, (q, s)
 
 
 def _cancelling_elem(ctx, rng, lo, hi):
