@@ -463,7 +463,8 @@ def build_parser():
     p.add_argument("--route", default="partitions",
                    choices=("partitions", "recurrence"))
     p.add_argument("--check", action="store_true",
-                   help="also verify the composition identity")
+                   help="also verify the functional equations "
+                   "exp(theta z) = phi_t(exp z), log(phi_t z) = theta log z")
     p.set_defaults(fn=cmd_coeffs)
 
     p = sub.add_parser("convergence", parents=[common],

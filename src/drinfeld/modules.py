@@ -11,7 +11,7 @@ cross-checks and composition identities are exact, not numerical.
 from fractions import Fraction
 from functools import reduce
 from math import comb, inf as INF
-from operator import add
+from operator import add, mul
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
@@ -44,21 +44,30 @@ def check_index(n):
         raise InvalidInput("n must be a non-negative integer, got %d" % n)
 
 
-def _den_elem(ctx, items):
-    """Expand prod [e]^mult exactly.  mult is split into base-q digits d
-    at places k, and each factor ([e]^(q^k))^d, a Frobenius power of a
-    two-term binomial raised to d < q, is written out directly as its
-    d + 1 terms (_bracket_power)."""
-    out = ctx.one()
+def _den_factors(ctx, items):
+    """The factors of prod [e]^mult: each base-q digit d of mult at place
+    k gives ([e]^(q^k))^d, a Frobenius power of a two-term binomial
+    raised to d < q, written out directly as its d + 1 terms
+    (_bracket_power)."""
     q = ctx.q
     for e, mult in items:
         k = 0
         while mult:
             mult, d = divmod(mult, q)
             if d:
-                out = out * _bracket_power(ctx, e, k, d)
+                yield _bracket_power(ctx, e, k, d)
             k += 1
-    return out
+
+
+def _den_elem(ctx, items):
+    """Expand prod [e]^mult exactly, as the product of its factors."""
+    return reduce(mul, _den_factors(ctx, items), ctx.one())
+
+
+# Size rule, like _dict_mul's 512 pairs: a numerator of more terms is
+# lifted one (d + 1)-term digit factor at a time, not by the expanded
+# cofactor, whose single product would cost its size times the numerator's.
+_LIFT_BY_FACTOR = 1024
 
 
 class BracketFrac:
@@ -100,6 +109,8 @@ class BracketFrac:
         extra = tuple(sorted((e, m - self.den.get(e, 0))
                              for e, m in target.items()
                              if m - self.den.get(e, 0) > 0))
+        if len(self.num.coeffs) > _LIFT_BY_FACTOR:
+            return reduce(mul, _den_factors(self.ctx, extra), self.num)
         return self.num * _den_elem(self.ctx, extra) if extra else self.num
 
     def __add__(self, other):
@@ -322,22 +333,27 @@ class DrinfeldModule:
         return self._beta[route][:n + 1]
 
     def compose_check(self, n, route="partitions"):
-        """sum_{i+j=m} beta_i alpha_j^(q^i) = delta_{m,0} for all m <= n,
-        i.e. log o exp = 1 mod tau^(n+1).  The mirror exp o log = 1
-        follows: alpha_0 = beta_0 = 1 and (tau^(n+1)) is a two-sided
-        ideal, so a one-sided inverse mod tau^(n+1) is two-sided.  On
-        route="recurrence" beta is defined by this identity, so there the
-        check tests only the exact arithmetic.  Each sum is folded in
-        ascending order of denominator degree, so the running sum is
-        lifted to small denominators first; only its zero test is
-        reported, never a denominator."""
+        """phi's functional equations to depth n, exp(theta z) = phi_t(exp z)
+        and log(phi_t z) = theta log z: for 1 <= k <= n, alpha_k [k] =
+        sum_i A_i alpha_(k-i)^(q^i) and beta_k [k] = -sum_i beta_(k-i)
+        A_i^(q^(k-i)).  With alpha_0 = beta_0 = 1 they fix alpha and beta
+        uniquely, so log o exp = 1 mod tau^(n+1) follows; the converse
+        fails (another module's coefficients compose to 1 too).  On
+        route="recurrence" the alpha equation is the definition; it stays,
+        as it catches a corrupted cached alpha_k.  Each sum of <= r terms
+        is folded from zero in ascending order of denominator degree."""
         alpha = self.exp_coeffs(n, route)
         beta = self.log_coeffs(n, route)
-        for m in range(1, n + 1):
-            terms = sorted((beta[i] * alpha[m - i].pow_q(i)
-                            for i in range(m + 1)),
-                           key=BracketFrac.den_deg)
-            if not reduce(add, terms).is_exact_zero():
+        def fold(terms):
+            return reduce(add, sorted(terms, key=BracketFrac.den_deg),
+                          BracketFrac.zero(self.ctx))
+        for k in range(1, n + 1):
+            live = [i for i in self.support if i <= k]
+            exp_sum = fold(alpha[k - i].pow_q(i) * self.A[i - 1] for i in live)
+            log_sum = fold(beta[k - i] * self.A[i - 1].pow_q(k - i)
+                           for i in live)
+            if not (exp_sum.div_bracket(k).equals(alpha[k]) and
+                    (-log_sum).div_bracket(k).equals(beta[k])):
                 return False
         return True
 

@@ -198,6 +198,16 @@ def test_coeffs_check_q5_depth_8():
     assert json_lines(proc)[-1] == {"compose_check": True}
 
 
+def test_coeffs_check_q5_recurrence_depth_7():
+    """The functional-equation check on the recurrence route at depth 7
+    over F_5 runs to the end; its lifts include numerators above the
+    factor-by-factor threshold."""
+    proc = run_cli("coeffs", "7", "--q", "5", "--check", "--route",
+                   "recurrence")
+    assert proc.returncode == 0
+    assert json_lines(proc)[-1] == {"compose_check": True}
+
+
 def test_zero_m_names_m():
     proc = run_cli("coeffs", "2", "--m", "0")
     assert proc.returncode == 2

@@ -5,15 +5,15 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import inf as INF
-from operator import add
+from operator import add, mul
 
 import pytest
 
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
-from drinfeld.modules import (BracketFrac, DrinfeldModule, _den_elem,
-                              bracket, carlitz)
+from drinfeld.modules import (_LIFT_BY_FACTOR, BracketFrac, DrinfeldModule,
+                              _den_elem, _den_factors, bracket, carlitz)
 from drinfeld.partitions import enumerate_partitions
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
@@ -192,6 +192,29 @@ def test_frac_equality_matches_cross_multiplication(q):
                 assert ok is expect
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lift_by_factor_matches_expanded_lift(q):
+    """_lift multiplies a numerator of more than _LIFT_BY_FACTOR terms by
+    the digit factors one at a time, and a smaller one by the expanded
+    cofactor; on seeded numerators on both sides of the threshold the two
+    forms and _lift agree."""
+    rng = random.Random(60 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+    for size in (_LIFT_BY_FACTOR // 8, _LIFT_BY_FACTOR,
+                 _LIFT_BY_FACTOR + 1, 2 * _LIFT_BY_FACTOR):
+        exps = rng.sample(range(-4 * size, 4 * size), size)
+        num = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps})
+        da, db = _bracket_sets(rng, q)
+        frac = BracketFrac(ctx, num, da)
+        target = {e: max(da.get(e, 0), db.get(e, 0)) for e in {*da, *db}}
+        extra = tuple(sorted((e, m - da.get(e, 0)) for e, m in target.items()
+                             if m > da.get(e, 0)))
+        assert extra
+        expanded = num * _den_elem(ctx, extra)
+        assert reduce(mul, _den_factors(ctx, extra), num) == expanded, size
+        assert frac._lift(target) == expanded, size
+
+
 def test_frac_pow_q_scales_denominator():
     ctx = CTX3
     a = BracketFrac(ctx, ctx.theta(), {1: 2})
@@ -259,16 +282,28 @@ def test_routes_agree(make, depth):
         assert b1[n].equals(b2[n]), "log coefficient %d" % n
 
 
+def _assert_inverse(f, g, tag):
+    """sum_{i+j=m} f_i g_j^(q^i) is an exact zero for 1 <= m < len(f),
+    each sum folded in ascending order of denominator degree."""
+    for m in range(1, len(f)):
+        terms = sorted((f[i] * g[m - i].pow_q(i) for i in range(m + 1)),
+                       key=BracketFrac.den_deg)
+        assert reduce(add, terms).is_exact_zero(), (tag, m)
+
+
+def _assert_composition(phi, n, route):
+    """log o exp = 1 mod tau^(n+1).  It follows from the two functional
+    equations that compose_check tests, but does not imply them: the
+    coefficients of another module pass it too."""
+    _assert_inverse(phi.log_coeffs(n, route), phi.exp_coeffs(n, route),
+                    ("log o exp", route))
+
+
 def _assert_mirror(phi, n, route):
-    """sum_{i+j=m} alpha_i beta_j^(q^i) is an exact zero for 1 <= m <= n:
-    exp o log = 1 mod tau^(n+1), the identity compose_check leaves out
-    because it follows from log o exp = 1."""
-    alpha = phi.exp_coeffs(n, route)
-    beta = phi.log_coeffs(n, route)
-    for m in range(1, n + 1):
-        terms = sorted((alpha[i] * beta[m - i].pow_q(i)
-                        for i in range(m + 1)), key=BracketFrac.den_deg)
-        assert reduce(add, terms).is_exact_zero(), (route, m)
+    """exp o log = 1 mod tau^(n+1), which follows from log o exp = 1:
+    alpha_0 = beta_0 = 1 makes a one-sided inverse two-sided."""
+    _assert_inverse(phi.exp_coeffs(n, route), phi.log_coeffs(n, route),
+                    ("exp o log", route))
 
 
 @pytest.mark.parametrize("make", [lambda: carlitz(CTX3), rank2_q2, rank2_q3,
@@ -277,6 +312,7 @@ def test_composition_inverts(make):
     phi = make()
     for route in ("partitions", "recurrence"):
         assert phi.compose_check(6, route), route
+        _assert_composition(phi, 6, route)
         _assert_mirror(phi, 6, route)
 
 
@@ -294,7 +330,7 @@ def _random_module(ctx, r, rng):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_composition_random_modules(q):
     """On seeded random modules of rank 1-3, compose_check holds on both
-    routes, so does the mirror identity, and the routes agree."""
+    routes, so do both composition identities, and the routes agree."""
     rng = random.Random(90 + q)
     ctx = SeriesParams(FieldParams.make(q), 1, 48)
     depth = 5 if q < 9 else 4
@@ -303,6 +339,7 @@ def test_composition_random_modules(q):
         phi = _random_module(ctx, r, rng)
         for route in routes:
             assert phi.compose_check(depth, route), (r, route)
+            _assert_composition(phi, depth, route)
             _assert_mirror(phi, depth, route)
         a1, a2 = (phi.exp_coeffs(depth, route) for route in routes)
         b1, b2 = (phi.log_coeffs(depth, route) for route in routes)
@@ -343,6 +380,49 @@ def _perturbed_compose_check(make, route, which, seed):
 def test_composition_catches_a_wrong_coefficient(make, route, which):
     for seed in range(3):
         assert _perturbed_compose_check(make, route, which, seed) is False
+
+
+@pytest.mark.parametrize("route", ["partitions", "recurrence"])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_check_rejects_another_modules_coefficients(q, route):
+    """alpha and beta of the module with A_r moved by theta, cached in the
+    true module, compose to 1, so the composition oracle passes them; the
+    functional equations of the true module reject them."""
+    ctx = SeriesParams(FieldParams.make(q), 1, 48)
+    A = [ctx.theta(), ctx.theta() + ctx.one()]
+    n = 4
+    phi = DrinfeldModule(ctx, A)
+    other = DrinfeldModule(ctx, A[:-1] + [A[-1] * ctx.theta()])
+    phi._alpha[route] = other.exp_coeffs(n, route)
+    phi._beta[route] = other.log_coeffs(n, route)
+    _assert_composition(phi, n, route)
+    assert phi.compose_check(n, route) is False
+
+
+@pytest.mark.parametrize("route", ["partitions", "recurrence"])
+@pytest.mark.parametrize("A", [(0, 1, 1), (0, 0, 1)],
+                         ids=["support-2-3", "support-3"])
+def test_check_on_support_gaps(A, route):
+    """Rank 3 with support (2, 3) or (3,): below the smallest index in the
+    support the sums are empty, alpha_k and beta_k are exact zeros and the
+    check holds; a bump at such a k is caught."""
+    ctx = CTX3
+    n = 5
+    phi = DrinfeldModule(ctx, [ctx.scalar(a) for a in A])
+    low = range(1, phi.support[0])
+    for k in low:
+        assert phi.exp_coeffs(n, route)[k].is_exact_zero()
+        assert phi.log_coeffs(n, route)[k].is_exact_zero()
+    assert phi.compose_check(n, route)
+    _assert_composition(phi, n, route)
+    for which in ("_alpha", "_beta"):
+        for k in low:
+            seq = getattr(phi, which)[route]
+            saved = seq[k]
+            seq[k] = BracketFrac(ctx, ctx.monomial(1, -k), {})
+            assert phi.compose_check(n, route) is False, (which, k)
+            seq[k] = saved
+    assert phi.compose_check(n, route)
 
 
 def test_rank2_worked_third_coefficients():
