@@ -11,7 +11,7 @@ import pytest
 
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
-from drinfeld.laurent import SeriesParams
+from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import (_LIFT_BY_FACTOR, BracketFrac, DrinfeldModule,
                               _den_elem, _den_factors, bracket, carlitz)
 from drinfeld.partitions import enumerate_partitions
@@ -213,6 +213,41 @@ def test_lift_by_factor_matches_expanded_lift(q):
         expanded = num * _den_elem(ctx, extra)
         assert reduce(mul, _den_factors(ctx, extra), num) == expanded, size
         assert frac._lift(target) == expanded, size
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_lift_route_follows_numerator_size(q, monkeypatch):
+    """The two lift routes differ only in cost, so this watches the
+    products: above _LIFT_BY_FACTOR terms the running numerator is
+    multiplied by each digit factor (at most q terms) in turn; at or
+    below it the numerator enters one product, the last, with the
+    expanded cofactor."""
+    rng = random.Random(70 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+    da, extra = {1: 1}, ((1, q), (2, q + 1), (3, 1))
+    target = {e: da.get(e, 0) + m for e, m in extra}
+    factors = list(_den_factors(ctx, extra))
+    assert len(factors) >= 3 and all(len(f.coeffs) <= q for f in factors)
+    products = []
+    laurent_mul = LaurentElem.__mul__
+
+    def watched(a, b):
+        products.append((a, b))
+        return laurent_mul(a, b)
+
+    monkeypatch.setattr(LaurentElem, "__mul__", watched)
+    for size in (_LIFT_BY_FACTOR, _LIFT_BY_FACTOR + 1):
+        exps = rng.sample(range(-4 * size, 4 * size), size)
+        num = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps})
+        del products[:]
+        BracketFrac(ctx, num, da)._lift(target)
+        if size > _LIFT_BY_FACTOR:
+            assert [b for _, b in products] == factors
+            assert products[0][0] is num
+        else:
+            assert [a is num for a, _ in products] == \
+                [False] * (len(factors) - 1) + [True]
+            assert products[-1][1] == _den_elem(ctx, extra)
 
 
 def test_frac_pow_q_scales_denominator():
