@@ -15,7 +15,7 @@ from .errors import (CompatPreconditionFailed, InvalidInput,
                      PrecisionExhausted, RamificationError)
 from .laurent import LaurentElem
 from .modules import BracketFrac, DrinfeldModule, check_index
-from .partitions import enumerate_partitions, iter_bits
+from .partitions import enumerate_partitions
 from .tate import TateRational, TateSeries, ThetaPoleForm, expand_sum
 
 
@@ -27,23 +27,18 @@ def x_phi(phi: DrinfeldModule, sp):
     with the same sum would overlap at cell i+j-1), so the poles are
     simple."""
     ctx = phi.ctx
-    poles = {}
-    for i, mask in enumerate(sp.masks, start=1):
-        for j in iter_bits(mask):
-            poles[i + j] = poles.get(i + j, 0) + 1
     return TateRational(ctx, TateSeries.from_scalar(ctx, phi._a_power(sp)),
-                        poles)
+                        sp.pair_sums())
 
 
 def eval_theta_frac(phi, f: TateRational):
     """Exact value of a t-rational at t = theta as a bracket fraction
     (theta - theta^(q^e) = -[e])."""
     ctx = phi.ctx
-    num = f.numer.eval(ctx.theta())
-    sign = sum(m for _, m in f.poles)
-    if sign % 2:
+    num = f.num.eval(ctx.theta())
+    if sum(f.den.values()) % 2:
         num = -num
-    return BracketFrac(ctx, num, dict(f.poles))
+    return BracketFrac(ctx, num, f.den)
 
 
 B_ROUTES = ("definition", "twist", "untwisted")
@@ -173,8 +168,7 @@ class AGFValue:
         uq = u
         for n in range(1, self.cut):
             uq = uq.pow_q(1)
-            num = -(alpha[n].num * uq)
-            frac = BracketFrac(ctx, num, alpha[n].den)
+            frac = -(alpha[n] * uq)
             self.terms.append(
                 TateRational(ctx,
                              TateSeries.from_scalar(ctx, frac.to_laurent(ucap)),
@@ -273,8 +267,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
         if n:
             xq = xq.pow_q(1)
         got = eval_theta_frac(phi, term)
-        want = BracketFrac(ctx, beta[n].num * xq, beta[n].den)
-        diff = got - want
+        diff = got - beta[n] * xq
         if diff.num.coeffs:
             termwise = False
             break

@@ -61,6 +61,15 @@ class ShadowedPartition:
         return tuple(sum(q ** j for j in range(self.n) if m >> j & 1)
                      for m in self.masks)
 
+    def pair_sums(self):
+        """{i + j: count} over the pairs (i, j) with j in S_i: the
+        exponents of the factors of the log and deformed-log summands."""
+        out = {}
+        for i, mask in enumerate(self.masks, start=1):
+            for j in iter_bits(mask):
+                out[i + j] = out.get(i + j, 0) + 1
+        return out
+
     def union_mask(self):
         out = 0
         for m in self.masks:

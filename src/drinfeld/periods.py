@@ -17,7 +17,7 @@ from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
 from .ff import (_pol_deriv, _pol_divide, _pol_gcd, _pol_mod, _pol_powmod,
                  _pol_trim)
-from .modules import BracketFrac, DrinfeldModule, bracket
+from .modules import DrinfeldModule, bracket
 from .agf import DeformedLog, OmegaCarlitz, _check_t_prec, carlitz_pi
 from .tate import TateSeries
 
@@ -288,8 +288,7 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
     zq = z.pow_q(j)
     for k in range(j, j + cut):
         term = alpha[k - j].pow_q(j).div_bracket(k)
-        total = total + BracketFrac(ctx, term.num * zq, term.den
-                                    ).to_laurent(ucap)
+        total = total + (term * zq).to_laurent(ucap)
         zq = zq.pow_q(1)
     return total.truncate(ucap)
 

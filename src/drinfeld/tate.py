@@ -6,10 +6,11 @@ its listed coefficients).  The Gauss norm of sum c_k t^k is max|c_k|,
 and a series lies in the Tate algebra when |c_k| -> 0.
 
 TateRational is numerator * product (t - theta^(q^e))^(-mult) with every
-pole exponent e >= 1.  All such poles lie strictly outside the closed
-unit t-disk, so these expand into the Tate algebra, evaluate exactly at
-points inside the disk and at theta, and twist by shifting pole
-exponents.  Expansion divides by one linear factor at a time
+pole exponent e >= 1; it takes its arithmetic from FactoredFrac, the
+base it shares with modules.BracketFrac, and an exactly zero one keeps
+its poles.  All such poles lie strictly outside the closed unit t-disk,
+so these expand into the Tate algebra, evaluate exactly at points
+inside the disk and at theta, and twist by shifting pole exponents.  Expansion divides by one linear factor at a time
 (TateSeries.div_pole): the quotient's coefficients obey the recurrence
 y_k = theta^(-q^e) (y_(k-1) - c_k), so each pole costs O(t_prec)
 coefficient steps, not an O(t_prec^2) product with a geometric series.
@@ -77,6 +78,11 @@ class TateSeries:
 
     def is_zero_to_prec(self):
         return all(not c.coeffs for c in self.coeffs)
+
+    @property
+    def cap(self):
+        """The least u-cap of the coefficients (INF when all are exact)."""
+        return min((c.cap for c in self.coeffs), default=INF)
 
     # -- arithmetic --
 
@@ -254,113 +260,124 @@ class TateSeries:
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
 
-def max_merge(a, b):
-    """{e: max multiplicity} over two iterables of (e, mult) pairs: the
-    least common denominator of two pole (or bracket) fractions."""
-    out = dict(a)
-    for e, mlt in b:
-        out[e] = max(out.get(e, 0), mlt)
-    return out
+class FactoredFrac:
+    """num / prod F_e^mult over den = {e: mult}, e >= 1: the arithmetic of
+    TateRational (F_e = t - theta^(q^e)) and modules.BracketFrac (F_e =
+    [e]).  Sums and equality lift both numerators to the max-merged
+    multiset through the subclass's _lift(target)."""
 
+    __slots__ = ("ctx", "num", "den")
 
-class TateRational:
-    """numer / prod (t - theta^(q^e))^mult with pole exponents e >= 1."""
-
-    __slots__ = ("ctx", "numer", "poles")
-
-    def __init__(self, ctx, numer, poles=()):
-        self.ctx = ctx
-        if not isinstance(numer, TateSeries) or numer.t_prec != INF:
-            raise InvalidInput("numerator must be an exact t-polynomial")
-        if isinstance(poles, dict):
-            poles = poles.items()
-        poles = tuple(sorted((int(e), int(mlt)) for e, mlt in poles if mlt))
-        for e, mlt in poles:
+    def __init__(self, ctx, num, den=()):
+        if isinstance(den, dict):
+            den = den.items()
+        den = {int(e): int(mlt) for e, mlt in den if mlt}
+        for e, mlt in den.items():
             if e < 1 or mlt < 1:
-                raise InvalidInput("pole exponents must satisfy e >= 1, mult >= 1")
-        self.numer = numer
-        self.poles = poles
+                raise InvalidInput("factor exponents need e >= 1, mult >= 1")
+        self.ctx = ctx
+        self.num = num
+        self.den = den
 
-    def _lift(self, target):
-        """Numerator over the pole multiset target, which contains
-        self.poles: times each missing factor t - theta^(q^e)."""
-        have = dict(self.poles)
-        out = self.numer
-        for e, mlt in target.items():
-            for _ in range(mlt - have.get(e, 0)):
-                out = out.mul_pole(e)
+    _check = TateSeries._check
+
+    def _merge(self, other):
+        """{e: max multiplicity} over both denominators."""
+        self._check(other)
+        out = dict(self.den)
+        for e, mlt in other.den.items():
+            out[e] = max(out.get(e, 0), mlt)
         return out
 
     def __add__(self, other):
-        self._check(other)
-        merged = max_merge(self.poles, other.poles)
-        return TateRational(self.ctx,
-                            self._lift(merged) + other._lift(merged), merged)
+        den = self._merge(other)
+        return type(self)(self.ctx, self._lift(den) + other._lift(den), den)
 
     def __neg__(self):
-        return TateRational(self.ctx, -self.numer, self.poles)
+        return type(self)(self.ctx, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, TateRational):
-            self._check(other)
-            merged = {}
-            for e, mlt in self.poles + other.poles:
-                merged[e] = merged.get(e, 0) + mlt
-            return TateRational(self.ctx, self.numer * other.numer, merged)
-        if isinstance(other, TateSeries):
-            return TateRational(self.ctx, self.numer * other, self.poles)
-        if isinstance(other, LaurentElem):
-            return TateRational(self.ctx, self.numer.scale(other), self.poles)
-        raise InvalidInput("unsupported multiplicand")
+        """A fraction times a fraction adds the multisets; times a scalar
+        it scales the numerator."""
+        if not isinstance(other, FactoredFrac):
+            return type(self)(self.ctx, self._scale(other), self.den)
+        self._check(other)
+        den = dict(self.den)
+        for e, mlt in other.den.items():
+            den[e] = den.get(e, 0) + mlt
+        return type(self)(self.ctx, self.num * other.num, den)
 
-    def _check(self, other):
-        if not self.ctx.same(other.ctx):
-            raise InvalidInput("operands live in different series contexts")
+    def _scale(self, c):
+        return self.num * c
+
+    def equals(self, other):
+        """Exact equality: the numerators lifted to the merged
+        denominator agree.  Capped numerators are refused."""
+        den = self._merge(other)
+        if self.num.cap != INF or other.num.cap != INF:
+            raise InvalidInput("exact equality needs exact numerators")
+        return self._lift(den) == other._lift(den)
+
+
+class TateRational(FactoredFrac):
+    """num / prod (t - theta^(q^e))^mult with pole exponents e >= 1.  An
+    exactly zero numerator keeps its poles."""
+
+    __slots__ = ()
+
+    def __init__(self, ctx, num, den=()):
+        if not isinstance(num, TateSeries) or num.t_prec != INF:
+            raise InvalidInput("numerator must be an exact t-polynomial")
+        super().__init__(ctx, num, den)
+
+    def _lift(self, target):
+        """Numerator over the pole multiset target, which contains
+        self.den: times each missing factor t - theta^(q^e)."""
+        out = self.num
+        for e, mlt in target.items():
+            for _ in range(mlt - self.den.get(e, 0)):
+                out = out.mul_pole(e)
+        return out
+
+    def _scale(self, c):
+        return self.num.scale(c)
 
     def twist(self, ell):
-        poles = [(e + ell, mlt) for e, mlt in self.poles]
-        if any(e < 1 for e, _ in poles):
+        den = {e + ell: mlt for e, mlt in self.den.items()}
+        if any(e < 1 for e in den):
             raise InvalidInput("twist would move a pole to exponent < 1")
-        return TateRational(self.ctx, self.numer.twist(ell), poles)
+        return TateRational(self.ctx, self.num.twist(ell), den)
 
     def truncate_u(self, cap):
         """The numerator's coefficients cut at cap.  Pole division only
         raises u-exponents, so the expansions of self and of the result
         agree below cap."""
-        return TateRational(self.ctx, self.numer.truncate_u(cap), self.poles)
+        return TateRational(self.ctx, self.num.truncate_u(cap), self.den)
 
     def to_series(self, t_prec):
         return expand_sum(self.ctx, [self], t_prec)
 
     def eval(self, z: LaurentElem):
         """Exact evaluation away from the poles."""
-        num = self.numer.eval(z)
+        num = self.num.eval(z)
         den = self.ctx.one()
-        for e, mlt in self.poles:
+        for e, mlt in sorted(self.den.items()):
             d = z - self.ctx.theta().pow_q(e)
             if d.is_exact_zero():
                 raise EvalAtPole("evaluation point hits the pole at e=%d" % e)
             den = den * d.pow(mlt)
         return num * den.invert()
 
-    def equals(self, other):
-        """Exact equality (for exact numerators): (holds, difference of
-        the numerators lifted to the merged poles)."""
-        self._check(other)
-        merged = max_merge(self.poles, other.poles)
-        d = self._lift(merged) - other._lift(merged)
-        return d.is_zero_to_prec(), d
-
     def to_json(self):
-        return {"numer": self.numer.to_json(),
-                "poles": [list(p) for p in self.poles]}
+        return {"numer": self.num.to_json(),
+                "poles": [list(p) for p in sorted(self.den.items())]}
 
     def __repr__(self):
         return "<TateRational deg %s, poles %r>" % (
-            len(self.numer.coeffs) - 1, list(self.poles))
+            len(self.num.coeffs) - 1, sorted(self.den.items()))
 
 
 def expand_sum(ctx, fracs, t_prec):
@@ -375,7 +392,7 @@ def expand_sum(ctx, fracs, t_prec):
         groups[poles] = groups[poles] + x if poles in groups else x
 
     for f in fracs:
-        put(f.poles, f.numer.truncate_t(t_prec))
+        put(tuple(sorted(f.den.items())), f.num.truncate_t(t_prec))
     while any(groups):
         poles = max(groups, key=lambda p: p[-1][0] if p else 0)
         e, mlt = poles[-1]

@@ -179,8 +179,7 @@ def check_b_routes():
             alt = b_seq(phi, 8, route)
             for a, b in zip(ref, alt):
                 compared += 1
-                same, _ = a.equals(b)
-                ok = ok and same
+                ok = ok and a.equals(b)
         beta = phi.log_coeffs(8)
         for n, f in enumerate(ref):
             ok = ok and eval_theta_frac(phi, f).equals(beta[n])

@@ -287,6 +287,31 @@ def test_bseq_routes_exit_0():
         assert all(r["at_theta_is_beta"] for r in rows[:-1])
 
 
+@pytest.mark.parametrize("route,poles", [
+    ("definition", []), ("twist", [[2, 1]]), ("untwisted", [[3, 1]])])
+def test_bseq_zero_keeps_its_poles(route, poles):
+    """With A_1 = 0, b_3 is exactly zero; a t-rational keeps the poles
+    its route gave it, and they are printed."""
+    proc = run_cli("bseq", "3", "--A", "0;1", "--route", route)
+    assert proc.returncode == 0
+    b3 = json_lines(proc)[3]
+    assert b3["n"] == 3 and b3["at_theta_is_beta"] is True
+    assert b3["b"] == {"numer": {"coeffs": [], "t_prec": None},
+                       "poles": poles}
+
+
+def test_coeffs_zero_drops_its_denominator():
+    """With A_1 = 0, alpha_1 = 0/[1] on the recurrence route and beta_1
+    follows from it; a bracket fraction drops the denominator of an
+    exact zero."""
+    proc = run_cli("coeffs", "3", "--A", "0;1", "--route", "recurrence")
+    assert proc.returncode == 0
+    row = json_lines(proc)[1]
+    assert row["n"] == 1
+    for key in ("alpha", "beta"):
+        assert row[key]["den"] == {} and row[key]["num"]["coeffs"] == []
+
+
 def test_agf_recovers_u():
     proc = run_cli("agf", "--preset", "carlitz-q2", "--xi", "theta^-1")
     assert proc.returncode == 0

@@ -15,6 +15,7 @@ from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import (_LIFT_BY_FACTOR, BracketFrac, DrinfeldModule,
                               _den_elem, _den_factors, bracket, carlitz)
 from drinfeld.partitions import enumerate_partitions
+from drinfeld.tate import TateRational, TateSeries
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)
@@ -120,6 +121,25 @@ def test_den_elem_matches_bracket_power_oracle(q, s, m):
         assert bracket(ctx, n) == ctx.theta().pow_q(n) - ctx.theta()
     lifted = BracketFrac.zero(ctx)._lift({1: 3, 2: q})
     assert lifted.is_exact_zero() and lifted.cap == INF
+
+
+@pytest.mark.parametrize("kind", ["bracket", "tate"])
+def test_fracs_refuse_mixed_contexts_and_capped_equality(kind):
+    """Sum, product and equality of fractions over different series
+    contexts raise, and so does exact equality with a capped numerator,
+    for both kinds of factored fraction."""
+    def frac(ctx, cap=INF):
+        num = ctx.theta().truncate(cap)
+        if kind == "bracket":
+            return BracketFrac(ctx, num, {1: 1})
+        return TateRational(ctx, TateSeries.from_scalar(ctx, num), {1: 1})
+    a, b, capped = frac(CTX3), frac(CTX3W), frac(CTX3, 8)
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b,
+               lambda: a.equals(b), lambda: b.equals(a),
+               lambda: a.equals(capped), lambda: capped.equals(a)):
+        with pytest.raises(InvalidInput):
+            op()
+    assert a.equals(frac(CTX3))
 
 
 def test_frac_arithmetic_and_equality():

@@ -179,8 +179,8 @@ def _per_term_sum(ctx, fracs, t_prec):
     numerator divided by all of its own poles, the quotients added."""
     out = TateSeries.zero(ctx, t_prec)
     for f in fracs:
-        x = f.numer.truncate_t(t_prec)
-        for e, mlt in f.poles:
+        x = f.num.truncate_t(t_prec)
+        for e, mlt in f.den.items():
             for _ in range(mlt):
                 x = x.div_pole(e)
         out = out + x
@@ -313,7 +313,7 @@ def test_rational_series_expansion_matches_cross_multiplication():
             f = TateRational(ctx, numer, poles)
             n = 8
             s = f.to_series(n)
-            back = s * _den_product(ctx, f.poles)
+            back = s * _den_product(ctx, f.den.items())
             assert back == numer.truncate_t(n)
             cut = f.truncate_u(12).to_series(n)
             assert cut.truncate_u(12) == s.truncate_u(12)
@@ -363,7 +363,7 @@ def test_rational_twist_commutes_with_expansion():
     lhs = f.twist(2).to_series(n)
     rhs = f.to_series(n).twist(2)
     assert (lhs - rhs).is_zero_to_prec()
-    assert f.twist(1).poles == ((2, 1),)
+    assert f.twist(1).den == {2: 1}
 
 
 def test_rational_equality_by_cross_multiplication():
@@ -373,11 +373,9 @@ def test_rational_equality_by_cross_multiplication():
     f = TateRational(ctx, t_poly(ctx, [one]), {1: 1})
     lifted = t_poly(ctx, [-th.pow_q(2), one])
     g = TateRational(ctx, lifted, {1: 1, 2: 1})
-    ok, _ = f.equals(g)
-    assert ok
+    assert f.equals(g)
     h = TateRational(ctx, t_poly(ctx, [one]), {2: 1})
-    ok, _ = f.equals(h)
-    assert not ok
+    assert not f.equals(h)
 
 
 def _pole_sets(rng, q):
@@ -405,10 +403,10 @@ def _exact_numer(ctx, rng):
 def _lifted(ctx, f, extra):
     """f with numerator and poles both multiplied by the factors in
     extra: the same rational, written over a larger denominator."""
-    poles = dict(f.poles)
+    poles = dict(f.den)
     for e, mlt in extra.items():
         poles[e] = poles.get(e, 0) + mlt
-    return TateRational(ctx, f.numer * _den_product(ctx, extra.items()),
+    return TateRational(ctx, f.num * _den_product(ctx, extra.items()),
                         poles)
 
 
@@ -420,8 +418,8 @@ def test_rational_lift_matches_cross_multiplication(q):
     ctx = SeriesParams(FieldParams.make(q), 1, 32)
 
     def cross_equal(f, g):
-        d = (f.numer * _den_product(ctx, g.poles)
-             - g.numer * _den_product(ctx, f.poles))
+        d = (f.num * _den_product(ctx, g.den.items())
+             - g.num * _den_product(ctx, f.den.items()))
         return d.is_zero_to_prec()
 
     for _ in range(12):
@@ -429,25 +427,25 @@ def test_rational_lift_matches_cross_multiplication(q):
         a = TateRational(ctx, _exact_numer(ctx, rng), pa)
         b = TateRational(ctx, _exact_numer(ctx, rng), pb)
         merged = {e: max(pa.get(e, 0), pb.get(e, 0)) for e in {*pa, *pb}}
-        want = (a.numer * _den_product(
+        want = (a.num * _den_product(
                     ctx, [(e, m - pa.get(e, 0)) for e, m in merged.items()])
-                + b.numer * _den_product(
+                + b.num * _den_product(
                     ctx, [(e, m - pb.get(e, 0)) for e, m in merged.items()]))
         got = a + b
-        assert got.numer == want
-        assert got.poles == tuple(sorted(merged.items()))
+        assert got.num == want
+        assert got.den == merged
         zero = TateRational(ctx, TateSeries.zero(ctx))
-        assert (zero + a).numer == a.numer and (zero + a).poles == a.poles
+        assert (zero + a).num == a.num and (zero + a).den == a.den
 
         same_a = _lifted(ctx, a, pb)
         other_a = _lifted(ctx, a, _pole_sets(rng, q)[0])
-        bumped = TateRational(ctx, same_a.numer + TateSeries.from_scalar(
-            ctx, ctx.one()), same_a.poles)
+        bumped = TateRational(ctx, same_a.num + TateSeries.from_scalar(
+            ctx, ctx.one()), same_a.den)
         for f, g, expect in ((a, b, None), (a, same_a, True),
                              (same_a, other_a, True), (a, bumped, False),
                              (a + b, b + a, True)):
-            ok, _ = f.equals(g)
-            assert ok == cross_equal(f, g) == g.equals(f)[0]
+            ok = f.equals(g)
+            assert ok == cross_equal(f, g) == g.equals(f)
             if expect is not None:
                 assert ok is expect
 
