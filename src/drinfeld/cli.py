@@ -124,64 +124,70 @@ def _check_ucap(ucap):
         raise InvalidInput("ucap must be a positive integer, got %d" % ucap)
 
 
+def merge_config(args):
+    """(preset name, session keys) from the preset, the config file and
+    the flags: flags win over the file, and the file over the preset."""
+    fileconf = read_config_file(args.config) \
+        if getattr(args, "config", None) else {}
+    preset = fileconf.pop("preset", None)
+    if getattr(args, "preset", None) is not None:
+        preset = args.preset
+    merged = {}
+    if preset is not None:
+        if preset not in verify_mod.PRESETS:
+            raise ConfigError("unknown preset %r (have: %s)" % (
+                preset, ", ".join(verify_mod.PRESET_ORDER)))
+        merged.update(verify_mod.PRESETS[preset])
+    for key, value in fileconf.items():
+        if key in _INT_KEYS:
+            try:
+                merged[key] = int(value)
+            except ValueError:
+                raise ConfigError("key %r wants an integer, got %r"
+                                  % (key, value))
+        elif key == "A":
+            merged["A"] = parse_coeff_polys(value)
+        else:
+            merged[key] = value
+    for key in _INT_KEYS + ("xi",):
+        val = getattr(args, key, None)
+        if val is not None:
+            merged[key] = val
+    if getattr(args, "A", None) is not None:
+        merged["A"] = parse_coeff_polys(args.A)
+    return preset, merged
+
+
 class SessionConfig:
     """Validated session parameters plus the context and module built
     from them."""
 
     def __init__(self, q=2, s=1, m=1, ucap=None, tprec=16, A=((1,),),
-                 seed=0, xi=None):
+                 xi=None):
         if ucap is not None:
             _check_ucap(ucap)
         self.q, self.s, self.m = q, s, m
         self.ucap = ucap if ucap is not None else 64 * m
         self.tprec = tprec
         self.A = A
-        self.seed = seed
         self.xi_text = xi
         fp = FieldParams.make(q, s)
         self.ctx = SeriesParams(fp, m, self.ucap)
         self.phi = DrinfeldModule(
             self.ctx, [self.ctx.from_poly(c) for c in A])
 
-    def xi(self, default=None):
-        if self.xi_text is not None:
-            return parse_elem(self.ctx, self.xi_text)
-        if default is not None:
-            return default
-        raise ConfigError("this subcommand needs --xi (or xi in the "
-                          "config file)")
+    def xi(self):
+        if self.xi_text is None:
+            raise ConfigError("this subcommand needs --xi (or xi in the "
+                              "config file)")
+        return parse_elem(self.ctx, self.xi_text)
 
     @staticmethod
     def from_args(args):
-        merged = {}
-        preset = getattr(args, "preset", None)
-        if getattr(args, "config", None):
-            fileconf = read_config_file(args.config)
-            preset = preset or fileconf.pop("preset", None)
-        else:
-            fileconf = {}
-        if preset is not None:
-            if preset not in verify_mod.PRESETS:
-                raise ConfigError("unknown preset %r (have: %s)" % (
-                    preset, ", ".join(verify_mod.PRESET_ORDER)))
-            merged.update(verify_mod.PRESETS[preset])
-        for key, value in fileconf.items():
-            if key in _INT_KEYS:
-                try:
-                    merged[key] = int(value)
-                except ValueError:
-                    raise ConfigError("key %r wants an integer, got %r"
-                                      % (key, value))
-            elif key == "A":
-                merged["A"] = parse_coeff_polys(value)
-            else:
-                merged[key] = value
-        for key in _INT_KEYS + ("xi",):
-            val = getattr(args, key, None)
-            if val is not None:
-                merged[key] = val
-        if getattr(args, "A", None) is not None:
-            merged["A"] = parse_coeff_polys(args.A)
+        """The session of the merged configuration; the seed only
+        concerns verify."""
+        _, merged = merge_config(args)
+        merged.pop("seed", None)
         rank = getattr(args, "rank", None)
         polys = len(merged.get("A", ((1,),)))
         if rank is not None and rank != polys:
@@ -406,20 +412,18 @@ def _preset_scorecard(name, ucap, tprec):
 
 
 def cmd_verify(args):
-    if args.preset is not None and args.preset not in verify_mod.PRESETS:
-        raise ConfigError("unknown preset %r (have: %s)" % (
-            args.preset, ", ".join(verify_mod.PRESET_ORDER)))
-    if args.preset is not None and not args.full:
-        ucap = args.ucap if args.ucap is not None else \
-            64 * verify_mod.PRESETS[args.preset]["m"]
+    # of the merged keys only ucap, tprec and seed apply: a scorecard
+    # runs on its preset's own module
+    preset, merged = merge_config(args)
+    if preset is not None and not args.full:
+        ucap = merged.get("ucap", 64 * verify_mod.PRESETS[preset]["m"])
         _check_ucap(ucap)
-        rows, ok = _preset_scorecard(
-            args.preset, ucap, args.tprec if args.tprec is not None else 16)
+        rows, ok = _preset_scorecard(preset, ucap, merged.get("tprec", 16))
         for row in rows:
             _emit(row)
-        _emit({"preset": args.preset, "pass": bool(ok)})
+        _emit({"preset": preset, "pass": bool(ok)})
         return 0 if ok else 1
-    rep = verify_mod.run_all(seed=args.seed if args.seed is not None else 0)
+    rep = verify_mod.run_all(seed=merged.get("seed", 0))
     for row in rep["checks"]:
         _emit(row)
     _emit({"suite": rep["suite"], "seed": rep["seed"], "pass": rep["pass"]})

@@ -16,7 +16,7 @@ from functools import lru_cache, partial
 from itertools import product as _iproduct, repeat
 from operator import add, mod, mul
 
-from .errors import ConfigError, InvalidElement, InvalidInput, NoRootInField
+from .errors import ConfigError, InvalidElement, NoRootInField
 
 TABLE_MAX = 1 << 12
 ORDER_CAP = 1 << 20
@@ -135,8 +135,6 @@ class _ExtLevel:
         return self.pack(conv[:d])
 
     def pow(self, a, n):
-        if n < 0:
-            return self.pow(self.inv(a), -n)
         r = 1
         while n:
             if n & 1:
@@ -183,41 +181,19 @@ def _pol_mul(L, f, g):
     return _pol_trim(out)
 
 
-def _pol_deriv(L, f):
-    out = [0] * max(len(f) - 1, 0)
-    for k in range(1, len(f)):
-        c = f[k]
-        for _ in range(k % L.p):
-            out[k - 1] = L.add(out[k - 1], c)
-    return _pol_trim(out)
-
-
-def _pol_divmod(L, f, g):
-    """Quotient and remainder of f by a nonzero trimmed g, both trimmed."""
+def _pol_mod(L, f, g):
+    """Remainder of f by a nonzero trimmed g, trimmed."""
     f = list(f)
     dg = len(g) - 1
     ginv = L.inv(g[-1])
-    quot = [0] * max(len(f) - dg, 0)
     for k in range(len(f) - 1 - dg, -1, -1):
         c = f[k + dg]
         if c:
-            c = quot[k] = L.mul(c, ginv)
+            c = L.mul(c, ginv)
             for j, y in enumerate(g):
                 if y:
                     f[k + j] = L.sub(f[k + j], L.mul(c, y))
-    return _pol_trim(quot), _pol_trim(f)
-
-
-def _pol_mod(L, f, g):
-    return _pol_divmod(L, f, g)[1]
-
-
-def _pol_divide(L, f, g):
-    """Exact quotient f / g; the remainder must vanish."""
-    quot, rem = _pol_divmod(L, f, g)
-    if rem:
-        raise InvalidInput("non-exact polynomial division")
-    return quot
+    return _pol_trim(f)
 
 
 def _pol_gcd(L, f, g):

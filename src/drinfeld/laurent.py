@@ -167,8 +167,10 @@ def _dict_mul(field, A, B, lim):
     return {e: c for e, c in out.items() if c}
 
 
-def _dict_inv(field, W, lim, two):
-    """Inverse of a unit dict (W[0] = 1) modulo u^lim, by Newton iteration."""
+def _dict_inv(field, W, lim):
+    """Inverse of a unit dict (W[0] = 1) modulo u^lim, by the Newton step
+    Z <- Z (2 - W Z).  Z[0] stays 1, so (W Z)[0] = 1 and the step's
+    constant term 2 - 1 is 1 in every characteristic."""
     Z = {0: 1}
     d = 1
     while d < lim:
@@ -176,11 +178,7 @@ def _dict_inv(field, W, lim, two):
         Wd = {e: c for e, c in W.items() if e < d}
         WZ = _dict_mul(field, Wd, Z, d)
         T = {e: field.neg(c) for e, c in WZ.items()}
-        t0 = field.add(T.get(0, 0), two)
-        if t0:
-            T[0] = t0
-        elif 0 in T:
-            del T[0]
+        T[0] = 1
         Z = _dict_mul(field, Z, T, d)
     return Z
 
@@ -360,12 +358,9 @@ class LaurentElem:
             k = e - v
             if k < R:
                 W[k] = field.mul(c, c0i)
-        Z = _dict_inv(field, W, R, field.int_scalar(2))
+        Z = _dict_inv(field, W, R)
         out = {e - v: field.mul(c, c0i) for e, c in Z.items()}
         return LaurentElem(self.ctx, out, -v + R)
-
-    def __truediv__(self, other):
-        return self * other.invert()
 
     def root_q_minus_1(self):
         """Deterministic y with y^(q-1) = x.  The lead is

@@ -145,18 +145,14 @@ class BracketFrac(FactoredFrac):
         q = self.ctx.q
         return sum(m * q ** e for e, m in self.den.items())
 
-    def to_laurent(self, ucap=INF):
-        """Laurent expansion certified below the absolute cap ucap (when
-        the denominator is trivial and ucap = inf, the result is exact)."""
+    def to_laurent(self, ucap):
+        """Laurent expansion certified below the absolute cap ucap.  An
+        exact zero carries no denominator, so the first branch takes it."""
         if not self.den:
-            return self.num if ucap == INF else self.num.truncate(ucap)
-        if self.num.is_exact_zero():
-            return self.num
+            return self.num.truncate(ucap)
         den = self.den_elem()
         if not self.num.coeffs:  # zero to the numerator's precision
             return self.ctx.zero(self.num.cap - den.val)
-        if ucap == INF:
-            ucap = self.num.val - den.val + self.ctx.prec
         rel = ucap - self.num.vbound + den.val
         if rel <= 0:
             return self.ctx.zero(ucap)
@@ -411,28 +407,24 @@ class DrinfeldModule:
             total = total + (fracs_upto[n] * xq).to_laurent(ucap)
         return total.truncate(ucap)
 
-    def exp_eval(self, xi, ucap=None):
-        """exp_phi(xi) with a certified absolute cap."""
+    def exp_eval(self, xi, ucap):
+        """exp_phi(xi) with the certified absolute cap ucap."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
             return self.ctx.zero(xi.cap)
-        if ucap is None:
-            ucap = xi.vbound + self.ctx.prec
         cut = self.exp_tail_cut(xi.deg(), ucap)
         self._extend_alpha(cut - 1, "partitions")
         return self._eval_series(self._alpha["partitions"], cut, xi, ucap)
 
-    def log_eval(self, xi, ucap=None):
-        """log_phi(xi) with a certified absolute cap; xi must lie inside
-        the convergence radius."""
+    def log_eval(self, xi, ucap):
+        """log_phi(xi) with the certified absolute cap ucap; xi must lie
+        inside the convergence radius."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
             self.log_tail_cut(Fraction(-xi.cap, self.ctx.m), xi.cap)
             return self.ctx.zero(xi.cap)
-        if ucap is None:
-            ucap = xi.vbound + self.ctx.prec
         cut = self.log_tail_cut(xi.deg(), ucap)
         self._extend_beta(cut - 1, "partitions")
         return self._eval_series(self._beta["partitions"], cut, xi, ucap)

@@ -11,12 +11,11 @@ leading term differ by a smaller-valuation root).
 """
 
 from fractions import Fraction
-from math import gcd, inf as INF
+from math import inf as INF
 
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
-from .ff import (_pol_deriv, _pol_divide, _pol_gcd, _pol_mod, _pol_powmod,
-                 _pol_trim)
+from .ff import _pol_mod, _pol_powmod
 from .modules import DrinfeldModule, bracket
 from .agf import DeformedLog, OmegaCarlitz, _check_t_prec, carlitz_pi
 from .tate import TateSeries
@@ -42,51 +41,19 @@ def newton_slopes(points):
             for a, b in zip(hull, hull[1:])]
 
 
-def _squarefree_part(field, g):
-    """Squarefree part over F_(q^s), peeling p-th powers as needed."""
-    p = field.p
-    g = _pol_trim(list(g))
-    while True:
-        d = _pol_deriv(field, g)
-        if d:
-            common = _pol_gcd(field, g, d)
-            if len(common) <= 1:
-                return g
-            # divide out the repeated part and keep going
-            g = _pol_divide(field, g, common)
-        else:
-            # g = h(y^p): take the p-th root coefficientwise
-            root = []
-            for k in range(0, len(g), p):
-                c = g[k]
-                root.append(field.pow_int(c, field.order // p) if c else 0)
-            g = _pol_trim(root)
-            if len(g) <= 1:
-                return g
-
-
 def _splitting_degree(field, g):
-    """lcm of the irreducible factor degrees of g over F_(q^s)."""
-    g = _squarefree_part(field, g)
-    if len(g) <= 1:
-        return 1
-    need = 1
-    h = _pol_powmod(field, [0, 1], field.order, g)
+    """Degree over F_(q^s) of the splitting field of the residual g: the
+    least k with y^(Q^k) = y mod g, Q = q^s.  The y-term makes g' a
+    nonzero constant, so g is squarefree and k is the lcm of its factor
+    degrees; Frobenius acts F_q-linearly on the at most r-dimensional
+    space of roots, so k <= q^r - 1."""
+    y = _pol_mod(field, [0, 1], g)
+    h = _pol_powmod(field, y, field.order, g)
     k = 1
-    x = [0, 1]
-    while len(g) > 1 and k <= len(g):
-        gk = _pol_gcd(field, g, _pol_trim(
-            [field.sub(a, b) for a, b in
-             zip(h + [0] * len(x), x + [0] * len(h))]))
-        if len(gk) > 1:
-            need = need * k // gcd(need, k)
-            g = _pol_divide(field, g, gk)
-            if len(g) <= 1:
-                break
-            h = _pol_mod(field, h, g)
+    while h != y:
         h = _pol_powmod(field, h, field.order, g)
         k += 1
-    return need
+    return k
 
 
 class TorsionData:

@@ -168,6 +168,8 @@ EXIT_CODES = [
      "rank 3 does not match 1 coefficient polynomials"),
     (("agf", "--rank", "0", "--xi", "1"), 2,
      "rank 0 does not match 1 coefficient polynomials"),
+    (("deform", "--xi", "theta^x"), 2, "bad power in term 'theta^x'"),
+    (("deform", "--xi", "1*t"), 2, "unrecognized term 't'"),
 ]
 
 
@@ -255,6 +257,76 @@ def test_flags_override_config_file(tmp_path):
                    config_text=conf, tmp_path=tmp_path)
     assert base.returncode == over.returncode == 0
     assert json.loads(base.stdout)["xi"] != json.loads(over.stdout)["xi"]
+
+
+# (config file text, stderr needle); None stands for a missing file
+CONFIG_EXIT_CODES = [
+    (None, "cannot read config file"),
+    ("q = 3\nucap\n", ":2: expected key = value"),
+    ("preset = nope\n", "unknown preset 'nope'"),
+    ("ucap = ten\n", "key 'ucap' wants an integer, got 'ten'"),
+]
+
+
+@pytest.mark.parametrize("text,needle", CONFIG_EXIT_CODES)
+def test_config_file_errors_exit_2(text, needle, tmp_path):
+    if text is None:
+        proc = run_cli("convergence", "--config",
+                       str(tmp_path / "missing.conf"))
+    else:
+        proc = run_cli("convergence", config_text=text, tmp_path=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("config error: ")
+    assert needle in proc.stderr
+
+
+def test_config_file_coefficients_match_flag(tmp_path):
+    via_file = run_cli("convergence", config_text="A = 1;0,1\n",
+                       tmp_path=tmp_path)
+    via_flag = run_cli("convergence", "--A", "1;0,1")
+    assert via_file.returncode == via_flag.returncode == 0
+    assert via_file.stdout == via_flag.stdout
+
+
+def test_verify_config_matches_flags(tmp_path):
+    conf = "preset = carlitz-q2\nucap = 32\ntprec = 8\nseed = 3\n"
+    via_file = run_cli("verify", config_text=conf, tmp_path=tmp_path)
+    via_flags = run_cli("verify", "--preset", "carlitz-q2", "--ucap", "32",
+                        "--tprec", "8", "--seed", "3")
+    assert via_file.returncode == via_flags.returncode == 0
+    assert via_file.stdout == via_flags.stdout
+    assert json_lines(via_file)[-1] == {"pass": True, "preset": "carlitz-q2"}
+
+
+@pytest.mark.parametrize("flags,seed", [((), 3), (("--seed", "5"), 5)])
+def test_verify_full_takes_the_merged_seed(flags, seed, tmp_path,
+                                           monkeypatch):
+    seen = []
+
+    def run_all(seed):
+        seen.append(seed)
+        return {"checks": [], "suite": "acceptance", "seed": seed,
+                "pass": True}
+
+    monkeypatch.setattr(cli.verify_mod, "run_all", run_all)
+    path = tmp_path / "session.conf"
+    path.write_text("seed = 3\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["verify", "--config", str(path), *flags]) == 0
+    assert seen == [seed]
+    assert json.loads(out.getvalue()) == {
+        "pass": True, "seed": seed, "suite": "acceptance"}
+
+
+@pytest.mark.parametrize("command", [("deform", "--xi", "1"), ("verify",)])
+def test_preset_flag_beats_file_preset(command, tmp_path):
+    flag_only = run_cli(*command, "--preset", "carlitz-q2", "--ucap", "32")
+    both = run_cli(*command, "--preset", "carlitz-q2", "--ucap", "32",
+                   config_text="preset = rank2-q2\n", tmp_path=tmp_path)
+    assert flag_only.returncode == both.returncode == 0
+    assert both.stdout == flag_only.stdout
 
 
 def test_config_file_comments_and_unknown_key(tmp_path):

@@ -1,15 +1,18 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
                              RamificationError, ResidueSplittingError)
-from drinfeld.ff import FieldParams, field_for
+from drinfeld.ff import (FieldParams, _pol_gcd, _pol_mod, _pol_powmod,
+                         _pol_sub, _pol_trim, field_for)
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
-from drinfeld.periods import (_residual, carlitz_period_routes,
+from drinfeld.periods import (_residual, _splitting_degree,
+                              carlitz_period_routes,
                               legendre_check, newton_slopes,
                               period_from_torsion, quasi_function_eval,
                               quasi_period_orbit, quasi_period_prop,
@@ -300,6 +303,58 @@ def test_residue_splitting_degree_six():
     with pytest.raises(ResidueSplittingError) as ei:
         torsion_roots(phi, 30)
     assert ei.value.required_s == 6
+
+
+def _pol_divide(L, f, g):
+    """Exact quotient f / g by long division."""
+    f = list(f)
+    quot = [0] * (len(f) - len(g) + 1)
+    ginv = L.inv(g[-1])
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = L.mul(f[k + len(g) - 1], ginv)
+        for j, y in enumerate(g):
+            f[k + j] = L.sub(f[k + j], L.mul(c, y))
+    assert not any(f)
+    return _pol_trim(quot)
+
+
+def _splitting_degree_by_factors(field, g):
+    """Oracle: the lcm of the degrees k of the distinct-degree factors
+    gcd(g, y^(Q^k) - y) of a squarefree g, each divided out in turn."""
+    need, k = 1, 1
+    h = _pol_powmod(field, [0, 1], field.order, g)
+    while len(g) > 1:
+        gk = _pol_gcd(field, g, _pol_sub(field, h, [0, 1]))
+        if len(gk) > 1:
+            need = lcm(need, k)
+            g = _pol_divide(field, g, gk)
+            h = _pol_mod(field, h, g)
+        h = _pol_powmod(field, h, field.order, g)
+        k += 1
+    return need
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+@pytest.mark.parametrize("s", [1, 2])
+def test_splitting_degree_matches_factor_degrees(q, s):
+    """The Frobenius order of y mod g equals the lcm of g's factor
+    degrees on seeded additive residuals c_1 y + sum c_i y^(q^i), c_1
+    and the top coefficient nonzero, of degree up to 27."""
+    F = field_for(FieldParams.make(q, s))
+    rng = random.Random(100 * q + s)
+    top = max(i for i in range(1, 7) if q ** i <= 81)
+    seen = set()
+    for _ in range(30):
+        r = rng.randrange(1, top + 1)
+        g = [0] * (q ** r + 1)
+        g[1] = rng.randrange(1, F.order)
+        for i in range(1, r):
+            g[q ** i] = rng.randrange(F.order)
+        g[q ** r] = rng.randrange(1, F.order)
+        want = _splitting_degree_by_factors(F, g)
+        assert _splitting_degree(F, g) == want, g
+        seen.add(want)
+    assert len(seen) > 1
 
 
 def _pol_eval(L, f, y):
