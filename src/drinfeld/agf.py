@@ -149,7 +149,8 @@ class AGFValue:
     """Partial-fraction form of the generating function at u:
     u/(theta - t) + sum_{n>=1} alpha_n u^(q^n)/(theta^(q^n) - t),
     kept as (simple pole at theta with residue -u) + rationals whose
-    poles all lie outside the unit disk."""
+    poles all lie outside the unit disk.  Only the values of the alpha_n
+    enter, so they come from phi's exp equation (route "equation")."""
 
     def __init__(self, phi: DrinfeldModule, u: LaurentElem, ucap):
         ctx = phi.ctx
@@ -163,7 +164,7 @@ class AGFValue:
             return
         d = u.deg() if u.coeffs else Fraction(-u.cap, ctx.m)
         self.cut = phi.exp_tail_cut(d - 1, ucap)
-        alpha = phi.exp_coeffs(self.cut - 1)
+        alpha = phi.exp_coeffs(self.cut - 1, "equation")
         self.terms = []
         uq = u
         for n in range(1, self.cut):
@@ -233,7 +234,9 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     """Verify, below explicit caps, the convergence statement and the
     four identities satisfied by the deformed logarithm at xi.  Raises
     the appropriate precondition error instead of failing an identity
-    when xi is out of range."""
+    when xi is out of range.  Identity (b) compares each b_n(theta) with
+    the beta_n of phi's log equation, and the deformed logarithm with
+    log_eval; no partition sum over beta runs here."""
     _check_t_prec(t_prec)
     ctx = phi.ctx
     conv = phi.convergence_data()
@@ -258,9 +261,9 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
                    "term_bound_logq": [[b.numerator, b.denominator]
                                        for b in bounds]}
 
-    # (b) value at theta equals the logarithm, termwise exact plus a
-    # capped numeric comparison.
-    beta = phi.log_coeffs(max(dl.cut - 1, 0), "recurrence")
+    # (b) value at theta equals the logarithm, termwise exact (against
+    # beta from phi's log equation) plus a capped numeric comparison.
+    beta = phi.log_coeffs(max(dl.cut - 1, 0), "equation")
     termwise = True
     xq = xi
     for n, term in enumerate(dl.terms):

@@ -27,8 +27,12 @@ from .periods import (legendre_check, period_from_torsion, quasi_period_orbit,
 from . import verify as verify_mod
 
 
+# one encoder for every line: json.dumps builds a new one per call
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
 def _emit(obj):
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    sys.stdout.write(_encode(obj) + "\n")
 
 
 def _frac_json(f):
@@ -253,10 +257,13 @@ def cmd_convergence(args):
 
 
 def cmd_bseq(args):
+    """b_0 .. b_n by the chosen route, each tested at t = theta against
+    beta_k from phi's log equation: the partition sum over beta_k would
+    cost more than b_n's own route and print nothing."""
     cfg = SessionConfig.from_args(args)
     phi = cfg.phi
     seq = b_seq(phi, args.n, args.route)
-    beta = phi.log_coeffs(args.n)
+    beta = phi.log_coeffs(args.n, "equation")
     ok = True
     for k, f in enumerate(seq):
         at_theta = eval_theta_frac(phi, f)

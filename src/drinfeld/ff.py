@@ -342,6 +342,16 @@ def _add_table(p, order):
     return tab
 
 
+def _neg_table(p, order):
+    """Negation table of the packed elements of a field of order p^d,
+    built one base-p digit at a time like _add_table."""
+    tab, n = [0], 1
+    while n < order:
+        tab = [t + n * (-hi % p) for hi in range(p) for t in tab]
+        n *= p
+    return tab
+
+
 class Field:
     """Arithmetic context for F_{q^s} on packed-integer elements."""
 
@@ -360,7 +370,7 @@ class Field:
         self._level = _ExtLevel(Lq, params.modulus_s) if self.s > 1 else Lq
         self.exp_tab = self.log_tab = None
         self._frob_tabs = None
-        self._addtab = None
+        self._addtab = self._negtab = None
         self._lanes = None
         self.coord_rows = _CoordRows(self)
         if self.order <= TABLE_MAX:
@@ -396,8 +406,10 @@ class Field:
             for i, a in enumerate(exp):
                 tab[a] = exp[(i * step) % n] if n > 1 else a
             self._frob_tabs[k] = tab
-        if self.p != 2 and self.order <= 512:
-            self._addtab = _add_table(self.p, self.order)
+        if self.p != 2:
+            self._negtab = _neg_table(self.p, self.order)
+            if self.order <= 512:
+                self._addtab = _add_table(self.p, self.order)
 
     @property
     def lanes(self):
@@ -418,11 +430,15 @@ class Field:
     def sub(self, a, b):
         if self.p == 2:
             return a ^ b
+        if self._addtab is not None:
+            return self._addtab[a][self._negtab[b]]
         return self._level.sub(a, b)
 
     def neg(self, a):
         if self.p == 2:
             return a
+        if self._negtab is not None:
+            return self._negtab[a]
         return self._level.neg(a)
 
     def mul(self, a, b):

@@ -1,6 +1,10 @@
 """Drinfeld modules over the Laurent layer: bracket fractions, the
-exponential and logarithm coefficients by two independent routes, the
+exponential and logarithm coefficients by independent routes, the
 convergence radius, and evaluation with certified tails.
+
+The partition closed forms are summed only where their fractions are
+printed or cross-checked; evaluation and the checks against beta take
+alpha and beta from phi's functional equations, at most r terms a step.
 
 Coefficients are kept as exact fractions num / prod [e]^mult, where
 [e] = theta^(q^e) - theta.  Since mult is built from powers of q, the
@@ -163,6 +167,13 @@ class BracketFrac(FactoredFrac):
         return "<BracketFrac %r / %r>" % (self.num, sorted(self.den.items()))
 
 
+def _fold(ctx, terms):
+    """The sum of a few bracket fractions, folded from zero in ascending
+    order of denominator degree."""
+    return reduce(add, sorted(terms, key=BracketFrac.den_deg),
+                  BracketFrac.zero(ctx))
+
+
 class ConvergenceData:
     """Radius bookkeeping: rho_i = (deg A_i - q^i)/(q^i - 1) over the
     support, s = smallest index attaining max rho, logq_R = -rho_s."""
@@ -205,10 +216,14 @@ class DrinfeldModule:
         self.r = len(A)
         self.support = tuple(i for i in range(1, self.r + 1)
                              if not A[i - 1].is_exact_zero())
+        # route "equation" takes alpha and beta from phi's functional
+        # equations; its alpha is the recurrence route's list itself
+        recurrence = [BracketFrac.one(ctx)]
         self._alpha = {"partitions": [BracketFrac.one(ctx)],
-                       "recurrence": [BracketFrac.one(ctx)]}
+                       "recurrence": recurrence, "equation": recurrence}
         self._beta = {"partitions": [BracketFrac.one(ctx)],
-                      "recurrence": [BracketFrac.one(ctx)]}
+                      "recurrence": [BracketFrac.one(ctx)],
+                      "equation": [BracketFrac.one(ctx)]}
         self._da = [Fraction(0)]
         self._a_powers = {}
 
@@ -224,8 +239,8 @@ class DrinfeldModule:
 
     def _a_power(self, sp):
         """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse;
-        memoised on sp.masks, since the exp and log terms, the AGF and
-        both beta routes of one module visit the same partitions."""
+        memoised on sp.masks, since the exp and log terms and the
+        definition route of b_n (agf.x_phi) visit the same partitions."""
         out = self._a_powers.get(sp.masks)
         if out is None:
             out = self.ctx.one()
@@ -275,6 +290,8 @@ class DrinfeldModule:
                 acc = BracketFrac.zero(self.ctx)
                 for sp in enumerate_partitions(self.r, k, support=self.support):
                     acc = acc + self.log_term(sp)
+            elif route == "equation":
+                acc = self._log_step(seq, k)
             else:
                 # triangular inversion of sum_{i+j=k} beta_i alpha_j^(q^i) = 0
                 self._extend_alpha(k, "recurrence")
@@ -286,6 +303,9 @@ class DrinfeldModule:
             seq.append(acc)
 
     def exp_coeffs(self, n, route="partitions"):
+        """alpha_0 .. alpha_n.  Route "partitions" sums the closed form
+        over shadowed partitions, "recurrence" and "equation" solve phi's
+        exp equation alpha_k [k] = sum_i A_i alpha_(k-i)^(q^i)."""
         if route not in self._alpha:
             raise InvalidInput("unknown route %r" % route)
         check_index(n)
@@ -293,11 +313,24 @@ class DrinfeldModule:
         return self._alpha[route][:n + 1]
 
     def log_coeffs(self, n, route="partitions"):
+        """beta_0 .. beta_n.  Route "partitions" sums the closed form,
+        "recurrence" inverts exp triangularly, and "equation" solves phi's
+        log equation (_log_step).  All three give the same values, as
+        fractions that may differ; the CLI prints the first two, and
+        "equation" serves the callers that read only values."""
         if route not in self._beta:
             raise InvalidInput("unknown route %r" % route)
         check_index(n)
         self._extend_beta(n, route)
         return self._beta[route][:n + 1]
+
+    def _log_step(self, beta, k):
+        """beta_k from log(phi_t z) = theta log z: -sum_i beta_(k-i)
+        A_i^(q^(k-i)) / [k] over the i <= k in the support, given
+        beta_0 .. beta_(k-1)."""
+        return (-_fold(self.ctx, (beta[k - i] * self.A[i - 1].pow_q(k - i)
+                                  for i in self.support if i <= k))
+                ).div_bracket(k)
 
     def compose_check(self, n, route="partitions"):
         """phi's functional equations to depth n, exp(theta z) = phi_t(exp z)
@@ -306,21 +339,17 @@ class DrinfeldModule:
         A_i^(q^(k-i)).  With alpha_0 = beta_0 = 1 they fix alpha and beta
         uniquely, so log o exp = 1 mod tau^(n+1) follows; the converse
         fails (another module's coefficients compose to 1 too).  On
-        route="recurrence" the alpha equation is the definition; it stays,
-        as it catches a corrupted cached alpha_k.  Each sum of <= r terms
-        is folded from zero in ascending order of denominator degree."""
+        route="recurrence" the alpha equation is the definition, and on
+        route="equation" both are; they stay, as they catch a corrupted
+        cached coefficient.  The log half is _log_step, the step that
+        builds route "equation"'s beta."""
         alpha = self.exp_coeffs(n, route)
         beta = self.log_coeffs(n, route)
-        def fold(terms):
-            return reduce(add, sorted(terms, key=BracketFrac.den_deg),
-                          BracketFrac.zero(self.ctx))
         for k in range(1, n + 1):
-            live = [i for i in self.support if i <= k]
-            exp_sum = fold(alpha[k - i].pow_q(i) * self.A[i - 1] for i in live)
-            log_sum = fold(beta[k - i] * self.A[i - 1].pow_q(k - i)
-                           for i in live)
+            exp_sum = _fold(self.ctx, (alpha[k - i].pow_q(i) * self.A[i - 1]
+                                       for i in self.support if i <= k))
             if not (exp_sum.div_bracket(k).equals(alpha[k]) and
-                    (-log_sum).div_bracket(k).equals(beta[k])):
+                    self._log_step(beta, k).equals(beta[k])):
                 return False
         return True
 
@@ -408,26 +437,29 @@ class DrinfeldModule:
         return total.truncate(ucap)
 
     def exp_eval(self, xi, ucap):
-        """exp_phi(xi) with the certified absolute cap ucap."""
+        """exp_phi(xi) with the certified absolute cap ucap.  The alpha_n
+        come from phi's exp equation (route "equation"): to_laurent reads
+        only a fraction's value, so the partition sums are not needed."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
             return self.ctx.zero(xi.cap)
         cut = self.exp_tail_cut(xi.deg(), ucap)
-        self._extend_alpha(cut - 1, "partitions")
-        return self._eval_series(self._alpha["partitions"], cut, xi, ucap)
+        self._extend_alpha(cut - 1, "equation")
+        return self._eval_series(self._alpha["equation"], cut, xi, ucap)
 
     def log_eval(self, xi, ucap):
         """log_phi(xi) with the certified absolute cap ucap; xi must lie
-        inside the convergence radius."""
+        inside the convergence radius.  The beta_n come from phi's log
+        equation (route "equation", _log_step), as in exp_eval."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
             self.log_tail_cut(Fraction(-xi.cap, self.ctx.m), xi.cap)
             return self.ctx.zero(xi.cap)
         cut = self.log_tail_cut(xi.deg(), ucap)
-        self._extend_beta(cut - 1, "partitions")
-        return self._eval_series(self._beta["partitions"], cut, xi, ucap)
+        self._extend_beta(cut - 1, "equation")
+        return self._eval_series(self._beta["equation"], cut, xi, ucap)
 
     def to_json(self):
         return {"q": self.ctx.q, "m": self.ctx.m, "r": self.r,

@@ -250,7 +250,7 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
         return ctx.zero(min(ucap, z.cap))
     d = z.deg()
     cut = phi.exp_tail_cut(d - 1, -(-ucap // ctx.q ** j))
-    alpha = phi.exp_coeffs(cut - 1, "recurrence")
+    alpha = phi.exp_coeffs(cut - 1, "equation")
     total = ctx.zero(INF)
     zq = z.pow_q(j)
     for k in range(j, j + cut):

@@ -1,6 +1,7 @@
 """t-deformation layer: partition summands, the b-sequence routes, the
 deformed logarithm, the generating function, omega and the period."""
 
+import importlib
 from math import inf as INF
 
 import pytest
@@ -16,7 +17,7 @@ from drinfeld.agf import (B_ROUTES, DeformedLog, OmegaCarlitz, agf, b_seq,
                           carlitz_bseq_product, carlitz_pi,
                           check_main_theorem, delta, eval_theta_frac,
                           shift_precondition_violations, x_phi)
-from drinfeld.tate import TateSeries
+from drinfeld.tate import TateRational, TateSeries
 from drinfeld.verify import preset_session
 from test_modules import partition_norm_logq
 from test_tate import apply_delta, t_poly
@@ -186,6 +187,36 @@ def test_main_theorem_holds(make, xi_of):
     for key in "bcde":
         assert rep[key]["holds"]
         assert rep[key]["u_val"] >= ucap
+
+
+@pytest.mark.parametrize("deep", [False, True])
+def test_main_theorem_catches_a_corrupted_term(deep, monkeypatch):
+    """One term of the deformed logarithm at xi, moved by a monomial,
+    fails identity (b).  A monomial at u^ucap is invisible to the capped
+    value and series, so only the exact termwise comparison with beta
+    from phi's log equation catches it; (c) and (d) still hold."""
+    phi = rank2_q2()
+    ctx = phi.ctx
+    xi = ctx.theta(-1) + ctx.one()
+    ucap = 30
+
+    class Corrupted(DeformedLog):
+        def __init__(self, phi, x, cap):
+            super().__init__(phi, x, cap)
+            if x == xi:
+                assert self.cut > 2
+                f = self.terms[2]
+                bump = ctx.monomial(1, cap if deep else 0)
+                self.terms[2] = TateRational(
+                    ctx, f.num + TateSeries.from_scalar(ctx, bump), f.den)
+
+    # the package exports the function agf under the module's name
+    monkeypatch.setattr(importlib.import_module("drinfeld.agf"),
+                        "DeformedLog", Corrupted)
+    rep = check_main_theorem(phi, xi, ucap, t_prec=6)
+    assert rep["b"]["holds"] is False and rep["holds"] is False
+    if deep:
+        assert rep["c"]["holds"] and rep["d"]["holds"]
 
 
 def test_main_theorem_precondition_failure():

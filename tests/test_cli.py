@@ -14,6 +14,7 @@ from drinfeld import cli
 from drinfeld.errors import ConfigError
 from drinfeld.laurent import SeriesParams
 from drinfeld.ff import FieldParams
+from drinfeld.tate import TateRational, TateSeries
 from drinfeld.verify import preset_session
 
 
@@ -357,6 +358,38 @@ def test_bseq_routes_exit_0():
         rows = json_lines(proc)
         assert rows[-1]["pass"] is True
         assert all(r["at_theta_is_beta"] for r in rows[:-1])
+
+
+@pytest.mark.parametrize("route", ["definition", "twist", "untwisted"])
+def test_bseq_flags_a_moved_numerator(route, monkeypatch, capsys):
+    """One b_k numerator moved by a monomial: bseq prints
+    at_theta_is_beta false at that k only, and exits 1."""
+    k = 3
+    real = cli.b_seq
+
+    def moved(phi, n, route):
+        seq = real(phi, n, route)
+        ctx = phi.ctx
+        bump = TateSeries.from_scalar(ctx, ctx.monomial(1, -2))
+        seq[k] = TateRational(ctx, seq[k].num + bump, seq[k].den)
+        return seq
+
+    monkeypatch.setattr(cli, "b_seq", moved)
+    assert cli.main(["bseq", "5", "--preset", "rank2-q2",
+                     "--route", route]) == 1
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [r["at_theta_is_beta"] for r in rows[:-1]] == [
+        n != k for n in range(6)]
+    assert rows[-1] == {"pass": False, "route": route}
+
+
+def test_coeffs_route_keeps_two_choices(capsys):
+    """The equation route serves evaluation only; coeffs prints the
+    partition and recurrence fractions and refuses it."""
+    with pytest.raises(SystemExit) as ei:
+        cli.main(["coeffs", "3", "--route", "equation"])
+    assert ei.value.code == 2
+    assert "invalid choice: 'equation'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("route,poles", [

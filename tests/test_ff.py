@@ -234,3 +234,22 @@ def test_addition_table_matches_level_add(q, s):
     add = F._level.add
     n = F.order
     assert F._addtab == [[add(a, b) for b in range(n)] for a in range(n)]
+
+
+@pytest.mark.parametrize("q,s", [(3, 1), (5, 1), (9, 1), (3, 4), (9, 2),
+                                 (25, 1), (3, 5), (5, 4), (3, 7), (7, 4)])
+def test_negation_table_matches_level(q, s):
+    """The negation table of an odd-p table field, built digit by digit,
+    against the tower's negation on every element, and sub (which reads
+    the addition table at (a, -b) on orders <= 512) against the tower's
+    subtraction on every pair or, above 512, on seeded ones."""
+    F = field_for(FieldParams.make(q, s))
+    L, n = F._level, F.order
+    assert F._negtab == [L.neg(a) for a in range(n)]
+    assert [F.neg(a) for a in range(n)] == F._negtab
+    if n <= 512:
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+    else:
+        rng = random.Random(n)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(2000)]
+    assert [F.sub(a, b) for a, b in pairs] == [L.sub(a, b) for a, b in pairs]

@@ -403,6 +403,76 @@ def test_composition_random_modules(q):
             assert b1[n].equals(b2[n]), (r, "log", n)
 
 
+def _sparse_module(ctx, rng):
+    """Rank 3 with support (1, 3): A_2 = 0."""
+    q = ctx.q
+    return DrinfeldModule(ctx, [ctx.from_poly((rng.randrange(q),
+                                               rng.randrange(1, q))),
+                                ctx.zero(),
+                                ctx.from_poly((rng.randrange(1, q),))])
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_equation_beta_equals_both_printed_routes(q, s):
+    """beta from phi's log equation (route "equation", which log_eval,
+    bseq and the main theorem's (b) read) equals the partition beta and
+    the triangular inversion's beta on seeded modules of rank 1-3 and on
+    one with the sparse support (1, 3); compose_check holds on it."""
+    rng = random.Random(1400 + 10 * q + s)
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 48)
+    depth = 5 if q < 9 else 4
+    mods = [_random_module(ctx, r, rng) for r in (1, 2, 3)]
+    mods.append(_sparse_module(ctx, rng))
+    assert mods[-1].support == (1, 3)
+    for phi in mods:
+        eq = phi.log_coeffs(depth, "equation")
+        for route in ("partitions", "recurrence"):
+            other = phi.log_coeffs(depth, route)
+            for n in range(depth + 1):
+                assert eq[n].equals(other[n]), (phi.support, route, n)
+        assert phi.exp_coeffs(depth, "equation") == \
+            phi.exp_coeffs(depth, "recurrence")
+        assert phi.compose_check(depth, "equation")
+
+
+def _eval_reading(phi, route, xi, cap):
+    """(exp_eval, log_eval) at xi of a fresh copy of phi whose evaluation
+    reads the given route's coefficients."""
+    twin = DrinfeldModule(phi.ctx, phi.A)
+    d = xi.deg()
+    n = max(twin.exp_tail_cut(d, cap), twin.log_tail_cut(d, cap))
+    twin._alpha["equation"] = twin.exp_coeffs(n, route)
+    twin._beta["equation"] = twin.log_coeffs(n, route)
+    return twin.exp_eval(xi, ucap=cap), twin.log_eval(xi, ucap=cap)
+
+
+@pytest.mark.parametrize("q,s", [(2, 1), (3, 1), (4, 1), (5, 1), (9, 1),
+                                 (2, 2), (3, 2)])
+def test_eval_reads_values_not_fractions(q, s):
+    """exp_eval and log_eval give == elements, caps included, whether
+    they read the partition, the triangular or the equation coefficients,
+    at cap c and, truncated back, at 2c.  The triangular betas are other
+    fractions than the equation's (unreduced denominators), so
+    to_laurent reads values only."""
+    rng = random.Random(1500 + 10 * q + s)
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 48)
+    c = 20
+    for phi in (_random_module(ctx, 2, rng), _sparse_module(ctx, rng)):
+        xi = (ctx.monomial(rng.randrange(1, ctx.field.order), 1)
+              + ctx.monomial(rng.randrange(ctx.field.order), 3))
+        want = (phi.exp_eval(xi, ucap=c), phi.log_eval(xi, ucap=c))
+        wide = (phi.exp_eval(xi, ucap=2 * c), phi.log_eval(xi, ucap=2 * c))
+        assert tuple(v.truncate(c) for v in wide) == want
+        for route in ("partitions", "recurrence"):
+            assert _eval_reading(phi, route, xi, c) == want, route
+            wide = _eval_reading(phi, route, xi, 2 * c)
+            assert tuple(v.truncate(c) for v in wide) == want, route
+        pairs = zip(phi.log_coeffs(4, "recurrence"),
+                    phi.log_coeffs(4, "equation"))
+        assert any(a.den != b.den for a, b in pairs)
+
+
 def _perturbed_compose_check(make, route, which, seed):
     """compose_check after one cached alpha_k or beta_k numerator is
     moved by a monomial."""
@@ -422,7 +492,7 @@ def _perturbed_compose_check(make, route, which, seed):
 
 
 @pytest.mark.parametrize("which", ["alpha", "beta"])
-@pytest.mark.parametrize("route", ["partitions", "recurrence"])
+@pytest.mark.parametrize("route", ["partitions", "recurrence", "equation"])
 @pytest.mark.parametrize("make", [
     lambda: carlitz(CTX2),
     lambda: carlitz(CTX3),
