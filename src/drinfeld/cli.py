@@ -105,7 +105,7 @@ def read_config_file(path):
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc))
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
@@ -192,11 +192,6 @@ class SessionConfig:
         concerns verify."""
         _, merged = merge_config(args)
         merged.pop("seed", None)
-        rank = getattr(args, "rank", None)
-        polys = len(merged.get("A", ((1,),)))
-        if rank is not None and rank != polys:
-            raise ConfigError("rank %d does not match %d coefficient "
-                              "polynomials" % (rank, polys))
         try:
             return SessionConfig(**merged)
         except TypeError as exc:
@@ -449,8 +444,6 @@ def build_parser():
     common.add_argument("--m", type=int, help="ramification index")
     common.add_argument("--ucap", type=int, help="u-adic precision cap")
     common.add_argument("--tprec", type=int, help="t-adic window")
-    common.add_argument("--rank", type=int, help="module rank (checked "
-                        "against the coefficient list)")
     common.add_argument("--A", help="coefficient polynomials, e.g. '1;0,1'")
     common.add_argument("--seed", type=int, help="randomized-test seed")
     common.add_argument("--xi", help="series element, e.g. '1+theta^-1'")

@@ -75,9 +75,6 @@ class _ExtLevel:
     __slots__ = ("base", "mod", "d", "order")
 
     def __init__(self, base, mod):
-        mod = tuple(mod)
-        if len(mod) < 2 or mod[-1] != 1:
-            raise ConfigError("modulus must be monic of degree >= 1")
         self.base = base
         self.mod = mod
         self.d = len(mod) - 1
@@ -280,14 +277,12 @@ class FieldParams(namedtuple("FieldParams", "p e modulus s modulus_s")):
         return self.q ** self.s
 
     @staticmethod
-    def make(q, s=1, modulus=None, modulus_s=None):
-        """Build params for F_{q^s} with canonical default moduli."""
-        if modulus is None and modulus_s is None:
-            return _default_params(q, s)
-        return FieldParams._build(q, s, modulus, modulus_s)
+    def make(q, s=1):
+        """Params for F_{q^s} with the canonical moduli."""
+        return _default_params(q, s)
 
     @staticmethod
-    def _build(q, s, modulus, modulus_s):
+    def _build(q, s):
         if q < 2:
             raise ConfigError("q must be a prime power >= 2")
         p = _factor(q)[0]
@@ -303,21 +298,9 @@ class FieldParams(namedtuple("FieldParams", "p e modulus s modulus_s")):
         if q ** s > ORDER_CAP:
             raise ConfigError("q^s exceeds the supported cap 2^20")
         Lp = _PrimeLevel(p)
-        if modulus is None:
-            modulus = canonical_irreducible(Lp, e) if e > 1 else (0, 1)
-        modulus = tuple(modulus)
-        if len(modulus) != e + 1:
-            raise ConfigError("modulus must have degree e")
-        if e > 1 and not _is_irreducible(Lp, list(modulus)):
-            raise ConfigError("modulus is reducible over F_p")
+        modulus = canonical_irreducible(Lp, e) if e > 1 else (0, 1)
         Lq = _ExtLevel(Lp, modulus) if e > 1 else Lp
-        if modulus_s is None:
-            modulus_s = canonical_irreducible(Lq, s) if s > 1 else (0, 1)
-        modulus_s = tuple(modulus_s)
-        if len(modulus_s) != s + 1:
-            raise ConfigError("modulus_s must have degree s")
-        if s > 1 and not _is_irreducible(Lq, list(modulus_s)):
-            raise ConfigError("modulus_s is reducible over F_q")
+        modulus_s = canonical_irreducible(Lq, s) if s > 1 else (0, 1)
         return FieldParams(p, e, modulus, s, modulus_s)
 
 
@@ -326,7 +309,7 @@ def _default_params(q, s):
     # the canonical moduli cost a search plus irreducibility tests, and
     # the params are frozen, so one instance per (q, s) is shared;
     # errors are not cached and raise on every call
-    return FieldParams._build(q, s, None, None)
+    return FieldParams._build(q, s)
 
 
 def _add_table(p, order):
@@ -467,7 +450,7 @@ class Field:
         return self._level.pow(a, n % (self.order - 1))
 
     def frob(self, a, k=1):
-        """a -> a^(q^k); k is reduced mod s (inverse twists included)."""
+        """a -> a^(q^k) for k >= 0; k is reduced mod s."""
         k %= self.s
         if k == 0 or a == 0 or a == 1:
             return a
@@ -500,9 +483,6 @@ class Field:
         for c in reversed(coords):
             a = a * self.p + c
         return a
-
-    def lex_key(self, a):
-        return self.coords(a)
 
     def in_base(self, a):
         """Whether a lies in F_q (fixed by the q-power Frobenius)."""
@@ -538,7 +518,7 @@ class Field:
             return out
 
         y = self.inv(next(v for v in (b(q ** j) for j in range(self.s)) if v))
-        return min((self.mul(y, a) for a in range(1, q)), key=self.lex_key)
+        return min((self.mul(y, a) for a in range(1, q)), key=self.coords)
 
 
 class _CoordRows(dict):

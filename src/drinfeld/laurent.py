@@ -24,7 +24,7 @@ operands are packed into integers by the field's lane layout
 
 Elements are immutable: nothing changes .coeffs after construction.
 Results the kernel builds itself (products, sums of equal caps,
-negations, forward Frobenius twists, scalings by a nonzero scalar) are
+negations, Frobenius twists, scalings by a nonzero scalar) are
 valid by construction and skip the constructor's filter through
 LaurentElem.wrap; everything else goes through the constructor.
 """
@@ -315,28 +315,19 @@ class LaurentElem:
         return LaurentElem(self.ctx, self.coeffs, cap)
 
     def pow_q(self, k):
-        """Frobenius power x^(q^k); negative k extracts q^|k|-th roots
-        coefficientwise and requires exponent divisibility."""
-        if k == 0:
-            return self
-        field = self.ctx.field
+        """Frobenius power x^(q^k).  Twists run forward only: k < 0
+        raises InvalidInput, since nothing in the package twists back."""
         if k > 0:
+            field = self.ctx.field
             Q = self.ctx.q ** k
             cap = self.cap if self.cap == INF else self.cap * Q
             return LaurentElem.wrap(self.ctx, {e * Q: field.frob(c, k)
                                                for e, c in self.coeffs.items()},
                                     cap)
-        Q = self.ctx.q ** (-k)
-        bad = [e for e in self.coeffs if e % Q]
-        if bad:
-            raise RamificationError(
-                "inverse Frobenius twist needs exponents divisible by %d; "
-                "enlarge m to %d" % (Q, self.ctx.m * Q),
-                required_m=self.ctx.m * Q)
-        cap = self.cap if self.cap == INF else -(-self.cap // Q)
-        return LaurentElem(self.ctx,
-                           {e // Q: field.frob(c, k) for e, c in self.coeffs.items()},
-                           cap)
+        if k:
+            raise InvalidInput("Frobenius twists run forward only, got k = %d"
+                               % k)
+        return self
 
     def invert(self):
         if not self.coeffs:

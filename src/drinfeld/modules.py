@@ -126,12 +126,12 @@ class BracketFrac(FactoredFrac):
         return BracketFrac(self.ctx, self.num, merged)
 
     def pow_q(self, k):
-        if k < 0:
-            raise InvalidInput("bracket fractions only twist forward")
+        """Forward twists only: the numerator's pow_q refuses k < 0."""
         if k == 0:
             return self
+        num = self.num.pow_q(k)
         Q = self.ctx.q ** k
-        return BracketFrac(self.ctx, self.num.pow_q(k),
+        return BracketFrac(self.ctx, num,
                            {e: m * Q for e, m in self.den.items()})
 
     def is_exact_zero(self):
@@ -167,11 +167,16 @@ class BracketFrac(FactoredFrac):
         return "<BracketFrac %r / %r>" % (self.num, sorted(self.den.items()))
 
 
+def _sum(ctx, terms):
+    """The sum of bracket fractions, folded from zero in the given order;
+    the order fixes the printed fraction, not its value."""
+    return reduce(add, terms, BracketFrac.zero(ctx))
+
+
 def _fold(ctx, terms):
     """The sum of a few bracket fractions, folded from zero in ascending
     order of denominator degree."""
-    return reduce(add, sorted(terms, key=BracketFrac.den_deg),
-                  BracketFrac.zero(ctx))
+    return _sum(ctx, sorted(terms, key=BracketFrac.den_deg))
 
 
 class ConvergenceData:
@@ -270,36 +275,28 @@ class DrinfeldModule:
         while len(seq) <= n:
             k = len(seq)
             if route == "partitions":
-                acc = BracketFrac.zero(self.ctx)
-                for sp in enumerate_partitions(self.r, k, support=self.support):
-                    acc = acc + self.exp_term(sp, k)
+                seq.append(_sum(self.ctx, (
+                    self.exp_term(sp, k) for sp in
+                    enumerate_partitions(self.r, k, support=self.support))))
             else:
-                acc = BracketFrac.zero(self.ctx)
-                for i in self.support:
-                    if i > k:
-                        continue
-                    acc = acc + self._alpha[route][k - i].pow_q(i) * self.A[i - 1]
-                acc = acc.div_bracket(k)
-            seq.append(acc)
+                seq.append(self._exp_step(seq, k))
 
     def _extend_beta(self, n, route):
         seq = self._beta[route]
         while len(seq) <= n:
             k = len(seq)
             if route == "partitions":
-                acc = BracketFrac.zero(self.ctx)
-                for sp in enumerate_partitions(self.r, k, support=self.support):
-                    acc = acc + self.log_term(sp)
+                acc = _sum(self.ctx, (
+                    self.log_term(sp) for sp in
+                    enumerate_partitions(self.r, k, support=self.support)))
             elif route == "equation":
                 acc = self._log_step(seq, k)
             else:
                 # triangular inversion of sum_{i+j=k} beta_i alpha_j^(q^i) = 0
                 self._extend_alpha(k, "recurrence")
                 alpha = self._alpha["recurrence"]
-                acc = BracketFrac.zero(self.ctx)
-                for i in range(k):
-                    acc = acc + seq[i] * alpha[k - i].pow_q(i)
-                acc = -acc
+                acc = -_sum(self.ctx, (seq[i] * alpha[k - i].pow_q(i)
+                                       for i in range(k)))
             seq.append(acc)
 
     def exp_coeffs(self, n, route="partitions"):
@@ -324,6 +321,15 @@ class DrinfeldModule:
         self._extend_beta(n, route)
         return self._beta[route][:n + 1]
 
+    def _exp_step(self, alpha, k):
+        """alpha_k from exp(theta z) = phi_t(exp z): sum_i alpha_(k-i)^(q^i)
+        A_i / [k] over the i <= k in the support, given alpha_0 ..
+        alpha_(k-1).  The sum is a left fold in support order, the
+        fraction coeffs --route recurrence prints."""
+        return _sum(self.ctx, (alpha[k - i].pow_q(i) * self.A[i - 1]
+                               for i in self.support if i <= k)
+                    ).div_bracket(k)
+
     def _log_step(self, beta, k):
         """beta_k from log(phi_t z) = theta log z: -sum_i beta_(k-i)
         A_i^(q^(k-i)) / [k] over the i <= k in the support, given
@@ -338,20 +344,17 @@ class DrinfeldModule:
         sum_i A_i alpha_(k-i)^(q^i) and beta_k [k] = -sum_i beta_(k-i)
         A_i^(q^(k-i)).  With alpha_0 = beta_0 = 1 they fix alpha and beta
         uniquely, so log o exp = 1 mod tau^(n+1) follows; the converse
-        fails (another module's coefficients compose to 1 too).  On
+        fails (another module's coefficients compose to 1 too).  Each
+        half is the step that builds its coefficients from the equation,
+        _exp_step and _log_step, compared by value (equals); on
         route="recurrence" the alpha equation is the definition, and on
         route="equation" both are; they stay, as they catch a corrupted
-        cached coefficient.  The log half is _log_step, the step that
-        builds route "equation"'s beta."""
+        cached coefficient."""
         alpha = self.exp_coeffs(n, route)
         beta = self.log_coeffs(n, route)
-        for k in range(1, n + 1):
-            exp_sum = _fold(self.ctx, (alpha[k - i].pow_q(i) * self.A[i - 1]
-                                       for i in self.support if i <= k))
-            if not (exp_sum.div_bracket(k).equals(alpha[k]) and
-                    self._log_step(beta, k).equals(beta[k])):
-                return False
-        return True
+        return all(self._exp_step(alpha, k).equals(alpha[k]) and
+                   self._log_step(beta, k).equals(beta[k])
+                   for k in range(1, n + 1))
 
     # -- convergence --
 

@@ -17,7 +17,8 @@ from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
 from .ff import _pol_mod, _pol_powmod
 from .modules import DrinfeldModule, bracket
-from .agf import DeformedLog, OmegaCarlitz, _check_t_prec, carlitz_pi
+from .agf import (DeformedLog, OmegaCarlitz, _check_t_prec, _report,
+                  carlitz_pi)
 from .tate import TateSeries
 
 
@@ -57,10 +58,9 @@ def _splitting_degree(field, g):
 
 
 class TorsionData:
-    __slots__ = ("phi", "roots", "basis", "slopes", "traces", "in_radius")
+    __slots__ = ("roots", "basis", "slopes", "traces", "in_radius")
 
-    def __init__(self, phi, roots, basis, slopes, traces, in_radius):
-        self.phi = phi
+    def __init__(self, roots, basis, slopes, traces, in_radius):
         self.roots = roots
         self.basis = basis
         self.slopes = slopes
@@ -97,7 +97,7 @@ def _span_with(span, x, scalars, ucap):
 
 def _sort_key(field, x):
     head = -x.val if x.coeffs else -INF  # zero sorts first
-    return (head, tuple((e, field.lex_key(c))
+    return (head, tuple((e, field.coords(c))
                         for e, c in sorted(x.coeffs.items())))
 
 
@@ -200,7 +200,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
 
     conv = phi.convergence_data()
     in_radius = [bool(z.deg() < conv.logq_R) for z in basis]
-    return TorsionData(phi, roots, basis, slopes, traces, in_radius)
+    return TorsionData(roots, basis, slopes, traces, in_radius)
 
 
 def _residual(field, terms, y):
@@ -329,7 +329,8 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
     """Rank-2 determinant relation.  Gate: deg of the j-invariant
     A_1^(q+1)/A_2 must be < q^2 (the two-torsion-slopes regime is out of
     scope).  Checks, below the stated caps:
-      * eta from the closed form equals the direct series sum,
+      * eta from the closed form equals the direct series sum (else
+        PrecisionExhausted is raised),
       * B det P^(1) + (t - theta) det P vanishes,
       * omega_1 eta_2 - omega_2 eta_1 = c pi / (-B)^(1/(q-1)), c in F_q*.
     """
@@ -347,11 +348,9 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
             "outside the verified range" % (degj, q * q))
 
     inner = ucap + 4 * ctx.m
-    tors = torsion_roots(phi, inner)
-    zetas = tors.basis
+    zetas = torsion_roots(phi, inner).basis
     report = {"deg_j": None if degj == -INF else
-              [Fraction(degj).numerator, Fraction(degj).denominator],
-              "torsion": tors.to_json()}
+              [Fraction(degj).numerator, Fraction(degj).denominator]}
 
     omegas, etas = [], []
     for zeta in zetas:
@@ -362,7 +361,6 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
             raise PrecisionExhausted("quasi-period routes disagree")
         omegas.append(om)
         etas.append(eta_closed)
-    report["eta_routes_agree"] = True
 
     combo = omegas[0] * etas[1] - omegas[1] * etas[0]
     root = (-B).root_q_minus_1()
@@ -396,11 +394,8 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     resid = det.twist(1).scale(B) + det.mul_pole(0)
     ok_det, uval, win = resid.residual_report()
-    report["det_twist"] = {"holds": ok_det,
-                           "u_val": None if uval == INF else int(uval),
-                           "t_prec": win}
-    report["holds"] = bool(ok_ratio and ok_det
-                           and report["eta_routes_agree"])
+    report["det_twist"] = _report(ok_det, uval, win)
+    report["holds"] = bool(ok_ratio and ok_det)
     return report
 
 

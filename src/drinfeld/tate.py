@@ -86,9 +86,7 @@ class TateSeries:
 
     # -- arithmetic --
 
-    def _check(self, other):
-        if not self.ctx.same(other.ctx):
-            raise InvalidInput("operands live in different series contexts")
+    _check = LaurentElem._check
 
     def __add__(self, other):
         self._check(other)
@@ -178,7 +176,8 @@ class TateSeries:
         return TateSeries(self.ctx, [self.ctx.zero()] * k + self.coeffs, tp)
 
     def twist(self, ell):
-        """Coefficientwise Frobenius twist f -> f^(ell)."""
+        """Coefficientwise Frobenius twist f -> f^(ell), ell >= 0 (see
+        LaurentElem.pow_q)."""
         return TateSeries(self.ctx, [c.pow_q(ell) for c in self.coeffs],
                           self.t_prec)
 
@@ -279,7 +278,7 @@ class FactoredFrac:
         self.num = num
         self.den = den
 
-    _check = TateSeries._check
+    _check = LaurentElem._check
 
     def _merge(self, other):
         """{e: max multiplicity} over both denominators."""
@@ -346,10 +345,8 @@ class TateRational(FactoredFrac):
         return self.num.scale(c)
 
     def twist(self, ell):
-        den = {e + ell: mlt for e, mlt in self.den.items()}
-        if any(e < 1 for e in den):
-            raise InvalidInput("twist would move a pole to exponent < 1")
-        return TateRational(self.ctx, self.num.twist(ell), den)
+        return TateRational(self.ctx, self.num.twist(ell),
+                            {e + ell: mlt for e, mlt in self.den.items()})
 
     def truncate_u(self, cap):
         """The numerator's coefficients cut at cap.  Pole division only

@@ -265,6 +265,8 @@ def test_twist_is_coefficientwise_frobenius():
     lhs = (f * h).twist(1)
     rhs = f.twist(1) * h.twist(1)
     assert (lhs - rhs).is_zero_to_prec()
+    with pytest.raises(InvalidInput):  # twists run forward only
+        TateSeries(CTX3, [CTX3.theta(), CTX3.one()], 4).twist(-1)
 
 
 def test_gauss_norm_known_values():
