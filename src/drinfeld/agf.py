@@ -95,7 +95,15 @@ def carlitz_bseq_product(ctx, n):
 class DeformedLog:
     """sum_n b_n(t) xi^(q^n), cut so that the dropped tail has u-valuation
     >= ucap in every t-coefficient (Gauss-norm bound
-    log_q||b_n xi^(q^n)|| <= (q^n - 1) rho + q^n deg xi)."""
+    log_q||b_n xi^(q^n)|| <= (q^n - 1) rho + q^n deg xi).
+
+    The b_n come from b_seq's twist route, at most r terms a step, not
+    from the partition sum.  On sparse supports its fractions may keep
+    removable poles, and exact-zero numerators with poles, that the
+    partition sum lacks; the values are the same.  The series and the
+    values at theta read only values: a numerator cut at ucap divided by
+    a pole it contains is exact below ucap, and a zero adds nothing, so
+    the printed bytes do not depend on the route."""
 
     def __init__(self, phi: DrinfeldModule, xi: LaurentElem, ucap):
         ctx = phi.ctx
@@ -113,7 +121,7 @@ class DeformedLog:
             self.ucap = min(ucap, xi.cap)
             return
         self.cut = phi.log_tail_cut(xi.deg(), ucap)
-        seq = b_seq(phi, self.cut - 1)
+        seq = b_seq(phi, self.cut - 1, route="twist")
         self.terms = []
         xq = xi
         for n in range(self.cut):

@@ -244,8 +244,9 @@ class DrinfeldModule:
 
     def _a_power(self, sp):
         """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse;
-        memoised on sp.masks, since the exp and log terms and the
-        definition route of b_n (agf.x_phi) visit the same partitions."""
+        memoised on sp.masks, since the exp and log terms visit the same
+        partitions, and so does the definition route of b_n (agf.x_phi)
+        where `bseq --route definition` and verify run it."""
         out = self._a_powers.get(sp.masks)
         if out is None:
             out = self.ctx.one()

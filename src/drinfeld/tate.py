@@ -176,8 +176,12 @@ class TateSeries:
         return TateSeries(self.ctx, [self.ctx.zero()] * k + self.coeffs, tp)
 
     def twist(self, ell):
-        """Coefficientwise Frobenius twist f -> f^(ell), ell >= 0 (see
-        LaurentElem.pow_q)."""
+        """Coefficientwise Frobenius twist f -> f^(ell).  Twists run
+        forward only: ell < 0 raises InvalidInput, also on an empty
+        series, where no LaurentElem.pow_q would see it."""
+        if ell < 0:
+            raise InvalidInput("Frobenius twists run forward only, got ell"
+                               " = %d" % ell)
         return TateSeries(self.ctx, [c.pow_q(ell) for c in self.coeffs],
                           self.t_prec)
 
@@ -345,6 +349,8 @@ class TateRational(FactoredFrac):
         return self.num.scale(c)
 
     def twist(self, ell):
+        """f^(ell): the numerator twisted (ell < 0 raises there), each
+        pole moved from e to e + ell."""
         return TateRational(self.ctx, self.num.twist(ell),
                             {e + ell: mlt for e, mlt in self.den.items()})
 

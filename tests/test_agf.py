@@ -2,6 +2,7 @@
 deformed logarithm, the generating function, omega and the period."""
 
 import importlib
+import random
 from math import inf as INF
 
 import pytest
@@ -88,16 +89,29 @@ def test_x_phi_norm_matches_closed_form():
 
 # -- the b-sequence --
 
+def sparse_module(q, support):
+    """A module over F_q with A_i = theta + 1 (i odd) or 1 (i even) on
+    the support and A_i = 0 off it."""
+    ctx = SeriesParams(FieldParams.make(q), 1, 48)
+    return DrinfeldModule(ctx, [
+        (ctx.theta() + ctx.one() if i % 2 else ctx.one())
+        if i in support else ctx.zero()
+        for i in range(1, max(support) + 1)])
+
+
 @pytest.mark.parametrize("make", [
     lambda: carlitz(CTX2),
     rank2_q2,
     rank3_q2,
     lambda: DrinfeldModule(CTX3P, [CTX3P.theta(), CTX3P.one()]),
-])
+] + [lambda q=q, sup=sup: sparse_module(q, sup)
+     for q in (2, 3, 5, 9) for sup in ((2,), (3,), (2, 3), (1, 4))])
 def test_b_routes_agree(make):
+    """The routes agree as values.  On sparse supports the twist route's
+    fractions may keep removable poles, so pole dicts are not compared."""
     phi = make()
-    seqs = {route: b_seq(phi, 5, route) for route in B_ROUTES}
-    for n in range(6):
+    seqs = {route: b_seq(phi, 6, route) for route in B_ROUTES}
+    for n in range(7):
         a = seqs["definition"][n]
         for route in ("twist", "untwisted"):
             assert a.equals(seqs[route][n]), "route %s at n=%d" % (route, n)
@@ -150,6 +164,93 @@ def test_deformed_log_outside_radius_raises():
     with pytest.raises(OutsideRadius) as ei:
         DeformedLog(phi, CTX2.theta(2), 30)
     assert "logq_R" in str(ei.value)
+
+
+def _deformed_log_bytes(phi, xi, ucap, t_prec):
+    dl = DeformedLog(phi, xi, ucap)
+    return dl, (dl.series(t_prec).to_json(), dl.eval_theta().to_json(),
+                dl.twist_eval_theta(1).to_json())
+
+
+def _partition_sum_oracle(monkeypatch, phi, xi, ucap, t_prec):
+    """The same deformed logarithm with its b_n from the partition sum
+    (b_seq's definition route) instead of the twist recurrence."""
+    with monkeypatch.context() as mp:
+        mp.setattr(importlib.import_module("drinfeld.agf"), "b_seq",
+                   lambda p, n, route=None: b_seq(p, n, "definition"))
+        return _deformed_log_bytes(phi, xi, ucap, t_prec)
+
+
+def _random_deform_session(seed):
+    """q cycles through {2, 3, 4, 5, 9}; s <= 2, m <= 2, rank 1-3, a
+    random support containing the rank, coefficients c theta^k + 1
+    with c in F_q and k in {0, 1}, and xi = c theta^-k (+ theta^-4)
+    with c in F_(q^s), sometimes cut to a finite cap as torsion points
+    are."""
+    rng = random.Random(seed)
+    q = (2, 3, 4, 5, 9)[seed % 5]
+    s = rng.choice((1, 1, 2)) if q < 9 else 1
+    m = rng.choice((1, 2))
+    r = rng.randint(1, 3)
+    support = {r} | {i for i in range(1, r) if rng.random() < 0.5}
+    ctx = SeriesParams(FieldParams.make(q, s), m, 48)
+    A = []
+    for i in range(1, r + 1):
+        a = ctx.zero()
+        if i in support:
+            a = ctx.make({-m * rng.randint(0, 1): rng.randrange(1, q)})
+            a = a + ctx.one()
+            if a.is_exact_zero():
+                a = ctx.one()
+        A.append(a)
+    xi = ctx.make({m * rng.randint(1, 3): rng.randrange(1, q ** s)})
+    if rng.random() < 0.3:
+        xi = xi + ctx.theta(-4)
+    if rng.random() < 0.3:
+        xi = xi.truncate(rng.choice((20, 40, 70)))
+    return DrinfeldModule(ctx, A), xi
+
+
+def test_deformed_log_twist_route_matches_partition_sum(monkeypatch):
+    """The deformed logarithm builds its b_n by the twist recurrence.  On
+    seeded sessions its series, value at theta and twisted value print
+    the same bytes as with the partition sum, also where the two routes'
+    fractions carry different poles."""
+    cuts, dense, sparse, pole_diffs = set(), 0, 0, 0
+    for seed in range(60):
+        phi, xi = _random_deform_session(seed)
+        if len(phi.support) == phi.r:
+            dense += 1
+        else:
+            sparse += 1
+        for ucap in (16, 48, 128):
+            try:
+                dl, got = _deformed_log_bytes(phi, xi, ucap, 6)
+            except OutsideRadius:
+                break
+            oracle, want = _partition_sum_oracle(monkeypatch, phi, xi,
+                                                 ucap, 6)
+            assert got == want, "seed %d, ucap %d" % (seed, ucap)
+            cuts.add(dl.cut)
+            pole_diffs += any(a.den != b.den
+                              for a, b in zip(dl.terms, oracle.terms))
+    assert {2, 3, 4, 5, 6} <= cuts
+    assert dense and sparse and pole_diffs
+
+
+def test_deformed_log_removable_poles_print_nothing(monkeypatch):
+    """deform --q 2 --A "0;0;1" --xi theta^-1 --ucap 128 has cut 6, and
+    its b_4, b_5 carry more poles on the twist route than in the
+    partition sum; the printed bytes do not move."""
+    ctx = SeriesParams(FieldParams.make(2), 1, 48)
+    phi = DrinfeldModule(ctx, [ctx.zero(), ctx.zero(), ctx.one()])
+    xi = ctx.theta(-1)
+    dl, got = _deformed_log_bytes(phi, xi, 128, 16)
+    oracle, want = _partition_sum_oracle(monkeypatch, phi, xi, 128, 16)
+    assert dl.cut == 6
+    assert [n for n in range(6)
+            if dl.terms[n].den != oracle.terms[n].den] == [4, 5]
+    assert got == want
 
 
 def test_shift_identity_reuse():

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -12,7 +13,7 @@ import pytest
 
 from drinfeld import cli
 from drinfeld.errors import ConfigError
-from drinfeld.laurent import SeriesParams
+from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.ff import FieldParams
 from drinfeld.tate import TateRational, TateSeries
 from drinfeld.verify import preset_session
@@ -543,3 +544,64 @@ def test_parse_coeff_polys_units():
         cli.parse_coeff_polys("1;;1")
     with pytest.raises(ConfigError):
         cli.parse_coeff_polys("1;a")
+
+
+def _main_rows(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def _sparse_session_args(seed):
+    """A random module of rank 2-4 whose support misses at least one
+    index below the rank, over F_q with q cycling through {2, 3, 4, 5,
+    9}, s <= 2 and m <= 2, at xi = c theta^-k with c in F_(q^s)."""
+    rng = random.Random(seed)
+    q = (2, 3, 4, 5, 9)[seed % 5]
+    s = rng.choice((1, 2)) if q < 9 else 1
+    m = rng.choice((1, 2))
+    r = rng.randint(2, 4)
+    support = {r} | {i for i in range(1, r) if rng.random() < 0.4}
+    if len(support) == r:
+        support.discard(rng.randrange(1, r))
+    polys = []
+    for i in range(1, r + 1):
+        digits = [0]
+        if i in support:
+            digits = [rng.randrange(q) for _ in range(rng.randint(1, 2))]
+            digits[-1] = digits[-1] or 1
+        polys.append(",".join(map(str, digits)))
+    xi = "%d*theta^-%d" % (rng.randrange(1, q ** s), rng.randint(2, 3))
+    return (q, s, m), ["--q", str(q), "--s", str(s), "--m", str(m),
+                       "--A", ";".join(polys), "--xi", xi]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_sessions_cap_c_against_2c(seed):
+    """deform at ucap 2c and t-window 2T, cut back to c and T, prints
+    the series and the value at theta of deform at c and T; and
+    verify-mainthm holds every identity at both caps."""
+    (q, s, m), args = _sparse_session_args(seed)
+    ctx = SeriesParams(FieldParams.make(q, s), m)
+    c, T = random.Random(seed).choice((24, 48, 64)), 4
+
+    def cut(obj):
+        return LaurentElem.from_json(ctx, obj).truncate(c).to_json()
+
+    code_lo, (lo,) = _main_rows(["deform", *args, "--ucap", str(c),
+                                 "--tprec", str(T)])
+    code_hi, (hi,) = _main_rows(["deform", *args, "--ucap", str(2 * c),
+                                 "--tprec", str(2 * T)])
+    assert code_lo == code_hi == 0
+    assert lo["series"]["coeffs"] == [cut(x)
+                                      for x in hi["series"]["coeffs"][:T]]
+    assert lo["at_theta"] == cut(hi["at_theta"])
+    for cap, tprec in ((c, T), (2 * c, 2 * T)):
+        code, rows = _main_rows(["verify-mainthm", *args, "--ucap", str(cap),
+                                 "--tprec", str(tprec)])
+        assert code == 0 and rows[-1]["pass"] is True
+        for key in "bcde":
+            assert rows[0]["identities"][key]["holds"] is True
+            assert rows[0]["identities"][key]["u_val"] >= cap
+        assert rows[0]["identities"]["a"]["holds"] is True

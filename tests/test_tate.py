@@ -269,6 +269,14 @@ def test_twist_is_coefficientwise_frobenius():
         TateSeries(CTX3, [CTX3.theta(), CTX3.one()], 4).twist(-1)
 
 
+def test_series_twist_refuses_backward_on_zero():
+    """An empty series has no coefficient whose pow_q would refuse a
+    backward twist, so the series checks ell itself."""
+    with pytest.raises(InvalidInput):
+        TateSeries.zero(CTX3).twist(-1)
+    assert TateSeries.zero(CTX3).twist(0).coeffs == []
+
+
 def test_gauss_norm_known_values():
     th = CTX2.theta()
     f = t_poly(CTX2, [th * th, th.invert()])
@@ -366,6 +374,15 @@ def test_rational_twist_commutes_with_expansion():
     rhs = f.to_series(n).twist(2)
     assert (lhs - rhs).is_zero_to_prec()
     assert f.twist(1).den == {2: 1}
+
+
+def test_rational_twist_refuses_backward_on_zero_numerator():
+    """An exact-zero numerator keeps its poles; a backward twist must
+    not move them down (poles {3: 1} would become {1: 1} at ell = -2)."""
+    f = TateRational(CTX3, TateSeries.zero(CTX3), {3: 1})
+    with pytest.raises(InvalidInput):
+        f.twist(-2)
+    assert f.twist(1).den == {4: 1}
 
 
 def test_rational_equality_by_cross_multiplication():
