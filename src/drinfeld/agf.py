@@ -67,19 +67,15 @@ def b_seq(phi: DrinfeldModule, n, route="definition"):
             for k in phi.support:
                 if k > m:
                     continue
-                factor = TateRational(
-                    ctx, TateSeries.from_scalar(ctx, phi.A[k - 1]), {k: 1})
-                acc = acc + factor * out[m - k].twist(k)
+                acc = acc + (out[m - k].twist(k) * phi.A[k - 1]
+                             ).div_factor(k)
         else:
             acc = TateRational(ctx, TateSeries.zero(ctx))
             for k in phi.support:
                 if k > m:
                     continue
-                factor = TateRational(
-                    ctx,
-                    TateSeries.from_scalar(ctx, phi.A[k - 1].pow_q(m - k)),
-                    {m: 1})
-                acc = acc + factor * out[m - k]
+                acc = acc + (out[m - k] * phi.A[k - 1].pow_q(m - k)
+                             ).div_factor(m)
         out.append(acc)
     return out
 

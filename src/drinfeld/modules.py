@@ -73,10 +73,10 @@ def _den_elem(ctx, items):
 # Size rule, like _dict_mul's 512 pairs: a numerator of more terms is
 # lifted one (d + 1)-term digit factor at a time, not by the expanded
 # cofactor, whose single product would cost its size times the numerator's.
-# Timed per lift (Python 3.11, 2 vCPUs): the closed-forms benchmark's
-# lifts of at most this many terms take 0.21 s a pass expanded, 0.35 s by
-# factor; coeffs 8 --q 5 --check --route recurrence's larger ones 4.8 s
-# by factor, 38 s expanded.
+# Timed per lift (Python 3.11, 2 vCPUs): the 2,636 lifts of a closed-forms
+# benchmark pass (seed 1, none larger) take 0.35 s expanded, 0.54 s by
+# factor; the two larger ones of coeffs 8 --q 5 --check --route
+# recurrence (in the check) 7.0 s by factor, 39 s expanded.
 _LIFT_BY_FACTOR = 1024
 
 
@@ -119,11 +119,6 @@ class BracketFrac(FactoredFrac):
         if not extra or len(self.num.coeffs) > _LIFT_BY_FACTOR:
             return reduce(mul, factors, self.num)
         return self.num * reduce(mul, factors)
-
-    def div_bracket(self, e, mult=1):
-        merged = dict(self.den)
-        merged[e] = merged.get(e, 0) + mult
-        return BracketFrac(self.ctx, self.num, merged)
 
     def pow_q(self, k):
         """Forward twists only: the numerator's pow_q refuses k < 0."""
@@ -171,6 +166,40 @@ def _sum(ctx, terms):
     """The sum of bracket fractions, folded from zero in the given order;
     the order fixes the printed fraction, not its value."""
     return reduce(add, terms, BracketFrac.zero(ctx))
+
+
+def _fold_den(ctx, terms):
+    """The denominator of the left fold of b * a^(q^i) over terms, a
+    list of (b, a, i) with b and a nonzero: the max-merge of the terms'
+    denominators den(b) + q^i den(a), or None when some partial sum
+    before the last term may be exactly zero and so drop its own.
+
+    [e] has the leading u-term u^(-m q^e) with coefficient 1, so a
+    term's leading u-term follows from the leading terms of the
+    numerators of b and a; a partial sum is certainly nonzero when the
+    leading coefficients at its least exponent do not cancel."""
+    q, m, field = ctx.q, ctx.m, ctx.field
+    den, best, lead = {}, INF, 0
+    for n, (b, a, i) in enumerate(terms):
+        Q = q ** i
+        tden = dict(b.den)
+        for e, mlt in a.den.items():
+            tden[e] = tden.get(e, 0) + Q * mlt
+        for e, mlt in tden.items():
+            if mlt > den.get(e, 0):
+                den[e] = mlt
+        if n == len(terms) - 1:
+            break
+        vb, va = min(b.num.coeffs), min(a.num.coeffs)
+        v = vb + Q * va + m * (b.den_deg() + Q * a.den_deg())
+        c = field.mul(b.num.coeffs[vb], field.frob(a.num.coeffs[va], i))
+        if v < best:
+            best, lead = v, c
+        elif v == best:
+            lead = field.add(lead, c)
+            if not lead:
+                return None
+    return den
 
 
 def _fold(ctx, terms):
@@ -283,6 +312,9 @@ class DrinfeldModule:
                 seq.append(self._exp_step(seq, k))
 
     def _extend_beta(self, n, route):
+        """Extend the route's beta list to beta_n: partition sums, steps
+        of phi's log equation, or triangular steps (_inverse_step), which
+        read the equation route's beta_k."""
         seq = self._beta[route]
         while len(seq) <= n:
             k = len(seq)
@@ -293,12 +325,33 @@ class DrinfeldModule:
             elif route == "equation":
                 acc = self._log_step(seq, k)
             else:
-                # triangular inversion of sum_{i+j=k} beta_i alpha_j^(q^i) = 0
-                self._extend_alpha(k, "recurrence")
-                alpha = self._alpha["recurrence"]
-                acc = -_sum(self.ctx, (seq[i] * alpha[k - i].pow_q(i)
-                                       for i in range(k)))
+                acc = self._inverse_step(seq, k)
             seq.append(acc)
+
+    def _inverse_step(self, beta, k):
+        """beta_k as the fraction that the triangular inversion of
+        sum_{i+j=k} beta_i alpha_j^(q^i) = 0 prints, the left fold
+        -sum_{i<k} beta_i alpha_(k-i)^(q^i), given beta_0 .. beta_(k-1).
+        The fold's numerator is its value times its denominator D, so
+        where _fold_den finds D, beta_k is phi's log-equation value
+        lifted to D and no numerator is folded.  Where it refuses, or D
+        does not contain the equation value's denominator, the fold
+        runs."""
+        self._extend_alpha(k, "recurrence")
+        self._extend_beta(k, "equation")
+        ctx = self.ctx
+        eq = self._beta["equation"][k]
+        if eq.is_exact_zero():
+            return BracketFrac.zero(ctx)
+        alpha = self._alpha["recurrence"]
+        terms = [(beta[i], alpha[k - i], i) for i in range(k)
+                 if not (beta[i].is_exact_zero() or
+                         alpha[k - i].is_exact_zero())]
+        den = _fold_den(ctx, terms)
+        if den is None or any(mlt > den.get(e, 0)
+                              for e, mlt in eq.den.items()):
+            return -_sum(ctx, (b * a.pow_q(i) for b, a, i in terms))
+        return BracketFrac(ctx, eq._lift(den), den)
 
     def exp_coeffs(self, n, route="partitions"):
         """alpha_0 .. alpha_n.  Route "partitions" sums the closed form
@@ -312,10 +365,12 @@ class DrinfeldModule:
 
     def log_coeffs(self, n, route="partitions"):
         """beta_0 .. beta_n.  Route "partitions" sums the closed form,
-        "recurrence" inverts exp triangularly, and "equation" solves phi's
-        log equation (_log_step).  All three give the same values, as
-        fractions that may differ; the CLI prints the first two, and
-        "equation" serves the callers that read only values."""
+        "recurrence" prints the fraction of the triangular inversion of
+        exp (the equation value lifted to that fold's denominator,
+        _inverse_step), and "equation" solves phi's log equation
+        (_log_step).  All three give the same values, as fractions that
+        may differ; the CLI prints the first two, and "equation" serves
+        the callers that read only values."""
         if route not in self._beta:
             raise InvalidInput("unknown route %r" % route)
         check_index(n)
@@ -329,7 +384,7 @@ class DrinfeldModule:
         fraction coeffs --route recurrence prints."""
         return _sum(self.ctx, (alpha[k - i].pow_q(i) * self.A[i - 1]
                                for i in self.support if i <= k)
-                    ).div_bracket(k)
+                    ).div_factor(k)
 
     def _log_step(self, beta, k):
         """beta_k from log(phi_t z) = theta log z: -sum_i beta_(k-i)
@@ -337,7 +392,7 @@ class DrinfeldModule:
         beta_0 .. beta_(k-1)."""
         return (-_fold(self.ctx, (beta[k - i] * self.A[i - 1].pow_q(k - i)
                                   for i in self.support if i <= k))
-                ).div_bracket(k)
+                ).div_factor(k)
 
     def compose_check(self, n, route="partitions"):
         """phi's functional equations to depth n, exp(theta z) = phi_t(exp z)

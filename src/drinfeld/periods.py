@@ -254,7 +254,7 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
     total = ctx.zero(INF)
     zq = z.pow_q(j)
     for k in range(j, j + cut):
-        term = alpha[k - j].pow_q(j).div_bracket(k)
+        term = alpha[k - j].pow_q(j).div_factor(k)
         total = total + (term * zq).to_laurent(ucap)
         zq = zq.pow_q(1)
     return total.truncate(ucap)

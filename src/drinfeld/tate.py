@@ -316,6 +316,12 @@ class FactoredFrac:
     def _scale(self, c):
         return self.num * c
 
+    def div_factor(self, e):
+        """self / F_e: one more factor in the denominator."""
+        den = dict(self.den)
+        den[e] = den.get(e, 0) + 1
+        return type(self)(self.ctx, self.num, den)
+
     def equals(self, other):
         """Exact equality: the numerators lifted to the merged
         denominator agree.  Capped numerators are refused."""

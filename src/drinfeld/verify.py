@@ -108,9 +108,10 @@ def _coeff_instances():
 
 
 def check_coefficient_closed_forms():
-    """Partition closed forms for alpha_n, beta_n equal the recurrence
-    and triangular-inversion oracles exactly; the rank-1 specialization
-    gives 1/D_n and (-1)^n/([1]...[n])."""
+    """Partition closed forms for alpha_n, beta_n equal phi's exp
+    recurrence and the log-equation values on the triangular inversion's
+    denominators (the printed recurrence route) exactly; the rank-1
+    specialization gives 1/D_n and (-1)^n/([1]...[n])."""
     ok = True
     pairs = 0
     for ctx, phi in _coeff_instances():

@@ -9,6 +9,7 @@ from operator import add, mul
 
 import pytest
 
+from drinfeld import modules
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import LaurentElem, SeriesParams
@@ -434,6 +435,105 @@ def test_equation_beta_equals_both_printed_routes(q, s):
         assert phi.exp_coeffs(depth, "equation") == \
             phi.exp_coeffs(depth, "recurrence")
         assert phi.compose_check(depth, "equation")
+
+
+def _inverse_oracle(phi, n):
+    """beta_0 .. beta_n by the plain triangular inversion: beta_k =
+    -sum_{i<k} beta_i alpha_(k-i)^(q^i), folded from zero in order of i,
+    over the recurrence route's alpha."""
+    alpha = phi.exp_coeffs(n, "recurrence")
+    beta = [BracketFrac.one(phi.ctx)]
+    for k in range(1, n + 1):
+        beta.append(-reduce(add, (beta[i] * alpha[k - i].pow_q(i)
+                                  for i in range(k)),
+                            BracketFrac.zero(phi.ctx)))
+    return beta
+
+
+def _watch_fold_den(monkeypatch):
+    """A list that records each _fold_den result of _inverse_step."""
+    seen = []
+    real = modules._fold_den
+
+    def watched(ctx, terms):
+        seen.append(real(ctx, terms))
+        return seen[-1]
+
+    monkeypatch.setattr(modules, "_fold_den", watched)
+    return seen
+
+
+def _assert_inverse_matches_oracle(phi, n):
+    got = phi.log_coeffs(n, "recurrence")
+    want = _inverse_oracle(DrinfeldModule(phi.ctx, phi.A), n)
+    for k in range(n + 1):
+        assert got[k].den == want[k].den, (phi.support, k)
+        assert got[k].num == want[k].num, (phi.support, k)
+
+
+def _random_sparse_module(ctx, r, rng):
+    """Rank r over F_(q^s): each A_i below the top is zero with
+    probability 1/2, else a random polynomial of degree <= 1."""
+    order, m = ctx.field.order, ctx.m
+    A = []
+    for i in range(1, r + 1):
+        if i < r and rng.random() < 0.5:
+            A.append(ctx.zero())
+            continue
+        poly = {-m * j: rng.randrange(order) for j in range(2)}
+        poly[-m * rng.randrange(2)] = rng.randrange(1, order)
+        A.append(ctx.make(poly))
+    return DrinfeldModule(ctx, A)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q,depth", [(2, 7), (3, 5), (4, 4), (5, 4),
+                                     (9, 3)])
+def test_printed_inverse_equals_folded_inverse(q, depth, s, m, monkeypatch):
+    """The printed triangular beta_k (the log-equation beta lifted to the
+    fold's denominator, or the fold itself where the guard refuses) has
+    the plain fold's denominator and numerator, on seeded modules of
+    ranks 1-4 with sparse supports."""
+    seen = _watch_fold_den(monkeypatch)
+    rng = random.Random(1800 + 100 * q + 10 * s + m)
+    ctx = SeriesParams(FieldParams.make(q, s), m, 48)
+    for r in (1, 2, 3, 4):
+        _assert_inverse_matches_oracle(_random_sparse_module(ctx, r, rng),
+                                       depth)
+    assert any(den is not None for den in seen)
+
+
+@pytest.mark.parametrize("q,A,n,refused", [
+    (2, ((1,), (0,), (1, 1), (1,)), 7, 3),
+    (4, ((2,), (0,), (3, 1), (2,)), 4, 1),
+])
+def test_inverse_guard_falls_back_to_the_fold(q, A, n, refused, monkeypatch):
+    """On these sessions some partial sums of the triangular fold cannot
+    be shown nonzero from their leading terms; those steps run the fold,
+    and every printed fraction is the fold's."""
+    seen = _watch_fold_den(monkeypatch)
+    ctx = SeriesParams(FieldParams.make(q), 1, 64)
+    phi = DrinfeldModule(ctx, [ctx.from_poly(c) for c in A])
+    _assert_inverse_matches_oracle(phi, n)
+    assert len(seen) == n
+    assert sum(den is None for den in seen) == refused
+
+
+def test_fold_den_refuses_a_cancelling_partial_sum():
+    """x + (-x) + y: the fold's middle partial sum is exactly zero and
+    drops den(x), so the guard refuses; without the cancellation it
+    returns the max-merge, q^i times den(a) included."""
+    ctx = CTX3
+    one = BracketFrac.one(ctx)
+    x = BracketFrac(ctx, ctx.theta(), {1: 2})
+    y = BracketFrac(ctx, ctx.one(), {2: 1})
+    assert modules._fold_den(ctx, [(x, one, 0), (-x, one, 0),
+                                   (y, one, 0)]) is None
+    assert modules._fold_den(ctx, [(x, one, 0), (x, one, 0),
+                                   (y, one, 0)]) == {1: 2, 2: 1}
+    assert modules._fold_den(ctx, [(y, one, 0), (one, x, 1)]) == \
+        {1: 6, 2: 1}
 
 
 def _eval_reading(phi, route, xi, cap):
