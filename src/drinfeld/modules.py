@@ -17,7 +17,7 @@ shares with TateRational, and drops the denominator of an exact zero.
 from fractions import Fraction
 from functools import reduce
 from math import comb, inf as INF
-from operator import add, mul
+from operator import add
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
@@ -50,34 +50,21 @@ def check_index(n):
         raise InvalidInput("n must be a non-negative integer, got %d" % n)
 
 
-def _den_factors(ctx, items):
-    """The factors of prod [e]^mult: each base-q digit d of mult at place
-    k gives ([e]^(q^k))^d, a Frobenius power of a two-term binomial
-    raised to d < q, written out directly as its d + 1 terms
+def _den_elem(ctx, items):
+    """Expand prod [e]^mult exactly: each base-q digit d of mult at place
+    k gives the factor ([e]^(q^k))^d, a Frobenius power of a two-term
+    binomial raised to d < q, written out directly as its d + 1 terms
     (_bracket_power)."""
     q = ctx.q
+    out = ctx.one()
     for e, mult in items:
         k = 0
         while mult:
             mult, d = divmod(mult, q)
             if d:
-                yield _bracket_power(ctx, e, k, d)
+                out = out * _bracket_power(ctx, e, k, d)
             k += 1
-
-
-def _den_elem(ctx, items):
-    """Expand prod [e]^mult exactly, as the product of its factors."""
-    return reduce(mul, _den_factors(ctx, items), ctx.one())
-
-
-# Size rule, like _dict_mul's 512 pairs: a numerator of more terms is
-# lifted one (d + 1)-term digit factor at a time, not by the expanded
-# cofactor, whose single product would cost its size times the numerator's.
-# Timed per lift (Python 3.11, 2 vCPUs): the 2,636 lifts of a closed-forms
-# benchmark pass (seed 1, none larger) take 0.35 s expanded, 0.54 s by
-# factor; the two larger ones of coeffs 8 --q 5 --check --route
-# recurrence (in the check) 7.0 s by factor, 39 s expanded.
-_LIFT_BY_FACTOR = 1024
+    return out
 
 
 class BracketFrac(FactoredFrac):
@@ -108,17 +95,15 @@ class BracketFrac(FactoredFrac):
         return _den_elem(self.ctx, tuple(sorted(self.den.items())))
 
     def _lift(self, target):
-        """Numerator after lifting to the denominator multiset target.  An
-        exact zero stays as it is: no denominator is expanded for it."""
-        if self.num.is_exact_zero():
-            return self.num
+        """Numerator after lifting to the denominator multiset target: times
+        the expanded cofactor prod [e]^(target - den).  An exact zero, or
+        a fraction already over target, returns its numerator as it is."""
         extra = tuple(sorted((e, m - self.den.get(e, 0))
                              for e, m in target.items()
                              if m - self.den.get(e, 0) > 0))
-        factors = _den_factors(self.ctx, extra)
-        if not extra or len(self.num.coeffs) > _LIFT_BY_FACTOR:
-            return reduce(mul, factors, self.num)
-        return self.num * reduce(mul, factors)
+        if not extra or self.num.is_exact_zero():
+            return self.num
+        return self.num * _den_elem(self.ctx, extra)
 
     def pow_q(self, k):
         """Forward twists only: the numerator's pow_q refuses k < 0."""
@@ -200,12 +185,6 @@ def _fold_den(ctx, terms):
             if not lead:
                 return None
     return den
-
-
-def _fold(ctx, terms):
-    """The sum of a few bracket fractions, folded from zero in ascending
-    order of denominator degree."""
-    return _sum(ctx, sorted(terms, key=BracketFrac.den_deg))
 
 
 class ConvergenceData:
@@ -389,9 +368,11 @@ class DrinfeldModule:
     def _log_step(self, beta, k):
         """beta_k from log(phi_t z) = theta log z: -sum_i beta_(k-i)
         A_i^(q^(k-i)) / [k] over the i <= k in the support, given
-        beta_0 .. beta_(k-1)."""
-        return (-_fold(self.ctx, (beta[k - i] * self.A[i - 1].pow_q(k - i)
-                                  for i in self.support if i <= k))
+        beta_0 .. beta_(k-1).  The sum is a left fold in support order,
+        as in _exp_step; no route prints this fraction (_inverse_step
+        lifts only its value)."""
+        return (-_sum(self.ctx, (beta[k - i] * self.A[i - 1].pow_q(k - i)
+                                 for i in self.support if i <= k))
                 ).div_factor(k)
 
     def compose_check(self, n, route="partitions"):
@@ -400,17 +381,18 @@ class DrinfeldModule:
         sum_i A_i alpha_(k-i)^(q^i) and beta_k [k] = -sum_i beta_(k-i)
         A_i^(q^(k-i)).  With alpha_0 = beta_0 = 1 they fix alpha and beta
         uniquely, so log o exp = 1 mod tau^(n+1) follows; the converse
-        fails (another module's coefficients compose to 1 too).  Each
-        half is the step that builds its coefficients from the equation,
-        _exp_step and _log_step, compared by value (equals); on
-        route="recurrence" the alpha equation is the definition, and on
-        route="equation" both are; they stay, as they catch a corrupted
-        cached coefficient."""
-        alpha = self.exp_coeffs(n, route)
-        beta = self.log_coeffs(n, route)
-        return all(self._exp_step(alpha, k).equals(alpha[k]) and
-                   self._log_step(beta, k).equals(beta[k])
-                   for k in range(1, n + 1))
+        fails (another module's coefficients compose to 1 too).  By that
+        uniqueness the check solves both equations from scratch, in a
+        fresh module whose lists no route cache shares, and compares
+        every printed alpha_k and beta_k, k = 0 included, with its
+        solution by value (equals).  So it also catches a corrupted
+        cached coefficient on every route, including route "equation" and
+        the recurrence route's alpha, which is the equation list."""
+        fresh = DrinfeldModule(self.ctx, self.A)
+        pairs = zip(self.exp_coeffs(n, route) + self.log_coeffs(n, route),
+                    fresh.exp_coeffs(n, "equation") +
+                    fresh.log_coeffs(n, "equation"))
+        return all(f.equals(g) for f, g in pairs)
 
     # -- convergence --
 

@@ -13,6 +13,8 @@ contains an element >= n-i... precisely, adjoining n-i to S_i maps
 P_r(n-i) into P_r(n), and the images partition P_r(n)).
 """
 
+from collections import deque
+
 from .errors import InvalidInput
 
 
@@ -100,27 +102,24 @@ def _lex_key(r, n):
     return key
 
 
-def _enumerate_masks(r, n, rows, memo):
+def _enumerate_masks(r, n, rows):
     """Mask tuples of P_r(n) whose nonempty sets all have their index in
-    rows: n-i is adjoined to S_i only for i in rows."""
-    if n < 0:
-        return []
-    if n == 0:
-        return [(0,) * r]
-    got = memo.get(n)
-    if got is not None:
-        return got
-    out = []
-    for i in range(1, min(r, n) + 1):
-        if i not in rows:
-            continue
-        bit = 1 << (n - i)
-        for masks in _enumerate_masks(r, n - i, rows, memo):
-            lst = list(masks)
-            lst[i - 1] |= bit
-            out.append(tuple(lst))
-    memo[n] = out
-    return out
+    rows: level k adjoins k-i to S_i, for i in rows, to each tuple of
+    level k-i.  Built bottom up from level 0 = {(0, ..., 0)}, keeping
+    only the last r levels, so no depth of n recurses."""
+    levels = deque([[(0,) * r]], maxlen=r)
+    for k in range(1, n + 1):
+        out = []
+        for i in range(1, min(r, k) + 1):
+            if i not in rows:
+                continue
+            bit = 1 << (k - i)
+            for masks in levels[-i]:
+                lst = list(masks)
+                lst[i - 1] |= bit
+                out.append(tuple(lst))
+        levels.append(out)
+    return levels[-1]
 
 
 def enumerate_partitions(r, n, support=None):
@@ -133,7 +132,7 @@ def enumerate_partitions(r, n, support=None):
         return []
     rows = range(1, r + 1) if support is None else set(support)
     return [ShadowedPartition(r, n, masks)
-            for masks in sorted(_enumerate_masks(r, n, rows, {}),
+            for masks in sorted(_enumerate_masks(r, n, rows),
                                 key=_lex_key(r, n))]
 
 

@@ -34,12 +34,11 @@ PRESETS = {
 PRESET_ORDER = ("carlitz-q2", "carlitz-q3", "rank2-q2", "rank3-q2")
 
 
-def preset_session(name, prec=None, m=None, s=None):
-    """(ctx, phi) for a preset; m, s, prec may be overridden."""
+def preset_session(name, prec=None):
+    """(ctx, phi) for a preset; prec may be overridden."""
     cfg = PRESETS[name]
-    s = cfg["s"] if s is None else s
-    m = cfg["m"] if m is None else m
-    fp = FieldParams.make(cfg["q"], s)
+    m = cfg["m"]
+    fp = FieldParams.make(cfg["q"], cfg["s"])
     ctx = SeriesParams(fp, m, prec if prec is not None else 64 * m)
     A = [ctx.from_poly(c) for c in cfg["A"]]
     return ctx, DrinfeldModule(ctx, A)

@@ -16,7 +16,6 @@ from drinfeld.errors import ConfigError
 from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.ff import FieldParams
 from drinfeld.tate import TateRational, TateSeries
-from drinfeld.verify import preset_session
 
 
 def run_cli(*args, config_text=None, tmp_path=None):
@@ -173,6 +172,8 @@ EXIT_CODES = [
     (("deform", "--xi", "theta^x"), 2, "bad power in term 'theta^x'"),
     (("deform", "--xi", "1*t"), 2, "unrecognized term 't'"),
     (("coeffs", "2", "--rank", "1"), 2, "unrecognized arguments: --rank 1"),
+    (("partitions", "1", "1000"), 0, ""),
+    (("partitions", "2", "2000", "--support", "2"), 0, ""),
 ]
 
 
@@ -207,8 +208,8 @@ def test_coeffs_check_q5_depth_8():
 
 def test_coeffs_check_q5_recurrence_depth_7():
     """The functional-equation check on the recurrence route at depth 7
-    over F_5 runs to the end; its lifts include numerators above the
-    factor-by-factor threshold."""
+    over F_5 runs to the end; it compares printed betas of thousands of
+    numerator terms with the fresh equation values."""
     proc = run_cli("coeffs", "7", "--q", "5", "--check", "--route",
                    "recurrence")
     assert proc.returncode == 0
@@ -227,11 +228,6 @@ def test_nonpositive_s_exit_2_names_s(s):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "s must be >= 1" in proc.stderr
-
-
-def test_preset_session_rejects_nonpositive_s():
-    with pytest.raises(ConfigError, match="s must be >= 1"):
-        preset_session("carlitz-q2", s=0)
 
 
 def test_s_1_is_the_default_field():

@@ -5,16 +5,16 @@ import random
 from fractions import Fraction
 from functools import reduce
 from math import inf as INF
-from operator import add, mul
+from operator import add
 
 import pytest
 
 from drinfeld import modules
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
-from drinfeld.laurent import LaurentElem, SeriesParams
-from drinfeld.modules import (_LIFT_BY_FACTOR, BracketFrac, DrinfeldModule,
-                              _den_elem, _den_factors, bracket, carlitz)
+from drinfeld.laurent import SeriesParams
+from drinfeld.modules import (BracketFrac, DrinfeldModule, _den_elem, bracket,
+                              carlitz)
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.tate import TateRational, TateSeries
 
@@ -213,16 +213,28 @@ def test_frac_equality_matches_cross_multiplication(q):
                 assert ok is expect
 
 
+def _lift_by_factor(ctx, num, items):
+    """num times prod [e]^mult, one (d + 1)-term digit factor
+    ([e]^(q^k))^d at a time, never expanding the cofactor."""
+    q = ctx.q
+    for e, mult in items:
+        k = 0
+        while mult:
+            mult, d = divmod(mult, q)
+            if d:
+                num = num * modules._bracket_power(ctx, e, k, d)
+            k += 1
+    return num
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_lift_by_factor_matches_expanded_lift(q):
-    """_lift multiplies a numerator of more than _LIFT_BY_FACTOR terms by
-    the digit factors one at a time, and a smaller one by the expanded
-    cofactor; on seeded numerators on both sides of the threshold the two
-    forms and _lift agree."""
+    """_lift multiplies the numerator by the expanded cofactor; on seeded
+    numerators of 128 to 2,048 terms it equals the factor-by-factor
+    product."""
     rng = random.Random(60 + q)
     ctx = SeriesParams(FieldParams.make(q), 1, 32)
-    for size in (_LIFT_BY_FACTOR // 8, _LIFT_BY_FACTOR,
-                 _LIFT_BY_FACTOR + 1, 2 * _LIFT_BY_FACTOR):
+    for size in (128, 1024, 1025, 2048):
         exps = rng.sample(range(-4 * size, 4 * size), size)
         num = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps})
         da, db = _bracket_sets(rng, q)
@@ -232,43 +244,8 @@ def test_lift_by_factor_matches_expanded_lift(q):
                              if m > da.get(e, 0)))
         assert extra
         expanded = num * _den_elem(ctx, extra)
-        assert reduce(mul, _den_factors(ctx, extra), num) == expanded, size
+        assert _lift_by_factor(ctx, num, extra) == expanded, size
         assert frac._lift(target) == expanded, size
-
-
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_lift_route_follows_numerator_size(q, monkeypatch):
-    """The two lift routes differ only in cost, so this watches the
-    products: above _LIFT_BY_FACTOR terms the running numerator is
-    multiplied by each digit factor (at most q terms) in turn; at or
-    below it the numerator enters one product, the last, with the
-    expanded cofactor."""
-    rng = random.Random(70 + q)
-    ctx = SeriesParams(FieldParams.make(q), 1, 32)
-    da, extra = {1: 1}, ((1, q), (2, q + 1), (3, 1))
-    target = {e: da.get(e, 0) + m for e, m in extra}
-    factors = list(_den_factors(ctx, extra))
-    assert len(factors) >= 3 and all(len(f.coeffs) <= q for f in factors)
-    products = []
-    laurent_mul = LaurentElem.__mul__
-
-    def watched(a, b):
-        products.append((a, b))
-        return laurent_mul(a, b)
-
-    monkeypatch.setattr(LaurentElem, "__mul__", watched)
-    for size in (_LIFT_BY_FACTOR, _LIFT_BY_FACTOR + 1):
-        exps = rng.sample(range(-4 * size, 4 * size), size)
-        num = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps})
-        del products[:]
-        BracketFrac(ctx, num, da)._lift(target)
-        if size > _LIFT_BY_FACTOR:
-            assert [b for _, b in products] == factors
-            assert products[0][0] is num
-        else:
-            assert [a is num for a, _ in products] == \
-                [False] * (len(factors) - 1) + [True]
-            assert products[-1][1] == _den_elem(ctx, extra)
 
 
 def test_frac_pow_q_scales_denominator():
@@ -574,8 +551,8 @@ def test_eval_reads_values_not_fractions(q, s):
 
 
 def _perturbed_compose_check(make, route, which, seed):
-    """compose_check after one cached alpha_k or beta_k numerator is
-    moved by a monomial."""
+    """compose_check after one cached alpha_k or beta_k numerator, k in
+    0..n, is moved by a monomial."""
     phi = make()
     ctx = phi.ctx
     n = 4
@@ -583,7 +560,7 @@ def _perturbed_compose_check(make, route, which, seed):
     phi.log_coeffs(n, route)
     rng = random.Random(seed)
     seq = (phi._alpha if which == "alpha" else phi._beta)[route]
-    k = rng.randrange(1, n + 1)
+    k = rng.randrange(n + 1)
     f = seq[k]
     bump = ctx.monomial(rng.randrange(1, ctx.field.order),
                         rng.randrange(-12, 4))
@@ -605,6 +582,53 @@ def _perturbed_compose_check(make, route, which, seed):
 def test_composition_catches_a_wrong_coefficient(make, route, which):
     for seed in range(3):
         assert _perturbed_compose_check(make, route, which, seed) is False
+
+
+def _equation_step_oracle(phi, n, route):
+    """The functional-equation check as each step of phi's equations
+    applied to the printed coefficients: alpha_0 = beta_0 = 1, and for
+    1 <= k <= n, alpha_k = _exp_step(alpha, k) and beta_k =
+    _log_step(beta, k), compared by value."""
+    alpha = phi.exp_coeffs(n, route)
+    beta = phi.log_coeffs(n, route)
+    one = BracketFrac.one(phi.ctx)
+    return (alpha[0].equals(one) and beta[0].equals(one) and
+            all(phi._exp_step(alpha, k).equals(alpha[k]) and
+                phi._log_step(beta, k).equals(beta[k])
+                for k in range(1, n + 1)))
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q,depth", [(2, 6), (3, 5), (4, 4), (5, 4),
+                                     (9, 3)])
+def test_check_matches_the_step_oracle(q, depth, s):
+    """compose_check, which compares the printed coefficients with a
+    fresh solution of phi's equations, gives the step oracle's verdict on
+    the true coefficients and on coefficients with one alpha_k or beta_k
+    (k in 0..n) moved by a monomial, on seeded modules of ranks 1-4 with
+    sparse supports, on both printed routes."""
+    rng = random.Random(1900 + 10 * q + s)
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 48)
+    verdicts = set()
+    for r in (1, 2, 3, 4):
+        A = _random_sparse_module(ctx, r, rng).A
+        for route in ("partitions", "recurrence"):
+            for which in (None, "_alpha", "_beta"):
+                phi = DrinfeldModule(ctx, A)
+                phi.exp_coeffs(depth, route)
+                phi.log_coeffs(depth, route)
+                if which is not None:
+                    seq = getattr(phi, which)[route]
+                    k = rng.randrange(depth + 1)
+                    bump = ctx.monomial(rng.randrange(1, ctx.field.order),
+                                        rng.randrange(-12, 4))
+                    seq[k] = BracketFrac(ctx, seq[k].num + bump, seq[k].den)
+                got = phi.compose_check(depth, route)
+                assert got == _equation_step_oracle(phi, depth, route), \
+                    (phi.support, route, which)
+                assert got is (which is None)
+                verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("route", ["partitions", "recurrence"])
