@@ -66,10 +66,6 @@ class ResidueSplittingError(PreconditionError):
         self.required_s = required_s
 
 
-class EvalAtPole(PreconditionError):
-    """Evaluation point coincides with a pole."""
-
-
 class IndeterminateNorm(PreconditionError):
     """Gauss norm cannot be certified from the known coefficients."""
 

@@ -297,18 +297,6 @@ class LaurentElem:
                                 {e: mul(c, x) for e, x in self.coeffs.items()},
                                 self.cap)
 
-    def pow(self, n):
-        if n < 0:
-            return self.invert().pow(-n)
-        result = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def truncate(self, cap):
         if cap >= self.cap:
             return self

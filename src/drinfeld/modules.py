@@ -117,13 +117,6 @@ class BracketFrac(FactoredFrac):
     def is_exact_zero(self):
         return self.num.is_exact_zero()
 
-    def deg(self):
-        """log_q of the absolute value as a Fraction; None for zero."""
-        d = self.num.deg()
-        if d is None:
-            return None
-        return d - self.den_deg()
-
     def den_deg(self):
         """Degree in theta of the expanded denominator: sum m q^e."""
         q = self.ctx.q
@@ -238,7 +231,6 @@ class DrinfeldModule:
                       "recurrence": [BracketFrac.one(ctx)],
                       "equation": [BracketFrac.one(ctx)]}
         self._da = [Fraction(0)]
-        self._a_powers = {}
 
     # -- the module action --
 
@@ -251,61 +243,57 @@ class DrinfeldModule:
     # -- exp/log coefficients --
 
     def _a_power(self, sp):
-        """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse;
-        memoised on sp.masks, since the exp and log terms visit the same
-        partitions, and so does the definition route of b_n (agf.x_phi)
-        where `bseq --route definition` and verify run it."""
-        out = self._a_powers.get(sp.masks)
-        if out is None:
-            out = self.ctx.one()
-            for i, mask in enumerate(sp.masks, start=1):
-                for j in iter_bits(mask):
-                    out = out * self.A[i - 1].pow_q(j)
-            self._a_powers[sp.masks] = out
+        """A^S = prod_i prod_{j in S_i} A_i^(q^j), exact and sparse, built
+        afresh on each call: the partition walk (_extend_partitions) and
+        the definition route of b_n (agf.x_phi) each need it once per
+        partition they visit."""
+        out = self.ctx.one()
+        for i, mask in enumerate(sp.masks, start=1):
+            for j in iter_bits(mask):
+                out = out * self.A[i - 1].pow_q(j)
         return out
 
-    def exp_term(self, sp, n):
-        """A^S / D_n(S), D_n(S) = prod_{j in union} [n-j]^(q^j)."""
-        den = {}
-        for j in iter_bits(sp.union_mask()):
-            den[n - j] = self.ctx.q ** j
-        return BracketFrac(self.ctx, self._a_power(sp), den)
-
-    def log_term(self, sp):
-        """A^S / L(S), L(S) = prod_i prod_{j in S_i} (-[i+j])."""
-        den = sp.pair_sums()
-        num = self._a_power(sp)
-        if sum(den.values()) % 2:
-            num = -num
-        return BracketFrac(self.ctx, num, den)
+    def _extend_partitions(self, n):
+        """Extend the partition route's alpha and beta lists to index n
+        in one walk over P_r(k) per depth k.  Each partition's A^S is
+        built once and enters alpha_k as A^S / D_k(S), D_k(S) =
+        prod_{j in union} [k-j]^(q^j), and beta_k as A^S / L(S), L(S) =
+        prod_i prod_{j in S_i} (-[i+j]).  Both sums are left folds from
+        zero in enumeration order, which fixes the printed fractions;
+        nothing per partition is kept."""
+        ctx, q = self.ctx, self.ctx.q
+        alpha, beta = self._alpha["partitions"], self._beta["partitions"]
+        for k in range(len(alpha), n + 1):
+            a = b = BracketFrac.zero(ctx)
+            for sp in enumerate_partitions(self.r, k, support=self.support):
+                num = self._a_power(sp)
+                a = a + BracketFrac(ctx, num, {k - j: q ** j for j in
+                                               iter_bits(sp.union_mask())})
+                den = sp.pair_sums()
+                b = b + BracketFrac(ctx, -num if sum(den.values()) % 2
+                                    else num, den)
+            alpha.append(a)
+            beta.append(b)
 
     def _extend_alpha(self, n, route):
+        if route == "partitions":
+            self._extend_partitions(n)
+            return
         seq = self._alpha[route]
         while len(seq) <= n:
-            k = len(seq)
-            if route == "partitions":
-                seq.append(_sum(self.ctx, (
-                    self.exp_term(sp, k) for sp in
-                    enumerate_partitions(self.r, k, support=self.support))))
-            else:
-                seq.append(self._exp_step(seq, k))
+            seq.append(self._exp_step(seq, len(seq)))
 
     def _extend_beta(self, n, route):
-        """Extend the route's beta list to beta_n: partition sums, steps
-        of phi's log equation, or triangular steps (_inverse_step), which
-        read the equation route's beta_k."""
+        """Extend the route's beta list to beta_n: partition sums (with
+        alpha, in one walk), steps of phi's log equation, or triangular
+        steps (_inverse_step), which read the equation route's beta_k."""
+        if route == "partitions":
+            self._extend_partitions(n)
+            return
         seq = self._beta[route]
+        step = self._log_step if route == "equation" else self._inverse_step
         while len(seq) <= n:
-            k = len(seq)
-            if route == "partitions":
-                acc = _sum(self.ctx, (
-                    self.log_term(sp) for sp in
-                    enumerate_partitions(self.r, k, support=self.support)))
-            elif route == "equation":
-                acc = self._log_step(seq, k)
-            else:
-                acc = self._inverse_step(seq, k)
-            seq.append(acc)
+            seq.append(step(seq, len(seq)))
 
     def _inverse_step(self, beta, k):
         """beta_k as the fraction that the triangular inversion of
@@ -343,13 +331,14 @@ class DrinfeldModule:
         return self._alpha[route][:n + 1]
 
     def log_coeffs(self, n, route="partitions"):
-        """beta_0 .. beta_n.  Route "partitions" sums the closed form,
-        "recurrence" prints the fraction of the triangular inversion of
-        exp (the equation value lifted to that fold's denominator,
-        _inverse_step), and "equation" solves phi's log equation
-        (_log_step).  All three give the same values, as fractions that
-        may differ; the CLI prints the first two, and "equation" serves
-        the callers that read only values."""
+        """beta_0 .. beta_n.  Route "partitions" sums the closed form in
+        the same walk over the shadowed partitions as alpha
+        (_extend_partitions), "recurrence" prints the fraction of the
+        triangular inversion of exp (the equation value lifted to that
+        fold's denominator, _inverse_step), and "equation" solves phi's
+        log equation (_log_step).  All three give the same values, as
+        fractions that may differ; the CLI prints the first two, and
+        "equation" serves the callers that read only values."""
         if route not in self._beta:
             raise InvalidInput("unknown route %r" % route)
         check_index(n)

@@ -251,13 +251,8 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
     d = z.deg()
     cut = phi.exp_tail_cut(d - 1, -(-ucap // ctx.q ** j))
     alpha = phi.exp_coeffs(cut - 1, "equation")
-    total = ctx.zero(INF)
-    zq = z.pow_q(j)
-    for k in range(j, j + cut):
-        term = alpha[k - j].pow_q(j).div_factor(k)
-        total = total + (term * zq).to_laurent(ucap)
-        zq = zq.pow_q(1)
-    return total.truncate(ucap)
+    fracs = [a.pow_q(j).div_factor(n + j) for n, a in enumerate(alpha)]
+    return phi._eval_series(fracs, cut, z.pow_q(j), ucap)
 
 
 def _exp_deg_sup(phi, d, val_target):
@@ -400,13 +395,11 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
 
 
 def carlitz_period_routes(ctx, ucap):
-    """pi by the product formula, as minus the residue of omega, and
-    through the torsion route theta log(lambda); the latter matches up
-    to a unit in F_q*."""
+    """pi by the product formula and through the torsion route
+    theta log(lambda); the latter matches up to a unit in F_q*."""
     from .modules import carlitz as _carlitz
     om = OmegaCarlitz(ctx, ucap + 2 * ctx.m, 6)
     via_product = om.pi_tilde("factored").truncate(ucap)
-    via_residue = (-om.theta_pole_form().residue).truncate(ucap)
     phi = _carlitz(ctx)
     tors = torsion_roots(phi, ucap + 2 * ctx.m)
     lam = tors.basis[0]
@@ -415,5 +408,5 @@ def carlitz_period_routes(ctx, ucap):
     c = ratio.coeffs.get(0, 0)
     unit_ok = bool(c) and ctx.field.in_base(c) and not (
         ratio - ctx.scalar(c)).coeffs
-    return {"product": via_product, "residue": via_residue,
-            "torsion": via_torsion, "unit": c, "unit_ok": unit_ok}
+    return {"product": via_product, "torsion": via_torsion, "unit": c,
+            "unit_ok": unit_ok}

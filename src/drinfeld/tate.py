@@ -30,8 +30,7 @@ residue split off exactly.
 from math import inf as INF
 from operator import xor
 
-from .errors import (EvalAtPole, IndeterminateNorm, InvalidInput,
-                     TailNotNegligible)
+from .errors import IndeterminateNorm, InvalidInput, TailNotNegligible
 from .laurent import LaurentElem
 
 
@@ -368,17 +367,6 @@ class TateRational(FactoredFrac):
 
     def to_series(self, t_prec):
         return expand_sum(self.ctx, [self], t_prec)
-
-    def eval(self, z: LaurentElem):
-        """Exact evaluation away from the poles."""
-        num = self.num.eval(z)
-        den = self.ctx.one()
-        for e, mlt in sorted(self.den.items()):
-            d = z - self.ctx.theta().pow_q(e)
-            if d.is_exact_zero():
-                raise EvalAtPole("evaluation point hits the pole at e=%d" % e)
-            den = den * d.pow(mlt)
-        return num * den.invert()
 
     def to_json(self):
         return {"numer": self.num.to_json(),

@@ -10,6 +10,8 @@ from drinfeld.errors import (DivideByZero, InvalidInput, PrecisionExhausted,
 from drinfeld.ff import FieldParams, field_for
 from drinfeld.laurent import LaurentElem, SeriesParams, _dict_mul
 
+from oracles import laurent_pow
+
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
 CTX4 = SeriesParams(FieldParams.make(4, 2), 3, 36)
@@ -131,7 +133,7 @@ def test_root_q_minus_1_squares_back(q, s, exact, shape):
         x = LaurentElem(ctx, coeffs, cap)
         r = x.root_q_minus_1()
         R = ctx.prec if exact else cap - v
-        res = r.pow(q - 1) - x
+        res = laurent_pow(r, q - 1) - x
         assert not res.coeffs
         if exact and len(x.coeffs) == 1:
             assert r.cap == INF and res.is_exact_zero()

@@ -1,7 +1,9 @@
 """Module layer: bracket fractions, exp/log coefficients (both routes),
 convergence data, degree bounds, certified evaluation."""
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 from math import inf as INF
@@ -10,6 +12,7 @@ from operator import add
 import pytest
 
 from drinfeld import modules
+from drinfeld.cli import _frac_json
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
@@ -17,6 +20,8 @@ from drinfeld.modules import (BracketFrac, DrinfeldModule, _den_elem, bracket,
                               carlitz)
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.tate import TateRational, TateSeries
+
+from oracles import frac_deg, laurent_pow
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)
@@ -60,7 +65,8 @@ def test_bracket_values():
 
 def test_den_expansion_matches_plain_power():
     for ctx, e, mult in [(CTX3, 1, 5), (CTX2, 2, 7), (CTX3, 1, 9)]:
-        assert _den_elem(ctx, ((e, mult),)) == bracket(ctx, e).pow(mult)
+        assert _den_elem(ctx, ((e, mult),)) == \
+            laurent_pow(bracket(ctx, e), mult)
 
 
 def _den_elem_oracle(ctx, items):
@@ -75,7 +81,7 @@ def _den_elem_oracle(ctx, items):
         while mult:
             d = mult % q
             if d:
-                out = out * b.pow_q(k).pow(d)
+                out = out * laurent_pow(b.pow_q(k), d)
             mult //= q
             k += 1
     return out
@@ -261,20 +267,13 @@ def test_frac_pow_q_scales_denominator():
         a.pow_q(-1)
 
 
-def test_frac_deg():
-    ctx = CTX3
-    a = BracketFrac(ctx, ctx.theta(2), {1: 1, 2: 1})
-    assert a.deg() == 2 - 3 - 9
-    assert BracketFrac.zero(ctx).deg() is None
-
-
 def test_frac_to_laurent_cap_discipline():
     ctx = CTX3
     a = BracketFrac(ctx, ctx.one(), {1: 2})
     x = a.to_laurent(30)
     assert x.cap == 30
     # residual of x * [1]^2 - 1 vanishes below the certified window
-    res = x * bracket(ctx, 1).pow(2) - ctx.one()
+    res = x * laurent_pow(bracket(ctx, 1), 2) - ctx.one()
     assert not res.coeffs
     # doubling the cap and truncating back is byte-identical
     y = a.to_laurent(60).truncate(30)
@@ -705,36 +704,90 @@ def test_rank3_adds_one_term_at_depth_three():
     assert d_log.equals(BracketFrac(ctx, -A3, {3: 1}))
 
 
+def _a_power_oracle(phi, sp):
+    """A^S = prod_i prod_{j in S_i} A_i^(q^j), multiplied out afresh."""
+    out = phi.ctx.one()
+    for i, mask in enumerate(sp.masks, start=1):
+        for j in range(sp.n):
+            if mask >> j & 1:
+                out = out * phi.A[i - 1].pow_q(j)
+    return out
+
+
+def _exp_term(phi, sp):
+    """A^S / D_n(S), D_n(S) = prod_{j in union} [n-j]^(q^j)."""
+    union = sp.union_mask()
+    den = {sp.n - j: phi.ctx.q ** j for j in range(sp.n) if union >> j & 1}
+    return BracketFrac(phi.ctx, _a_power_oracle(phi, sp), den)
+
+
+def _log_term(phi, sp):
+    """A^S / L(S), L(S) = prod_i prod_{j in S_i} (-[i+j])."""
+    den = sp.pair_sums()
+    num = _a_power_oracle(phi, sp)
+    return BracketFrac(phi.ctx, -num if sum(den.values()) % 2 else num, den)
+
+
+def _partition_oracle(phi, n):
+    """alpha_0 .. alpha_n and beta_0 .. beta_n as two separate left folds
+    from zero per depth, one over the exp terms and one over the log
+    terms, each in enumeration order."""
+    alpha, beta = [], []
+    for k in range(n + 1):
+        parts = enumerate_partitions(phi.r, k, support=phi.support)
+        zero = BracketFrac.zero(phi.ctx)
+        alpha.append(reduce(add, (_exp_term(phi, sp) for sp in parts), zero))
+        beta.append(reduce(add, (_log_term(phi, sp) for sp in parts), zero))
+    return alpha, beta
+
+
+def _printed(fracs):
+    return [json.dumps(_frac_json(f), sort_keys=True) for f in fracs]
+
+
 def test_per_partition_terms_rank2_depth3():
     phi = rank2_q2()
     parts = enumerate_partitions(2, 3)
     assert len(parts) == 3
     total = BracketFrac.zero(CTX2)
     for sp in parts:
-        total = total + phi.log_term(sp)
+        total = total + _log_term(phi, sp)
     assert total.equals(phi.log_coeffs(3)[3])
+    assert _printed([total]) == _printed(phi.log_coeffs(3)[3:])
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_a_power_memo_matches_fresh_product(q):
-    """A^S from the module's memo, after the exp and log terms have
-    filled it, equals a fresh product on every partition."""
-    rng = random.Random(40 + q)
-    ctx = SeriesParams(FieldParams.make(q), 1, 48)
-    for r in (1, 2, 3):
-        phi = _random_module(ctx, r, rng)
-        phi.exp_coeffs(5)
-        phi.log_coeffs(5)
-        for n in range(1, 6):
-            for sp in enumerate_partitions(r, n, support=phi.support):
-                fresh = ctx.one()
-                for i, mask in enumerate(sp.masks, start=1):
-                    for j in range(n):
-                        if mask >> j & 1:
-                            fresh = fresh * phi.A[i - 1].pow_q(j)
-                assert sp.masks in phi._a_powers
-                assert phi._a_power(sp) == fresh
-                assert phi._a_power(sp) is phi._a_power(sp)
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("q,depth", [(2, 9), (3, 6), (4, 5), (5, 5),
+                                     (9, 4)])
+def test_one_walk_prints_the_separate_folds(q, depth, s):
+    """The partition route's alpha_k and beta_k, summed in one walk per
+    depth, print the same bytes as two separate left folds over the exp
+    and log terms, on seeded modules of ranks 1-3 with sparse supports;
+    extending the lists in steps prints the same bytes as in one go."""
+    rng = random.Random(2000 + 10 * q + s)
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 48)
+    for r in (1, 2, 3, 3):
+        phi = _random_sparse_module(ctx, r, rng)
+        alpha, beta = _partition_oracle(phi, depth)
+        assert _printed(phi.log_coeffs(depth // 2)) == \
+            _printed(beta[:depth // 2 + 1]), phi.support
+        assert _printed(phi.exp_coeffs(depth)) == _printed(alpha), phi.support
+        assert _printed(phi.log_coeffs(depth)) == _printed(beta), phi.support
+
+
+def test_partition_route_keeps_no_per_partition_state():
+    """Summing alpha and beta to depth 10 on a rank-2 module over F_2
+    keeps no product A^S alive: the traced peak stays far below the
+    2.5 MB that a memo of every A^S reached."""
+    phi = DrinfeldModule(CTX2, [CTX2.from_poly((1, 1))] * 2)
+    tracemalloc.start()
+    try:
+        phi.exp_coeffs(10)
+        phi.log_coeffs(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6e6, peak
 
 
 # -- convergence data --
@@ -790,14 +843,14 @@ def test_norm_bound_from_radius():
         for n in range(1, 7):
             if beta[n].is_exact_zero():
                 continue
-            assert beta[n].deg() <= (phi.ctx.q ** n - 1) * (-conv.logq_R)
+            assert frac_deg(beta[n]) <= (phi.ctx.q ** n - 1) * (-conv.logq_R)
 
 
 def test_exp_degree_bound_tight_for_carlitz():
     phi = carlitz(CTX3)
     alpha = phi.exp_coeffs(5)
     for n in range(6):
-        assert phi.exp_deg_bound(n) == alpha[n].deg() == -n * 3 ** n
+        assert phi.exp_deg_bound(n) == frac_deg(alpha[n]) == -n * 3 ** n
 
 
 def test_exp_degree_bound_majorizes():
@@ -805,7 +858,7 @@ def test_exp_degree_bound_majorizes():
         alpha = phi.exp_coeffs(6)
         for n in range(7):
             if not alpha[n].is_exact_zero():
-                assert alpha[n].deg() <= phi.exp_deg_bound(n)
+                assert frac_deg(alpha[n]) <= phi.exp_deg_bound(n)
 
 
 # -- evaluation --
