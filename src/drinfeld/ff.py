@@ -537,6 +537,10 @@ class _CoordRows(dict):
 
 # memoryview format of a lane, by its width in bytes
 _LANE_FORMAT = {1: "B", 2: "H", 4: "I", 8: "Q"}
+# slots joined at a time when packing: bytes.join keeps an 80-byte buffer
+# record per part, so one join over a wide window would cost ten times
+# the packed bytes
+JOIN_RUN = 4096
 
 
 class Lanes:
@@ -590,7 +594,8 @@ class Lanes:
     def pack(self, terms, offset, n, width):
         """The integer whose slot k holds terms[offset + k], for k < n;
         terms at or beyond slot n are left out.  Slot bytes come from a
-        table per width on fields of order <= TABLE_MAX."""
+        table per width on fields of order <= TABLE_MAX, and are joined
+        JOIN_RUN slots at a time."""
         order = self.field.order
         tab = self._spread_tabs.get(width)
         if tab is None and order <= TABLE_MAX:
@@ -603,6 +608,9 @@ class Lanes:
             k = e - offset
             if k < top:
                 slots[k] = spread(c)
+        if top > JOIN_RUN:
+            slots = [b"".join(slots[i:i + JOIN_RUN])
+                     for i in range(0, top, JOIN_RUN)]
         return int.from_bytes(b"".join(slots), "little")
 
     def _lane_tables(self):
@@ -652,8 +660,8 @@ class Lanes:
         lanes = memoryview(buf)[:size].cast(_LANE_FORMAT[width])
         if self._gather:
             (_, tab), = self._lane_tables()
-            return list(map(tab.__getitem__, lanes[count - 1::count].tolist()))
-        digits = list(map(mod, lanes.tolist(), repeat(p)))
+            return list(map(tab.__getitem__, lanes[count - 1::count]))
+        digits = list(map(mod, lanes, repeat(p)))
         if count == 1:
             return digits
         out = None

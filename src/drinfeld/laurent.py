@@ -52,6 +52,10 @@ class SeriesParams:
             raise InvalidInput("prec must be a positive integer")
         self.m = int(m)
         self.prec = int(prec)
+        # expanded bracket denominators of modules._den_elem, {items:
+        # coefficient dict of prod [e]^mult}; plain dicts, so the cache
+        # forms no cycle with the context and dies with the session
+        self.den_cache = {}
 
     @property
     def q(self):

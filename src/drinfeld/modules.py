@@ -7,11 +7,14 @@ printed or cross-checked; evaluation and the checks against beta take
 alpha and beta from phi's functional equations, at most r terms a step.
 
 Coefficients are kept as exact fractions num / prod [e]^mult, where
-[e] = theta^(q^e) - theta.  Since mult is built from powers of q, the
-expanded denominators stay sparse ([e]^(q^k) has two terms), so route
-cross-checks and composition identities are exact, not numerical.
-BracketFrac takes its arithmetic from tate.FactoredFrac, the base it
-shares with TateRational, and drops the denominator of an exact zero.
+[e] = theta^(q^e) - theta.  Each [e]^mult is written out at once by
+Lucas's theorem, with prod (d + 1) terms over the base-p digits d of
+mult; since mult is built from powers of q, the expanded denominators
+stay sparse, so route cross-checks and composition identities are
+exact, not numerical.  A session expands each denominator multiset
+once: the expansions are cached on its SeriesParams.  BracketFrac takes
+its arithmetic from tate.FactoredFrac, the base it shares with
+TateRational, and drops the denominator of an exact zero.
 """
 
 from fractions import Fraction
@@ -25,23 +28,36 @@ from .partitions import enumerate_partitions, iter_bits
 from .tate import FactoredFrac
 
 
-def _bracket_power(ctx, e, k, d):
-    """([e]^(q^k))^d for 0 < d < q, written directly as its d + 1 terms.
-    [e]^(q^k) = theta^(q^(e+k)) - theta^(q^k), so the i-th term is
-    C(d, i) (-1)^(d-i) theta^(i q^(e+k) + (d-i) q^k); the binomial
-    coefficients are taken mod p, and some vanish when q is not prime."""
-    int_scalar = ctx.field.int_scalar
-    hi, lo = -ctx.m * ctx.q ** (e + k), -ctx.m * ctx.q ** k
-    return ctx.make({i * hi + (d - i) * lo:
-                     int_scalar((-1) ** (d - i) * comb(d, i))
-                     for i in range(d + 1)})
+def _bracket_pow(ctx, e, mult):
+    """[e]^mult for mult >= 0, written out directly.  By the binomial
+    theorem [e]^mult = sum_i C(mult, i) (-1)^(mult-i) theta^(mult +
+    i (q^e - 1)), and by Lucas's theorem C(mult, i) is nonzero mod p
+    exactly when each base-p digit t of i is at most the digit d of
+    mult in its place, where it is prod C(d, t) mod p.  Distinct i give
+    distinct exponents, so the prod (d + 1) terms are stored as they
+    are, and none is zero."""
+    p = ctx.field.p
+    binom = {0: 1}  # i -> C(mult, i) mod p, for the i Lucas keeps
+    rest, place = mult, 1
+    while rest:
+        rest, d = divmod(rest, p)
+        if d:
+            row = [comb(d, t) % p for t in range(d + 1)]
+            binom = {i + t * place: c * row[t] % p
+                     for i, c in binom.items() for t in range(d + 1)}
+        place *= p
+    hi, lo = -ctx.m * (ctx.q ** e - 1), -ctx.m * mult
+    terms = {lo + i * hi: c if (mult - i) % 2 == 0 else p - c
+             for i, c in binom.items()}
+    return LaurentElem.wrap(ctx, terms, INF)
 
 
 def bracket(ctx, n):
-    """[n] = theta^(q^n) - theta, exact; n >= 1."""
+    """[n] = theta^(q^n) - theta, exact; n >= 1.  It is [n]^1 as
+    _bracket_pow writes it."""
     if n < 1:
         raise InvalidInput("bracket index must be >= 1")
-    return _bracket_power(ctx, n, 0, 1)
+    return _bracket_pow(ctx, n, 1)
 
 
 def check_index(n):
@@ -51,20 +67,19 @@ def check_index(n):
 
 
 def _den_elem(ctx, items):
-    """Expand prod [e]^mult exactly: each base-q digit d of mult at place
-    k gives the factor ([e]^(q^k))^d, a Frobenius power of a two-term
-    binomial raised to d < q, written out directly as its d + 1 terms
-    (_bracket_power)."""
-    q = ctx.q
-    out = ctx.one()
-    for e, mult in items:
-        k = 0
-        while mult:
-            mult, d = divmod(mult, q)
-            if d:
-                out = out * _bracket_power(ctx, e, k, d)
-            k += 1
-    return out
+    """Expand prod [e]^mult exactly over items, a sorted tuple of
+    (e, mult): the product of the brackets [e]^mult in that order, each
+    written out at once (_bracket_pow).  The coefficients are kept in
+    the context's den_cache under items, so every lift, sum and equality
+    of the session expands a multiset once; the cache holds cofactor
+    expansions only, never a coefficient, and dies with the context."""
+    coeffs = ctx.den_cache.get(items)
+    if coeffs is None:
+        out = ctx.one()
+        for e, mult in items:
+            out = out * _bracket_pow(ctx, e, mult)
+        coeffs = ctx.den_cache[items] = out.coeffs
+    return LaurentElem.wrap(ctx, coeffs, INF)
 
 
 class BracketFrac(FactoredFrac):

@@ -1,7 +1,9 @@
 """Plain oracles that only the tests compare against: exact powers of a
-Laurent element, exact evaluation of a t-rational away from its poles,
-and the degree of a bracket fraction.  The package itself needs none of
-them."""
+Laurent element, the base-q digit factors of a bracket power, exact
+evaluation of a t-rational away from its poles, and the degree of a
+bracket fraction.  The package itself needs none of them."""
+
+from math import comb
 
 from drinfeld.errors import PreconditionError
 
@@ -22,6 +24,18 @@ def laurent_pow(x, n):
         base = base * base
         n >>= 1
     return result
+
+
+def bracket_digit_factor(ctx, e, k, d):
+    """([e]^(q^k))^d for 0 < d < q, the factor that the base-q digit d
+    of a multiplicity at place k contributes to [e]^mult.  As [e]^(q^k)
+    = theta^(q^(e+k)) - theta^(q^k), its i-th term is C(d, i) (-1)^(d-i)
+    theta^(i q^(e+k) + (d-i) q^k), with C(d, i) taken mod p (some
+    vanish when q is not prime)."""
+    hi, lo = -ctx.m * ctx.q ** (e + k), -ctx.m * ctx.q ** k
+    return ctx.make({i * hi + (d - i) * lo:
+                     ctx.field.int_scalar((-1) ** (d - i) * comb(d, i))
+                     for i in range(d + 1)})
 
 
 def rational_eval(f, z):

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -214,6 +215,29 @@ def test_coeffs_check_q5_recurrence_depth_7():
                    "recurrence")
     assert proc.returncode == 0
     assert json_lines(proc)[-1] == {"compose_check": True}
+
+
+def test_coeffs_check_frees_its_context(monkeypatch, capsys):
+    """The expanded bracket denominators are cached on the session's
+    context, so they die with the call: once an in-process
+    `coeffs 6 --check` returns, no reference keeps its context alive.
+    The cache holds coefficient dicts, not elements that point back at
+    the context, so reference counting frees it without a collection."""
+    from drinfeld import modules
+    seen = []
+    real = modules._den_elem
+
+    def watch(ctx, items):
+        if not seen:
+            seen.append(weakref.ref(ctx))
+        return real(ctx, items)
+
+    monkeypatch.setattr(modules, "_den_elem", watch)
+    assert cli.main(["coeffs", "6", "--check", "--q", "3",
+                     "--A", "1,1;1"]) == 0
+    assert capsys.readouterr().out.endswith('{"compose_check": true}\n')
+    assert seen
+    assert seen[0]() is None
 
 
 def test_zero_m_names_m():

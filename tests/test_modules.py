@@ -16,12 +16,12 @@ from drinfeld.cli import _frac_json
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
-from drinfeld.modules import (BracketFrac, DrinfeldModule, _den_elem, bracket,
-                              carlitz)
+from drinfeld.modules import (BracketFrac, DrinfeldModule, _bracket_pow,
+                              _den_elem, bracket, carlitz)
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.tate import TateRational, TateSeries
 
-from oracles import frac_deg, laurent_pow
+from oracles import bracket_digit_factor, frac_deg, laurent_pow
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)
@@ -87,6 +87,16 @@ def _den_elem_oracle(ctx, items):
     return out
 
 
+def _digit_terms(mult, base):
+    """prod (d + 1) over the digits d of mult in the given base; in base
+    p, the number of i with C(mult, i) nonzero mod p."""
+    terms = 1
+    while mult:
+        mult, d = divmod(mult, base)
+        terms *= d + 1
+    return terms
+
+
 def _mixed_digit_mult(rng, q):
     """A multiplicity with three base-q digits, at least one zero and at
     least one nonzero."""
@@ -100,11 +110,15 @@ def _mixed_digit_mult(rng, q):
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
 def test_den_elem_matches_bracket_power_oracle(q, s, m):
-    """_den_elem writes each factor ([e]^(q^k))^d out as its d + 1 terms;
-    it equals the bracket-power product on 1-3 brackets, including the
-    digits whose binomial coefficients vanish mod p (d = 2 at q = 4,
-    d = 3 and 6 at q = 9)."""
+    """_den_elem writes each bracket [e]^mult out at once by Lucas's
+    theorem; it equals the product of the base-q digit factors on 1-3
+    brackets, including the digits whose binomial coefficients vanish
+    mod p (d = 2 at q = 4, d = 3 and 6 at q = 9) and, at q = 4 and 9,
+    multiplicities of 4-6 base-p digits, where base-p digits split the
+    base-q ones.  A single bracket has prod (d + 1) terms over the
+    base-p digits d of mult, none of them zero."""
     ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+    p = ctx.field.p
     rng = random.Random(1000 * q + 10 * s + m)
     cases = [((1, 1),), ((2, q),), ((1, q - 1), (2, (q - 1) * q * q))]
     if q == 4:
@@ -117,17 +131,44 @@ def test_den_elem_matches_bracket_power_oracle(q, s, m):
         items = tuple(sorted((e, _mixed_digit_mult(rng, q)) for e in es))
         terms = 1
         for _, mult in items:
-            while mult:
-                mult, d = divmod(mult, q)
-                terms *= d + 1
+            terms *= _digit_terms(mult, q)
         if terms <= 400:
             cases.append(items)
+    if q == 4:
+        # 4, 5 and 6 base-2 digits
+        cases += [((1, 0b1101),), ((2, 0b10111),), ((1, 0b101101),)]
+    if q == 9:
+        # 4, 5 and 6 base-3 digits
+        cases += [((1, 2 + 1 * 3 + 2 * 27),),
+                  ((2, 1 + 2 * 3 + 2 * 9 + 1 * 81),),
+                  ((1, 2 + 2 * 3 + 1 * 9 + 1 * 27 + 2 * 243),)]
     for items in cases:
         assert _den_elem(ctx, items) == _den_elem_oracle(ctx, items), items
+        if len(items) == 1:
+            (e, mult), = items
+            coeffs = _bracket_pow(ctx, e, mult).coeffs
+            assert len(coeffs) == _digit_terms(mult, p), items
+            assert all(coeffs.values()), items
     for n in (1, 2, 3):
         assert bracket(ctx, n) == ctx.theta().pow_q(n) - ctx.theta()
     lifted = BracketFrac.zero(ctx)._lift({1: 3, 2: q})
     assert lifted.is_exact_zero() and lifted.cap == INF
+
+
+def test_den_cache_belongs_to_one_context():
+    """Two contexts over one field share no cached expansion: each
+    fills its own den_cache and holds nothing but the cofactor
+    expansions asked of it; a repeated call reads the cached dict."""
+    field = FieldParams.make(3)
+    a, b = SeriesParams(field, 1, 32), SeriesParams(field, 1, 32)
+    items = ((1, 4), (2, 1))
+    first = _den_elem(a, items)
+    assert _den_elem(a, items).coeffs is first.coeffs
+    assert a.den_cache == {items: first.coeffs} and b.den_cache == {}
+    other = _den_elem(b, items)
+    assert other.ctx is b and other == first
+    assert other.coeffs is not first.coeffs
+    assert b.den_cache == {items: other.coeffs}
 
 
 @pytest.mark.parametrize("kind", ["bracket", "tate"])
@@ -228,7 +269,7 @@ def _lift_by_factor(ctx, num, items):
         while mult:
             mult, d = divmod(mult, q)
             if d:
-                num = num * modules._bracket_power(ctx, e, k, d)
+                num = num * bracket_digit_factor(ctx, e, k, d)
             k += 1
     return num
 
@@ -756,6 +797,18 @@ def test_per_partition_terms_rank2_depth3():
     assert _printed([total]) == _printed(phi.log_coeffs(3)[3:])
 
 
+# coeffs 7 --q 2 --A "0;1,1,0,0,1,1,1,0,0,1,1;1,1,0,1,1,0,0,0,1,1,0,1,0,1,
+# 1,0,0,0,1,1,0,1,1": A_1 = 0, A_2 = R_2^2 R_3 and A_3 = R_2^5 R_3^2 with
+# R_2 = theta^2 + theta + 1 and R_3 = [3]/[1].  The beta-terms of the
+# first two partitions of 7, (S_2, S_3) = ({3, 5}, {0}) and ({0, 5}, {2}),
+# cancel exactly, so the enumeration-order fold prints beta_7 over
+# {2: 1, 4: 1, 7: 1}, and a fold over the reversed walk over
+# {2, 3, 4, 5, 7}.
+FOLD_ORDER_A = ((0,), (1, 1, 0, 0, 1, 1, 1, 0, 0, 1, 1),
+                (1, 1, 0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 1,
+                 0, 1, 1))
+
+
 @pytest.mark.parametrize("s", [1, 2])
 @pytest.mark.parametrize("q,depth", [(2, 9), (3, 6), (4, 5), (5, 5),
                                      (9, 4)])
@@ -763,16 +816,46 @@ def test_one_walk_prints_the_separate_folds(q, depth, s):
     """The partition route's alpha_k and beta_k, summed in one walk per
     depth, print the same bytes as two separate left folds over the exp
     and log terms, on seeded modules of ranks 1-3 with sparse supports;
-    extending the lists in steps prints the same bytes as in one go."""
+    extending the lists in steps prints the same bytes as in one go.
+    Over F_2 the module FOLD_ORDER_A joins them: there an exact zero
+    partial sum makes the printed beta_7 depend on the walk's order."""
     rng = random.Random(2000 + 10 * q + s)
     ctx = SeriesParams(FieldParams.make(q, s), 1, 48)
-    for r in (1, 2, 3, 3):
-        phi = _random_sparse_module(ctx, r, rng)
+    phis = [_random_sparse_module(ctx, r, rng) for r in (1, 2, 3, 3)]
+    if (q, s) == (2, 1):
+        phis.append(DrinfeldModule(ctx, [ctx.from_poly(c)
+                                         for c in FOLD_ORDER_A]))
+    for phi in phis:
         alpha, beta = _partition_oracle(phi, depth)
         assert _printed(phi.log_coeffs(depth // 2)) == \
             _printed(beta[:depth // 2 + 1]), phi.support
         assert _printed(phi.exp_coeffs(depth)) == _printed(alpha), phi.support
         assert _printed(phi.log_coeffs(depth)) == _printed(beta), phi.support
+    if (q, s) == (2, 1):
+        assert phis[-1].log_coeffs(7)[7].den == {2: 1, 4: 1, 7: 1}
+
+
+@pytest.mark.parametrize("q,depth", [(2, 6), (3, 4), (4, 4), (5, 3)])
+def test_partition_route_denominators_when_a1_nonzero(q, depth):
+    """With A_1 != 0 the lex-last partition (S_1 = {0..k-1}) is nonzero,
+    and its denominators, {k-j: q^j} for alpha_k and {1..k} for beta_k,
+    contain every other term's.  So the fold prints them whatever partial
+    sums vanish: checked on seeded modules of ranks 1-3 whose other
+    coefficients may be zero."""
+    rng = random.Random(2100 + q)
+    ctx = SeriesParams(FieldParams.make(q), 1, 48)
+    for r in (1, 2, 2, 3, 3):
+        A = [ctx.make({-j: rng.randrange(q) for j in range(2)})
+             for _ in range(r)]
+        for i in (0, r - 1):
+            A[i] = A[i] + ctx.monomial(rng.randrange(1, q), -rng.randrange(2))
+            if A[i].is_exact_zero():
+                A[i] = ctx.one()
+        phi = DrinfeldModule(ctx, A)
+        alpha, beta = phi.exp_coeffs(depth), phi.log_coeffs(depth)
+        for k in range(1, depth + 1):
+            assert alpha[k].den == {k - j: q ** j for j in range(k)}, (r, k)
+            assert beta[k].den == {j: 1 for j in range(1, k + 1)}, (r, k)
 
 
 def test_partition_route_keeps_no_per_partition_state():
