@@ -12,15 +12,18 @@ Lucas's theorem, with prod (d + 1) terms over the base-p digits d of
 mult; since mult is built from powers of q, the expanded denominators
 stay sparse, so route cross-checks and composition identities are
 exact, not numerical.  A session expands each denominator multiset
-once: the expansions are cached on its SeriesParams.  BracketFrac takes
-its arithmetic from tate.FactoredFrac, the base it shares with
-TateRational, and drops the denominator of an exact zero.
+once: the expansions are cached on its SeriesParams; they serve lifts,
+sums and equality.  Evaluation expands no denominator: to_laurent
+divides the numerator by each bracket's binomial factors 1 - y^(p^j)
+with running sums.  BracketFrac takes its arithmetic from
+tate.FactoredFrac, the base it shares with TateRational, and drops the
+denominator of an exact zero.
 """
 
 from fractions import Fraction
 from functools import reduce
 from math import comb, inf as INF
-from operator import add
+from operator import add, xor
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
 from .laurent import LaurentElem
@@ -106,9 +109,6 @@ class BracketFrac(FactoredFrac):
     def zero(ctx):
         return BracketFrac(ctx, ctx.zero())
 
-    def den_elem(self):
-        return _den_elem(self.ctx, tuple(sorted(self.den.items())))
-
     def _lift(self, target):
         """Numerator after lifting to the denominator multiset target: times
         the expanded cofactor prod [e]^(target - den).  An exact zero, or
@@ -138,18 +138,49 @@ class BracketFrac(FactoredFrac):
         return sum(m * q ** e for e, m in self.den.items())
 
     def to_laurent(self, ucap):
-        """Laurent expansion certified below the absolute cap ucap.  An
-        exact zero carries no denominator, so the first branch takes it."""
+        """Laurent expansion certified below the absolute cap ucap, by
+        division: no denominator is expanded and nothing is inverted.
+        [e] = theta^(q^e) (1 - y_e) with y_e = u^(m (q^e - 1)), and
+        (1 - y)^(p^j) = 1 - y^(p^j) in characteristic p.  So the value is
+        the numerator shifted by m * den_deg(), divided d times by
+        1 - y_e^(p^j) for each base-p digit d of mult at place p^j; each
+        division is the running sum z_k <- z_k + z_(k - S), ascending,
+        with S = m (q^e - 1) p^j, over the numerator's dense window below
+        min(ucap - shift, num.cap).  The cap is min(ucap, num.cap +
+        shift); an infinite ucap stands for the session's relative
+        budget ctx.prec past the value's valuation.  An exact zero
+        carries no denominator, so the first branch takes it."""
         if not self.den:
             return self.num.truncate(ucap)
-        den = self.den_elem()
-        if not self.num.coeffs:  # zero to the numerator's precision
-            return self.ctx.zero(self.num.cap - den.val)
-        rel = ucap - self.num.vbound + den.val
-        if rel <= 0:
-            return self.ctx.zero(ucap)
-        dinv = den.truncate(den.val + rel).invert()
-        return (self.num * dinv).truncate(ucap)
+        ctx, num = self.ctx, self.num
+        shift = ctx.m * self.den_deg()
+        if not num.coeffs:  # zero to the numerator's precision
+            return ctx.zero(num.cap + shift)
+        v = min(num.coeffs)
+        if ucap == INF:  # the session's relative budget, as for invert
+            ucap = v + shift + ctx.prec
+        if ucap - v - shift <= 0:
+            return ctx.zero(ucap)
+        lim = min(ucap - shift, num.cap)
+        n = lim - v
+        z = [0] * n
+        for e, c in num.coeffs.items():
+            if e < lim:
+                z[e - v] = c
+        field = ctx.field
+        p = field.p
+        add = xor if p == 2 else field.add
+        for e, mult in self.den.items():
+            S = ctx.m * (ctx.q ** e - 1)
+            while mult and S < n:
+                mult, d = divmod(mult, p)
+                for _ in range(d):
+                    for b in range(S, n, S):
+                        z[b:b + S] = map(add, z[b:b + S], z[b - S:b])
+                S *= p
+        base = v + shift
+        return LaurentElem.wrap(ctx, {base + k: c for k, c in enumerate(z)
+                                      if c}, lim + shift)
 
     def __repr__(self):
         return "<BracketFrac %r / %r>" % (self.num, sorted(self.den.items()))

@@ -1,11 +1,13 @@
 """Plain oracles that only the tests compare against: exact powers of a
-Laurent element, the base-q digit factors of a bracket power, exact
-evaluation of a t-rational away from its poles, and the degree of a
-bracket fraction.  The package itself needs none of them."""
+Laurent element, the base-q digit factors of a bracket power, the
+Newton-inverse expansion of a bracket fraction, exact evaluation of a
+t-rational away from its poles, and the degree of a bracket fraction.
+The package itself needs none of them."""
 
 from math import comb
 
 from drinfeld.errors import PreconditionError
+from drinfeld.modules import _den_elem
 
 
 class EvalAtPole(PreconditionError):
@@ -36,6 +38,23 @@ def bracket_digit_factor(ctx, e, k, d):
     return ctx.make({i * hi + (d - i) * lo:
                      ctx.field.int_scalar((-1) ** (d - i) * comb(d, i))
                      for i in range(d + 1)})
+
+
+def frac_to_laurent_newton(frac, ucap):
+    """Laurent expansion of the bracket fraction frac certified below
+    ucap, by expanding prod [e]^mult over the sorted items and
+    Newton-inverting it to the relative precision the cap needs."""
+    ctx, num = frac.ctx, frac.num
+    if not frac.den:
+        return num.truncate(ucap)
+    den = _den_elem(ctx, tuple(sorted(frac.den.items())))
+    if not num.coeffs:  # zero to the numerator's precision
+        return ctx.zero(num.cap - den.val)
+    rel = ucap - num.vbound + den.val
+    if rel <= 0:
+        return ctx.zero(ucap)
+    dinv = den.truncate(den.val + rel).invert()
+    return (num * dinv).truncate(ucap)
 
 
 def rational_eval(f, z):

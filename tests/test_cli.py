@@ -625,3 +625,26 @@ def test_sparse_sessions_cap_c_against_2c(seed):
             assert rows[0]["identities"][key]["holds"] is True
             assert rows[0]["identities"][key]["u_val"] >= cap
         assert rows[0]["identities"]["a"]["holds"] is True
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sparse_sessions_agf_cap_c_against_2c(seed):
+    """agf at ucap 2c and t-window 2T, cut back to c and T, prints the
+    regular part of agf at c and T; the residue at theta is the same at
+    both caps, and minus it recovers u at both."""
+    (q, s, m), args = _sparse_session_args(seed)
+    ctx = SeriesParams(FieldParams.make(q, s), m)
+    c, T = random.Random(seed).choice((24, 48, 64)), 4
+
+    def cut(obj):
+        return LaurentElem.from_json(ctx, obj).truncate(c).to_json()
+
+    code_lo, (lo,) = _main_rows(["agf", *args, "--ucap", str(c),
+                                 "--tprec", str(T)])
+    code_hi, (hi,) = _main_rows(["agf", *args, "--ucap", str(2 * c),
+                                 "--tprec", str(2 * T)])
+    assert code_lo == code_hi == 0
+    assert lo["minus_residue_is_u"] is hi["minus_residue_is_u"] is True
+    assert lo["residue_at_theta"] == hi["residue_at_theta"]
+    assert lo["regular_part"]["coeffs"] == [
+        cut(x) for x in hi["regular_part"]["coeffs"][:T]]

@@ -21,7 +21,8 @@ from drinfeld.modules import (BracketFrac, DrinfeldModule, _bracket_pow,
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.tate import TateRational, TateSeries
 
-from oracles import bracket_digit_factor, frac_deg, laurent_pow
+from oracles import (bracket_digit_factor, frac_deg, frac_to_laurent_newton,
+                     laurent_pow)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)
@@ -319,6 +320,51 @@ def test_frac_to_laurent_cap_discipline():
     # doubling the cap and truncating back is byte-identical
     y = a.to_laurent(60).truncate(30)
     assert x == y
+
+
+def _to_laurent_case(ctx, rng):
+    """A bracket fraction over 1-3 brackets and an absolute cap.  The
+    multiplicities are powers of p or have base-p digit sum above 1; the
+    numerator is exact or capped above or below ucap - shift, and a few
+    cases take the rel <= 0 branch, a numerator zero to precision or an
+    infinite ucap (the session's relative budget)."""
+    q, p, m = ctx.q, ctx.field.p, ctx.m
+    den = {e: rng.choice((1, p, p * p, 2, 3, p + 1, q + 1, 2 * q + 1,
+                          q * q + q))
+           for e in rng.sample((1, 2, 3), rng.randint(1, 3))}
+    shift = m * sum(mult * q ** e for e, mult in den.items())
+    v = rng.randint(-30, 30)
+    kind = rng.choice(("exact", "above", "below", "exact", "above",
+                       "below", "rel<=0", "zero", "unbounded"))
+    rel = rng.randint(-20, 0) if kind == "rel<=0" else rng.randint(1, 240)
+    ucap = v + shift + rel
+    if kind == "zero":
+        return BracketFrac(ctx, ctx.zero(v + rng.randint(1, 40)), den), ucap
+    width = max(rel, 1) + rng.randint(0, 40)
+    exps = {v} | {v + rng.randrange(width)
+                  for _ in range(rng.randint(0, width))}
+    cap = {"above": ucap - shift + rng.randint(0, 40),
+           "below": v + rng.randint(1, max(rel, 1))}.get(kind, INF)
+    num = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps}, cap)
+    return BracketFrac(ctx, num, den), INF if kind == "unbounded" else ucap
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q, s, cases", [
+    (2, 1, 36), (2, 2, 36), (3, 1, 36), (3, 2, 36), (4, 1, 36), (4, 2, 36),
+    (5, 1, 36), (5, 2, 36), (9, 1, 36), (9, 2, 36), (2, 13, 4), (3, 8, 4)])
+def test_to_laurent_matches_newton_oracle(q, s, cases, m):
+    """to_laurent divides out each bracket's binomial; its coefficients
+    and cap equal those of the expanded denominator's Newton inverse
+    times the numerator, on seeded fractions including multiplicities
+    with several base-p digits and on fields without tables."""
+    ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+    rng = random.Random(1000 * q + 10 * s + m)
+    for _ in range(cases):
+        frac, ucap = _to_laurent_case(ctx, rng)
+        got, want = frac.to_laurent(ucap), frac_to_laurent_newton(frac, ucap)
+        assert (got.coeffs, got.cap) == (want.coeffs, want.cap), \
+            (frac, ucap)
 
 
 # -- coefficients: closed form vs recurrence --
