@@ -3,7 +3,11 @@
 Configuration comes from a declarative key = value file, a named preset,
 or flags; flags win over the file, and the file wins over the preset.
 Every subcommand writes JSON lines to stdout (sorted keys, so identical
-sessions are byte-identical) and diagnostics to stderr.
+sessions are byte-identical) and diagnostics to stderr.  Elements and
+fractions are printed as pre-rendered text (to_text, _frac_text: the
+field's row texts joined once per element), which _emit writes as it
+is between the parts it encodes with _encode; the bytes are those of
+_encode over the to_json() dicts.
 
 Exit codes: 0 all requested checks pass; 1 an identity fails below its
 cap; 2 configuration problems; 3 a mathematical precondition fails, with
@@ -31,13 +35,50 @@ from . import verify as verify_mod
 _encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
+class _Text:
+    """A value already rendered as JSON text; _emit writes it as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+
+def _render(obj, out):
+    """Append to out the parts of the JSON text of obj, the bytes _encode
+    writes for it, with each _Text written as it is; only dicts are
+    walked to find them."""
+    if type(obj) is _Text:
+        out.append(obj.text)
+    elif type(obj) is dict and obj:
+        sep = "{"
+        for k, v in sorted(obj.items()):
+            out.append(sep + _encode(str(k)) + ": ")
+            _render(v, out)
+            sep = ", "
+        out.append("}")
+    else:
+        out.append(_encode(obj))
+
+
 def _emit(obj):
-    sys.stdout.write(_encode(obj) + "\n")
+    """One line of JSON on stdout, written in parts: a long coefficient
+    array is never copied into a whole line."""
+    out = []
+    _render(obj, out)
+    out.append("\n")
+    sys.stdout.writelines(out)
 
 
-def _frac_json(f):
-    return {"num": f.num.to_json(),
-            "den": {str(e): m for e, m in sorted(f.den.items())}}
+def _array(texts):
+    """The JSON text of an array of JSON texts."""
+    return "[%s]" % ", ".join(texts)
+
+
+def _frac_text(f):
+    """A bracket fraction as JSON text: {"den": {e: mult}, "num": num}."""
+    return '{"den": %s, "num": %s}' % (
+        _encode({str(e): m for e, m in f.den.items()}), f.num.to_text())
 
 
 # -- configuration ----------------------------------------------------
@@ -234,8 +275,8 @@ def cmd_coeffs(args):
     alpha = phi.exp_coeffs(args.n, args.route)
     beta = phi.log_coeffs(args.n, args.route)
     for k in range(args.n + 1):
-        _emit({"n": k, "alpha": _frac_json(alpha[k]),
-               "beta": _frac_json(beta[k])})
+        _emit({"n": k, "alpha": _Text(_frac_text(alpha[k])),
+               "beta": _Text(_frac_text(beta[k]))})
     if args.check:
         ok = phi.compose_check(args.n, args.route)
         _emit({"compose_check": bool(ok)})
@@ -264,7 +305,8 @@ def cmd_bseq(args):
         at_theta = eval_theta_frac(phi, f)
         same = at_theta.equals(beta[k])
         ok = ok and same
-        _emit({"n": k, "b": f.to_json(), "at_theta_is_beta": bool(same)})
+        _emit({"n": k, "b": _Text(f.to_text()),
+               "at_theta_is_beta": bool(same)})
     _emit({"route": args.route, "pass": bool(ok)})
     return 0 if ok else 1
 
@@ -273,9 +315,9 @@ def cmd_deform(args):
     cfg = SessionConfig.from_args(args)
     xi = cfg.xi()
     dl = DeformedLog(cfg.phi, xi, cfg.ucap)
-    _emit({"xi": xi.to_json(),
-           "series": dl.series(cfg.tprec).to_json(),
-           "at_theta": dl.eval_theta().to_json(),
+    _emit({"xi": _Text(xi.to_text()),
+           "series": _Text(dl.series(cfg.tprec).to_text()),
+           "at_theta": _Text(dl.eval_theta().to_text()),
            "cut": dl.cut})
     return 0
 
@@ -287,9 +329,9 @@ def cmd_agf(args):
     form = f.theta_pole_form(cfg.tprec)
     diff = form.residue + u
     recovered = not diff.coeffs
-    _emit({"u": u.to_json(),
-           "regular_part": form.regular.to_json(),
-           "residue_at_theta": form.residue.to_json(),
+    _emit({"u": _Text(u.to_text()),
+           "regular_part": _Text(form.regular.to_text()),
+           "residue_at_theta": _Text(form.residue.to_text()),
            "minus_residue_is_u": bool(recovered),
            "residual_valuation": None if diff.cap == INF else int(diff.cap)})
     return 0 if recovered else 1
@@ -317,15 +359,16 @@ def cmd_period(args):
     values, resid = [], []
     for zeta in td.basis:
         w = period_from_torsion(cfg.phi, zeta, cfg.ucap)
-        values.append(w.to_json())
+        values.append(w.to_text())
         e = cfg.phi.exp_eval(w, ucap=cfg.ucap)
         resid.append(None if not e.coeffs else int(e.val))
-    _emit({"value": values,
+    _emit({"value": _Text(_array(values)),
            "residual_valuations": {"refinement": td.traces,
                                    "exp_of_period": resid},
            "branch_choices": {"ell": 1,
                               "slopes": td.to_json()["slopes"],
-                              "basis": [z.to_json() for z in td.basis]}})
+                              "basis": _Text(_array([z.to_text()
+                                                     for z in td.basis]))}})
     return 0 if all(v is None for v in resid) else 1
 
 
@@ -338,7 +381,7 @@ def cmd_quasiperiod(args):
     for zeta in td.basis:
         w = period_from_torsion(phi, zeta, cfg.ucap)
         etas = quasi_periods(phi, zeta, cfg.ucap)
-        values.append([e.to_json() for e in etas])
+        values.append(_array([e.to_text() for e in etas]))
         row = []
         for j, eta in enumerate(etas, 1):
             direct, tail = quasi_period_orbit(phi, j, w, cfg.ucap,
@@ -350,11 +393,12 @@ def cmd_quasiperiod(args):
             row.append({"j": j, "vbound": int(d.vbound),
                         "certified_floor": int(floor), "holds": bool(good)})
         agree.append(row)
-    _emit({"value": values,
+    _emit({"value": _Text(_array(values)),
            "residual_valuations": {"orbit_agreement": agree,
                                    "refinement": td.traces},
            "branch_choices": {"ell": 1, "terms": args.terms,
-                              "basis": [z.to_json() for z in td.basis]}})
+                              "basis": _Text(_array([z.to_text()
+                                                     for z in td.basis]))}})
     return 0 if ok else 1
 
 

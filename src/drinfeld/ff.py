@@ -11,6 +11,7 @@ generator and Frobenius permutation tables; larger fields (capped at
 2^20) fall back to schoolbook polynomial arithmetic per operation.
 """
 
+import json
 from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import product as _iproduct, repeat
@@ -355,7 +356,10 @@ class Field:
         self._frob_tabs = None
         self._addtab = self._negtab = None
         self._lanes = None
-        self.coord_rows = _CoordRows(self)
+        # packed element -> its coordinate vector as a list, and that
+        # vector's JSON text ("[0, 1]"), each built on first use
+        self.coord_rows = _Rows(self._coord_row)
+        self.row_texts = _Rows(self._row_text)
         if self.order <= TABLE_MAX:
             self._build_tables()
 
@@ -462,6 +466,12 @@ class Field:
         """Image of the integer k in the prime field."""
         return k % self.p
 
+    def _coord_row(self, a):
+        return list(self.coords(a))
+
+    def _row_text(self, a):
+        return json.dumps(self.coord_rows[a])
+
     def coords(self, a):
         """Flat F_p coordinate vector, ascending basis order."""
         if not 0 <= a < self.order:
@@ -521,17 +531,16 @@ class Field:
         return min((self.mul(y, a) for a in range(1, q)), key=self.coords)
 
 
-class _CoordRows(dict):
-    """Field.coord_rows: packed element -> its coordinate vector as a list,
-    built on first use.  The lists are shared; callers must not mutate
-    them."""
+class _Rows(dict):
+    """A table of packed element -> make(element), built on first use.
+    The values are shared; callers must not mutate them."""
 
-    def __init__(self, field):
+    def __init__(self, make):
         super().__init__()
-        self.coords = field.coords
+        self.make = make
 
     def __missing__(self, a):
-        row = self[a] = list(self.coords(a))
+        row = self[a] = self.make(a)
         return row
 
 

@@ -394,20 +394,39 @@ class LaurentElem:
     def __hash__(self):
         return hash((self.cap, tuple(sorted(self.coeffs.items()))))
 
+    def _window(self, table):
+        """(val, [table[c] for each slot from val to the top term]) of a
+        nonzero element: the list starts as table[0] throughout, and only
+        the nonzero slots are written."""
+        coeffs = self.coeffs
+        v = min(coeffs)
+        out = [table[0]] * (max(coeffs) - v + 1)
+        for e, c in coeffs.items():
+            out[e - v] = table[c]
+        return v, out
+
     def to_json(self):
-        field = self.ctx.field
         if self.coeffs:
-            v = min(self.coeffs)
-            top = max(self.coeffs)
             # one shared row per element, absent slots included (as 0)
-            rows, get = field.coord_rows, self.coeffs.get
-            dense = [rows[get(e, 0)] for e in range(v, top + 1)]
+            v, dense = self._window(self.ctx.field.coord_rows)
         else:
-            v = None
-            dense = []
+            v, dense = None, []
         return {"val": v, "m": self.ctx.m, "coeffs": dense,
                 "cap": None if self.cap == INF else int(self.cap),
                 "exact": self.cap == INF}
+
+    def to_text(self):
+        """to_json() as JSON text with sorted keys, the bytes json writes
+        for it: the field's row texts joined once."""
+        if self.coeffs:
+            v, rows = self._window(self.ctx.field.row_texts)
+            rows = ", ".join(rows)
+        else:
+            v, rows = "null", ""
+        cap, exact = ("null", "true") if self.cap == INF else \
+            (int(self.cap), "false")
+        return '{"cap": %s, "coeffs": [%s], "exact": %s, "m": %d, "val": %s}' \
+            % (cap, rows, exact, self.ctx.m, v)
 
     @staticmethod
     def from_json(ctx, obj):

@@ -169,14 +169,19 @@ class BracketFrac(FactoredFrac):
                 z[e - v] = c
         field = ctx.field
         p = field.p
-        add = xor if p == 2 else field.add
+        # on an odd prime field the elements are residues mod p: a pass
+        # adds integers and reduces once at its end
+        prime = p > 2 and field.order == p
+        plus = xor if p == 2 else add if prime else field.add
         for e, mult in self.den.items():
             S = ctx.m * (ctx.q ** e - 1)
             while mult and S < n:
                 mult, d = divmod(mult, p)
                 for _ in range(d):
                     for b in range(S, n, S):
-                        z[b:b + S] = map(add, z[b:b + S], z[b - S:b])
+                        z[b:b + S] = map(plus, z[b:b + S], z[b - S:b])
+                    if prime:
+                        z = [c % p for c in z]
                 S *= p
         base = v + shift
         return LaurentElem.wrap(ctx, {base + k: c for k, c in enumerate(z)

@@ -261,6 +261,12 @@ class TateSeries:
         return {"t_prec": None if self.t_prec == INF else self.t_prec,
                 "coeffs": [c.to_json() for c in self.coeffs]}
 
+    def to_text(self):
+        """to_json() as JSON text with sorted keys."""
+        return '{"coeffs": [%s], "t_prec": %s}' % (
+            ", ".join([c.to_text() for c in self.coeffs]),
+            "null" if self.t_prec == INF else self.t_prec)
+
 
 class FactoredFrac:
     """num / prod F_e^mult over den = {e: mult}, e >= 1: the arithmetic of
@@ -371,6 +377,12 @@ class TateRational(FactoredFrac):
     def to_json(self):
         return {"numer": self.num.to_json(),
                 "poles": [list(p) for p in sorted(self.den.items())]}
+
+    def to_text(self):
+        """to_json() as JSON text with sorted keys."""
+        return '{"numer": %s, "poles": [%s]}' % (
+            self.num.to_text(),
+            ", ".join(["[%d, %d]" % p for p in sorted(self.den.items())]))
 
     def __repr__(self):
         return "<TateRational deg %s, poles %r>" % (

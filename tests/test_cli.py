@@ -6,15 +6,18 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
+from math import inf
 
 import pytest
 
 from drinfeld import cli
 from drinfeld.errors import ConfigError
 from drinfeld.laurent import LaurentElem, SeriesParams
+from drinfeld.modules import BracketFrac
 from drinfeld.ff import FieldParams
 from drinfeld.tate import TateRational, TateSeries
 
@@ -648,3 +651,141 @@ def test_sparse_sessions_agf_cap_c_against_2c(seed):
     assert lo["residue_at_theta"] == hi["residue_at_theta"]
     assert lo["regular_part"]["coeffs"] == [
         cut(x) for x in hi["regular_part"]["coeffs"][:T]]
+
+
+def _random_elem(ctx, rng):
+    """An element of one of the shapes the CLI prints: exact zero, zero
+    to a cap, a single term, or a sparse or dense run of terms (exact
+    or capped), at negative or positive valuation."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return ctx.zero()
+    if kind == 1:
+        return ctx.zero(rng.randint(-6, 12))
+    v = rng.randint(-24, 24)
+    order = ctx.field.order
+    if kind == 2:
+        coeffs = {v: rng.randrange(1, order)}
+    else:
+        density = rng.choice((0.1, 0.5, 1.0))
+        coeffs = {e: rng.randrange(1, order)
+                  for e in range(v, v + rng.randint(1, 40))
+                  if e == v or rng.random() < density}
+    cap = inf if kind < 4 else v + rng.randint(1, 50)
+    return LaurentElem(ctx, coeffs, cap)
+
+
+def _old_frac_json(f):
+    """The dict coeffs printed for a bracket fraction before the text
+    renderer: json-encoded with sorted keys, it gives the printed bytes."""
+    return {"num": f.num.to_json(),
+            "den": {str(e): m for e, m in sorted(f.den.items())}}
+
+
+_RENDER_FIELDS = [(q, s, m) for q in (2, 3, 4, 5, 9) for s in (1, 2)
+                  for m in (1, 2, 3)] + [(2, 13, 1)]
+
+
+@pytest.mark.parametrize("q,s,m", _RENDER_FIELDS)
+def test_text_renderer_prints_the_json_bytes(q, s, m):
+    """Every element the CLI prints through the text renderer gets the
+    bytes that _encode writes for its to_json() dict: Laurent elements,
+    Tate series with t_prec None and finite, Tate rationals with and
+    without poles, bracket fractions (an empty den among them), and a
+    whole _emit line that mixes texts with plain values."""
+    rng = random.Random(7000 + 100 * q + 10 * s + m)
+    ctx = SeriesParams(FieldParams.make(q, s), m)
+    enc = cli._encode
+    for _ in range(12):
+        x = _random_elem(ctx, rng)
+        assert x.to_text() == enc(x.to_json())
+        series = TateSeries(ctx, [_random_elem(ctx, rng)
+                                  for _ in range(rng.randint(0, 4))],
+                            rng.choice((inf, rng.randint(0, 6))))
+        assert series.to_text() == enc(series.to_json())
+        poles = {rng.randint(1, 12): rng.randint(1, q + 1)
+                 for _ in range(rng.randint(0, 3))}
+        rat = TateRational(ctx, TateSeries(ctx, series.coeffs), poles)
+        assert rat.to_text() == enc(rat.to_json())
+        frac = BracketFrac(ctx, x, poles)
+        assert cli._frac_text(frac) == enc(_old_frac_json(frac))
+        basis = [x, _random_elem(ctx, rng)]
+        line = {"n": 3, "alpha": cli._Text(cli._frac_text(frac)),
+                "b": cli._Text(rat.to_text()), "pass": True, "none": {},
+                "branch_choices": {"ell": 1, "basis": cli._Text(
+                    cli._array([z.to_text() for z in basis]))}}
+        want = {"n": 3, "alpha": _old_frac_json(frac), "b": rat.to_json(),
+                "pass": True, "none": {}, "branch_choices": {
+                    "ell": 1, "basis": [z.to_json() for z in basis]}}
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli._emit(line)
+        assert out.getvalue() == enc(want) + "\n"
+
+
+def _torsion_session_args(seed):
+    """A random single-layer module for the torsion commands: over F_q,
+    q cycling through {2, 3, 4, 5}, of rank 1-3 with constant
+    coefficients (A_r != 0), from a draw of m <= 4 and s <= 3 that is
+    raised while an exit 3 names m or s and the value asked stays within
+    m <= 4, s <= 4.  Constant coefficients keep the Newton polygon of
+    phi_t to one edge: torsion_roots handles a single valuation layer
+    only, and most random modules of higher degree stop there (ROADMAP
+    item 1) before any cap is checked."""
+    rng = random.Random(seed)
+    q = (2, 3, 4, 5)[seed % 4]
+    r = rng.randint(1, 3)
+    A = [rng.randrange(q) for _ in range(r - 1)] + [rng.randrange(1, q)]
+    knobs = {"m": rng.randint(1, 4), "s": rng.randint(1, 3)}
+    while True:
+        args = ["--q", str(q), "--s", str(knobs["s"]), "--m",
+                str(knobs["m"]), "--A", ";".join(map(str, A))]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(["period", *args, "--ucap", "16"])
+        ask = re.search(r"enlarge (m|s) to (\d+)", err.getvalue())
+        if code != 3 or ask is None:
+            return args
+        key, value = ask.group(1), int(ask.group(2))
+        if value > {"m": 4, "s": 4}[key]:
+            return args
+        knobs[key] = value
+
+
+def test_torsion_sessions_cap_c_against_2c():
+    """period and quasiperiod at ucap 2c, each printed value (periods,
+    quasi-periods, torsion basis) cut back to c, print the values of
+    the same command at c, and both caps end in the same exit code, on
+    seeded single-layer sessions (_torsion_session_args); most of them
+    must reach a torsion basis."""
+    ran = 0
+    for seed in range(48):
+        args = _torsion_session_args(seed)
+        q, s, m = (int(args[k]) for k in (1, 3, 5))
+        ctx = SeriesParams(FieldParams.make(q, s), m)
+        c = random.Random(seed).choice((24, 32, 48))
+
+        def cut(obj):
+            return LaurentElem.from_json(ctx, obj).truncate(c).to_json()
+
+        for cmd in ("period", "quasiperiod"):
+            code_lo, lo = _main_rows([cmd, *args, "--ucap", str(c)])
+            code_hi, hi = _main_rows([cmd, *args, "--ucap", str(2 * c)])
+            assert code_lo == code_hi, (seed, cmd)
+            assert code_lo in (0, 3), (seed, cmd)
+            if code_lo:
+                continue
+            ran += 1
+            (lo,), (hi,) = lo, hi
+            lo_vals, hi_vals = lo["branch_choices"]["basis"], \
+                hi["branch_choices"]["basis"]
+            if cmd == "period":
+                lo_vals, hi_vals = lo_vals + lo["value"], hi_vals + hi["value"]
+            else:
+                for a, b in zip(lo["value"], hi["value"]):
+                    lo_vals, hi_vals = lo_vals + a, hi_vals + b
+            assert len(lo_vals) == len(hi_vals), (seed, cmd)
+            for a, b in zip(lo_vals, hi_vals):
+                assert cut(a) == cut(b), (seed, cmd, a["cap"], b["cap"])
+    assert ran >= 24

@@ -1,7 +1,6 @@
 """Module layer: bracket fractions, exp/log coefficients (both routes),
 convergence data, degree bounds, certified evaluation."""
 
-import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -12,7 +11,7 @@ from operator import add
 import pytest
 
 from drinfeld import modules
-from drinfeld.cli import _frac_json
+from drinfeld.cli import _frac_text
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
@@ -829,7 +828,8 @@ def _partition_oracle(phi, n):
 
 
 def _printed(fracs):
-    return [json.dumps(_frac_json(f), sort_keys=True) for f in fracs]
+    """The text coeffs prints for each fraction."""
+    return [_frac_text(f) for f in fracs]
 
 
 def test_per_partition_terms_rank2_depth3():
