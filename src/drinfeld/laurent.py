@@ -26,7 +26,9 @@ Elements are immutable: nothing changes .coeffs after construction.
 Results the kernel builds itself (products, sums of equal caps,
 negations, Frobenius twists, scalings by a nonzero scalar) are
 valid by construction and skip the constructor's filter through
-LaurentElem.wrap; everything else goes through the constructor.
+LaurentElem.wrap; everything else goes through the constructor.  A sum
+with a termless operand whose cap is at or above the other's hands
+back the other operand as it is, with no copy.
 """
 
 from fractions import Fraction
@@ -253,6 +255,10 @@ class LaurentElem:
 
     def __add__(self, other):
         self._check(other)
+        if not other.coeffs and other.cap >= self.cap:
+            return self
+        if not self.coeffs and self.cap >= other.cap:
+            return other
         cap = min(self.cap, other.cap)
         field = self.ctx.field
         add = xor if field.p == 2 else field.add

@@ -18,10 +18,13 @@ Every sum of fractions is expanded by expand_sum, which adds the
 numerators that share a pole multiset and divides each group by its
 top pole once, Horner style, so a chain of nested pole sets costs one
 division per pole, not one per term and pole.  Its inverse,
-TateSeries.mul_pole, multiplies by (t - theta^(q^e)) with one O(deg)
-shift and scale; it serves every such product, including the lift of
-both numerators to the max-merged pole multiset in sums and equality,
-so no denominator is ever expanded.
+TateSeries.mul_pole, multiplies by (t - theta^(q^e)) in one pass that
+builds each coefficient c_(k-1) - theta^(q^e) c_k as a single dict; it
+serves every such product, including the lift of both numerators to
+the max-merged pole multiset in sums and equality, so no denominator is
+ever expanded.  Sums and differences also run in one pass: past the
+shorter operand they take the longer one's coefficients as they are,
+and every padding slot is one shared exact zero.
 The value theta itself is never a pole of these objects; anything with
 a simple t = theta pole is carried in ThetaPoleForm, which keeps the
 residue split off exactly.
@@ -48,7 +51,7 @@ class TateSeries:
             if t_prec < 0:
                 raise InvalidInput("t_prec must be >= 0")
             if len(coeffs) < t_prec:
-                coeffs = coeffs + [ctx.zero() for _ in range(t_prec - len(coeffs))]
+                coeffs += [ctx.zero()] * (t_prec - len(coeffs))
             else:
                 coeffs = coeffs[:t_prec]
         self.coeffs = coeffs
@@ -88,20 +91,30 @@ class TateSeries:
     _check = LaurentElem._check
 
     def __add__(self, other):
+        """One pass: past the shorter operand the longer one's
+        coefficients are taken as they are."""
         self._check(other)
         tp = min(self.t_prec, other.t_prec)
-        n = max(len(self.coeffs), len(other.coeffs)) if tp == INF else tp
-        z = self.ctx.zero()
-        out = [(self.coeffs[k] if k < len(self.coeffs) else z)
-               + (other.coeffs[k] if k < len(other.coeffs) else z)
-               for k in range(n)]
+        a, b = self.coeffs, other.coeffs
+        if tp != INF:
+            a, b = a[:tp], b[:tp]
+        out = [x + y for x, y in zip(a, b)]
+        out += a[len(b):] or b[len(a):]
         return TateSeries(self.ctx, out, tp)
 
     def __neg__(self):
         return TateSeries(self.ctx, [-c for c in self.coeffs], self.t_prec)
 
     def __sub__(self, other):
-        return self + (-other)
+        """self + (-other) in one pass, as __add__."""
+        self._check(other)
+        tp = min(self.t_prec, other.t_prec)
+        a, b = self.coeffs, other.coeffs
+        if tp != INF:
+            a, b = a[:tp], b[:tp]
+        out = [x - y for x, y in zip(a, b)]
+        out += a[len(b):] or [-y for y in b[len(a):]]
+        return TateSeries(self.ctx, out, tp)
 
     def __mul__(self, other):
         self._check(other)
@@ -111,7 +124,7 @@ class TateSeries:
         else:
             tp = int(tp)
             n = tp
-        out = [self.ctx.zero() for _ in range(n)]
+        out = [self.ctx.zero()] * n
         for i, a in enumerate(self.coeffs):
             if a.is_exact_zero():
                 continue
@@ -124,8 +137,36 @@ class TateSeries:
         return TateSeries(self.ctx, out, tp)
 
     def mul_pole(self, e):
-        """self * (t - theta^(q^e)): one t-shift and one scale."""
-        return self.shift_t(1) - self.scale(self.ctx.theta().pow_q(e))
+        """self * (t - theta^(q^e)) in one pass: y_k = c_(k-1) -
+        u^(-m q^e) c_k, one dict per coefficient, with cap(y_k) =
+        min(cap(c_(k-1)), cap(c_k) - m q^e), the caps of the shifted
+        series minus the scaled one."""
+        ctx = self.ctx
+        step = ctx.m * ctx.q ** e
+        field = ctx.field
+        neg, sub = field.neg, xor if field.p == 2 else field.sub
+        prev = ctx.zero()
+        cs = self.coeffs + [prev] if self.t_prec == INF else self.coeffs
+        out = []
+        for c in cs:
+            lim = min(prev.cap, c.cap - step)
+            y = {j: v for j, v in prev.coeffs.items() if j < lim}
+            for j, v in c.coeffs.items():
+                j -= step
+                if j >= lim:
+                    continue
+                p = y.get(j)
+                if p is None:
+                    y[j] = neg(v)
+                else:
+                    v = sub(p, v)
+                    if v:
+                        y[j] = v
+                    else:
+                        del y[j]
+            out.append(LaurentElem.wrap(ctx, y, lim))
+            prev = c
+        return TateSeries(ctx, out, self.t_prec)
 
     def div_pole(self, e):
         """self / (t - theta^(q^e)) in the Tate algebra, to the same

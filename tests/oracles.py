@@ -1,13 +1,16 @@
 """Plain oracles that only the tests compare against: exact powers of a
 Laurent element, the base-q digit factors of a bracket power, the
 Newton-inverse expansion of a bracket fraction, exact evaluation of a
-t-rational away from its poles, and the degree of a bracket fraction.
-The package itself needs none of them."""
+t-rational away from its poles, the degree of a bracket fraction, and
+the composed t-series sums, differences and pole products that the
+one-pass forms replace.  The package itself needs none of them."""
 
-from math import comb
+from math import comb, inf as INF
 
 from drinfeld.errors import PreconditionError
+from drinfeld.laurent import LaurentElem
 from drinfeld.modules import _den_elem
+from drinfeld.tate import TateSeries
 
 
 class EvalAtPole(PreconditionError):
@@ -77,3 +80,35 @@ def frac_deg(f):
     if d is None:
         return None
     return d - f.den_deg()
+
+
+def laurent_sum(x, y):
+    """x + y through the constructor: the terms merged with Field.add,
+    the cap the lesser one, every operand copied."""
+    add = x.ctx.field.add
+    out = dict(x.coeffs)
+    for e, c in y.coeffs.items():
+        out[e] = add(out.get(e, 0), c)
+    return LaurentElem(x.ctx, out, min(x.cap, y.cap))
+
+
+def tate_sum(a, b):
+    """a + b slot by slot, with a new ctx.zero() for every slot past
+    the shorter operand."""
+    tp = min(a.t_prec, b.t_prec)
+    n = max(len(a.coeffs), len(b.coeffs)) if tp == INF else tp
+    ctx = a.ctx
+    return TateSeries(ctx, [
+        laurent_sum(a.coeffs[k] if k < len(a.coeffs) else ctx.zero(),
+                    b.coeffs[k] if k < len(b.coeffs) else ctx.zero())
+        for k in range(n)], tp)
+
+
+def tate_diff(a, b):
+    """a - b as a + (-b)."""
+    return tate_sum(a, -b)
+
+
+def mul_pole_composed(x, e):
+    """x * (t - theta^(q^e)) as shift_t(1) - scale(theta^(q^e))."""
+    return tate_diff(x.shift_t(1), x.scale(x.ctx.theta().pow_q(e)))

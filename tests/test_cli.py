@@ -723,18 +723,19 @@ def test_text_renderer_prints_the_json_bytes(q, s, m):
         assert out.getvalue() == enc(want) + "\n"
 
 
-def _torsion_session_args(seed):
+def _torsion_session_args(seed, rank=None,
+                          allow=lambda q, m, s: m <= 4 and s <= 4):
     """A random single-layer module for the torsion commands: over F_q,
-    q cycling through {2, 3, 4, 5}, of rank 1-3 with constant
+    q cycling through {2, 3, 4, 5}, of rank 1-3 (or rank) with constant
     coefficients (A_r != 0), from a draw of m <= 4 and s <= 3 that is
-    raised while an exit 3 names m or s and the value asked stays within
-    m <= 4, s <= 4.  Constant coefficients keep the Newton polygon of
-    phi_t to one edge: torsion_roots handles a single valuation layer
+    raised while an exit 3 names m or s and allow(q, m, s) holds for the
+    raised pair.  Constant coefficients keep the Newton polygon
+    of phi_t to one edge: torsion_roots handles a single valuation layer
     only, and most random modules of higher degree stop there (ROADMAP
     item 1) before any cap is checked."""
     rng = random.Random(seed)
     q = (2, 3, 4, 5)[seed % 4]
-    r = rng.randint(1, 3)
+    r = rng.randint(1, 3) if rank is None else rank
     A = [rng.randrange(q) for _ in range(r - 1)] + [rng.randrange(1, q)]
     knobs = {"m": rng.randint(1, 4), "s": rng.randint(1, 3)}
     while True:
@@ -747,10 +748,10 @@ def _torsion_session_args(seed):
         ask = re.search(r"enlarge (m|s) to (\d+)", err.getvalue())
         if code != 3 or ask is None:
             return args
-        key, value = ask.group(1), int(ask.group(2))
-        if value > {"m": 4, "s": 4}[key]:
+        raised = dict(knobs, **{ask.group(1): int(ask.group(2))})
+        if not allow(q, raised["m"], raised["s"]):
             return args
-        knobs[key] = value
+        knobs = raised
 
 
 def test_torsion_sessions_cap_c_against_2c():
@@ -789,3 +790,42 @@ def test_torsion_sessions_cap_c_against_2c():
             for a, b in zip(lo_vals, hi_vals):
                 assert cut(a) == cut(b), (seed, cmd, a["cap"], b["cap"])
     assert ran >= 24
+
+
+def test_legendre_cap_c_against_2c():
+    """legendre at ucap 2c, its value cut back to c, prints the value of
+    the same command at c, and both residual valuations are at least c.
+    On the preset rank2-q2 at c in {48, 96}, where both runs exit 0, and
+    on seeded rank-2 single-layer sessions (constant A_1 and A_2, so
+    deg j = 0 < q^2 passes the gate; m and s raised as asked up to
+    m <= 24 and q^s <= 4096, the fields with tables) at c in {24, 48},
+    where both caps end in the same exit code and an exit 3 names a
+    knob."""
+    runs = [(["--preset", "rank2-q2"], (2, 2, 3), c) for c in (48, 96)]
+    for seed in range(32):
+        args = _torsion_session_args(
+            seed, 2, lambda q, m, s: m <= 24 and q ** s <= 4096)
+        q, s, m = (int(args[k]) for k in (1, 3, 5))
+        runs.append((args, (q, s, m), (24, 48)[seed % 2]))
+    ran = 0
+    for args, (q, s, m), c in runs:
+        ctx = SeriesParams(FieldParams.make(q, s), m)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code_lo, lo = _main_rows(["legendre", *args, "--tprec", "8",
+                                      "--ucap", str(c)])
+            code_hi, hi = _main_rows(["legendre", *args, "--tprec", "8",
+                                      "--ucap", str(2 * c)])
+        assert code_lo == code_hi, (args, c)
+        assert code_lo in (0, 3), (args, c, err.getvalue())
+        if code_lo:
+            assert args[0] != "--preset" and "enlarge" in err.getvalue(), \
+                (args, c)
+            continue
+        ran += 1
+        (lo,), (hi,) = lo, hi
+        cut = LaurentElem.from_json(ctx, hi["value"]).truncate(c)
+        assert cut == LaurentElem.from_json(ctx, lo["value"]), (args, c)
+        for row in (lo, hi):
+            assert min(row["residual_valuations"].values()) >= c, (args, c)
+    assert ran >= 20

@@ -13,7 +13,8 @@ from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.tate import (TateRational, TateSeries, ThetaPoleForm,
                            expand_sum)
 
-from oracles import EvalAtPole, rational_eval
+from oracles import (EvalAtPole, laurent_sum, mul_pole_composed,
+                     rational_eval, tate_diff, tate_sum)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
@@ -173,6 +174,77 @@ def test_mul_pole_matches_linear_product():
                     for y in (x, TateSeries(ctx, x.coeffs, INF),
                               TateSeries.zero(ctx), TateSeries.zero(ctx, 0)):
                         assert y.mul_pole(e) == lin * y
+
+
+def _one_pass_operands(ctx, rng):
+    """_pole_operand series of unequal lengths at finite t_prec, their
+    exact-polynomial cuts, and the empty series at t_prec INF and 0."""
+    out = [TateSeries.zero(ctx), TateSeries.zero(ctx, 0)]
+    for _ in range(3):
+        lead = rng.randrange(0, 3)
+        x = _pole_operand(ctx, rng, lead, lead + 4 + rng.randrange(0, 5))
+        out += [x, TateSeries(ctx, x.coeffs[:rng.randrange(0, 9)], INF)]
+    return out
+
+
+def test_t_layer_one_pass_matches_composed_oracles():
+    """Sums, differences and pole products equal their composed forms
+    (oracles.tate_sum, tate_diff, mul_pole_composed), caps included."""
+    rng = random.Random(47)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                xs = _one_pass_operands(ctx, rng)
+                for a in xs:
+                    for e in (0, 1, 2):
+                        assert a.mul_pole(e) == mul_pole_composed(a, e)
+                    for b in xs:
+                        assert a + b == tate_sum(a, b)
+                        assert a - b == tate_diff(a, b)
+
+
+def test_sum_with_termless_operand_keeps_the_cap():
+    """x + zero(c) and zero(c) + x equal the constructor's x cut at c,
+    for c below, at and above x.cap and for the exact zero; a zero whose
+    cap is at or above x.cap hands back x itself (of two termless
+    operands with one cap, either one)."""
+    rng = random.Random(53)
+    for q, s, m in ((2, 1, 1), (3, 2, 2), (4, 1, 3), (5, 2, 1), (9, 1, 2)):
+        ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+        for _ in range(12):
+            x = _pole_operand(ctx, rng, 0, 4).coeffs[rng.randrange(4)]
+            top = 24 if x.cap == INF else x.cap
+            for c in (top - rng.randint(1, 6), top, top + rng.randint(1, 6),
+                      INF):
+                z = ctx.zero(c)
+                want = LaurentElem(ctx, x.coeffs, min(x.cap, c))
+                assert x + z == want == z + x == laurent_sum(x, z)
+                if c >= x.cap:
+                    assert x + z is x
+                    assert z + x is x or not x.coeffs
+
+
+def test_t_layer_ops_leave_operands_untouched():
+    """A seeded run of sums, differences, pole products and Tate
+    products, each result fed back in as an operand: afterwards every
+    operand's coefficient dicts still equal a snapshot taken when it
+    was made, so no result writes into a dict it shares."""
+    def snap(x):
+        return [(dict(c.coeffs), c.cap) for c in x.coeffs]
+
+    rng = random.Random(59)
+    for q, s, m in ((2, 1, 1), (3, 2, 2), (5, 1, 3), (9, 1, 1)):
+        ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+        pool = _one_pass_operands(ctx, rng)
+        snaps = [snap(x) for x in pool]
+        for _ in range(40):
+            a, b = rng.choice(pool), rng.choice(pool)
+            for y in (a + b, a - b, a.mul_pole(rng.randrange(3)), a * b):
+                pool.append(y)
+                snaps.append(snap(y))
+        assert [snap(x) for x in pool] == snaps
 
 
 def _per_term_sum(ctx, fracs, t_prec):
