@@ -97,8 +97,12 @@ class ShadowedPartition:
 
 
 def _lex_key(r, n):
+    """The flattened membership vector of a mask tuple (bit j of S_1
+    first) read as one integer: each mask's n bits reversed, with S_1
+    most significant."""
+    fmt = "0%db" % n
     def key(masks):
-        return tuple((m >> j) & 1 for m in masks for j in range(n))
+        return int("".join([format(m, fmt)[::-1] for m in masks]), 2)
     return key
 
 

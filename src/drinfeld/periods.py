@@ -5,9 +5,9 @@ phi_t(x) = theta x + sum A_i x^(q^i).  Root valuations come from the
 Newton polygon, leading coefficients from a residual polynomial over the
 residue field, and the rest from the refinement x <- x - phi_t(x)/theta,
 whose error contracts since the linear coefficient dominates near a
-simple residual root.  The full kernel is the F_q-span of the lifted
-roots, which also absorbs residual multiplicities (two roots sharing a
-leading term differ by a smaller-valuation root).
+simple residual root.  The residual is F_q-linear and has a y-term, so
+it is separable: each of its nonzero roots y lifts to the one kernel
+element with leading term y u^v, and these lifts plus 0 are the kernel.
 """
 
 from fractions import Fraction
@@ -78,40 +78,26 @@ class TorsionData:
         }
 
 
-def _elem_key(x, cap):
-    t = x.truncate(cap)
-    return tuple(sorted(t.coeffs.items()))
-
-
-def _span_with(span, x, scalars, ucap):
-    """The span {key at ucap: element} grown by c*x for c in scalars;
-    the first representative found for a key is kept.  Since every cap
-    is >= ucap, the key of s + c*x depends only on the key of s."""
-    out = dict(span)
-    for s in span.values():
-        for c in scalars:
-            cand = s + x.scale(c)
-            out.setdefault(_elem_key(cand, ucap), cand)
-    return out
-
-
-def _sort_key(field, x):
-    head = -x.val if x.coeffs else -INF  # zero sorts first
-    return (head, tuple((e, field.coords(c))
-                        for e, c in sorted(x.coeffs.items())))
-
-
 def torsion_roots(phi: DrinfeldModule, ucap):
     """All q^r roots of phi_t, a canonical F_q-basis of the kernel, and
-    the refinement traces."""
+    the refinement traces (in the scan order of the residual's roots,
+    by packed int).
+
+    The roots are printed zero first, then by the F_p coordinates of
+    the leading coefficient: on one valuation layer that is the order
+    of (-val, (exponent, coordinates) of each term).  The basis is
+    picked greedily in that order, skipping a root whose leading
+    coefficient lies in the F_q-span of those already picked; the
+    leading coefficient is injective and F_q-linear on the kernel, so
+    this is the first F_q-basis in root order."""
     ctx = phi.ctx
     field = ctx.field
     q = ctx.q
     inner = ucap + ctx.m * (phi.r + 2)
 
-    points = [(1, -ctx.m)]
-    for i in phi.support:
-        points.append((q ** i, phi.A[i - 1].val))
+    coeffs = [(1, ctx.theta())] + [(q ** i, phi.A[i - 1])
+                                   for i in phi.support]
+    points = [(d, c.val) for d, c in coeffs]
     slopes = newton_slopes(points)
     if len(slopes) != 1:
         # a second edge never contains the x-term, so its residual is a
@@ -132,11 +118,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
     # it iff val + d*v attains the minimum.  The x-term is the left
     # endpoint, so g has a simple-root derivative and is separable.
     vmin = min(val + d * v for d, val in points)
-    terms = {}
-    for d, val in points:
-        if val + d * v == vmin:
-            lead = (ctx.theta() if d == 1 else phi.A[_log_q(q, d) - 1])
-            terms[d] = lead.coeffs[lead.val]
+    terms = {d: c.coeffs[c.val] for d, c in coeffs if c.val + d * v == vmin}
     if field.order > (1 << 16):
         raise PrecisionExhausted("residue field too large to scan")
     ys = [y for y in range(1, field.order) if not _residual(field, terms, y)]
@@ -150,7 +132,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
             "enlarge s to %d" % (field.s * dd, field.s * dd),
             required_s=field.s * dd)
 
-    lifted = []
+    lifted = {}
     traces = []
     for y in ys:
         x = ctx.monomial(y, v)
@@ -167,34 +149,31 @@ def torsion_roots(phi: DrinfeldModule, ucap):
             x = x - fx * ctx.theta(-1)
         else:
             raise PrecisionExhausted("torsion refinement did not finish")
-        lifted.append(x.truncate(inner))
+        lifted[y] = x.truncate(inner)
         traces.append(trace)
 
-    # close under the F_q-module structure
-    base_scalars = range(1, q)  # F_q^x, as packed ints
-    span = {(): ctx.zero(inner)}
-    for x in lifted:
-        span = _span_with(span, x, base_scalars, ucap)
-    roots = sorted(span.values(), key=lambda x: _sort_key(field, x))
-    if len(roots) != q ** phi.r:
+    ys.sort(key=field.coords)
+    roots = [ctx.zero(inner)] + [lifted[y] for y in ys]
+    # every nonzero root has valuation v, so the roots stay distinct
+    # below ucap exactly when ucap > v
+    count = len({frozenset(x.truncate(ucap).coeffs.items()) for x in roots})
+    if count != q ** phi.r:
         raise PrecisionExhausted(
-            "found %d torsion elements, expected %d" % (len(roots),
-                                                        q ** phi.r))
+            "found %d torsion elements, expected %d; raise ucap to %d"
+            % (count, q ** phi.r, v + 1))
     for x in roots:
         if phi.phi_action(x).coeffs:
             raise PrecisionExhausted("a lifted root fails to annihilate")
 
-    nonzero = [x for x in roots if x.coeffs]
-    nonzero.sort(key=lambda x: _sort_key(field, x))
     basis = []
-    span_map = {_elem_key(ctx.zero(inner), ucap): ctx.zero(inner)}
-    for cand in nonzero:
-        if _elem_key(cand, ucap) in span_map:
+    span = {0}  # F_q-span of the basis' leading coefficients
+    for y in ys:
+        if y in span:
             continue
-        basis.append(cand)
+        basis.append(lifted[y])
         if len(basis) == phi.r:
             break
-        span_map = _span_with(span_map, cand, base_scalars, ucap)
+        span = {field.add(a, field.mul(c, y)) for a in span for c in range(q)}
     if len(basis) != phi.r:
         raise PrecisionExhausted("could not extract a full torsion basis")
 
@@ -211,13 +190,6 @@ def _residual(field, terms, y):
     for d, c in terms.items():
         acc = field.add(acc, field.mul(c, field.pow_int(y, d)))
     return acc
-
-
-def _log_q(q, d):
-    i = 0
-    while q ** i < d:
-        i += 1
-    return i
 
 
 def period_from_torsion(phi: DrinfeldModule, zeta, ucap):

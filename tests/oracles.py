@@ -1,9 +1,11 @@
 """Plain oracles that only the tests compare against: exact powers of a
 Laurent element, the base-q digit factors of a bracket power, the
 Newton-inverse expansion of a bracket fraction, exact evaluation of a
-t-rational away from its poles, the degree of a bracket fraction, and
-the composed t-series sums, differences and pole products that the
-one-pass forms replace.  The package itself needs none of them."""
+t-rational away from its poles, the degree of a bracket fraction, the
+composed t-series sums, differences and pole products that the
+one-pass forms replace, the F_q-span closure of torsion lifts, and the
+tuple key of the partition order.  The package itself needs none of
+them."""
 
 from math import comb, inf as INF
 
@@ -112,3 +114,60 @@ def tate_diff(a, b):
 def mul_pole_composed(x, e):
     """x * (t - theta^(q^e)) as shift_t(1) - scale(theta^(q^e))."""
     return tate_diff(x.shift_t(1), x.scale(x.ctx.theta().pow_q(e)))
+
+
+def _elem_key(x, cap):
+    t = x.truncate(cap)
+    return tuple(sorted(t.coeffs.items()))
+
+
+def _span_with(span, x, scalars, ucap):
+    """The span {key at ucap: element} grown by c*x for c in scalars;
+    the first representative found for a key is kept.  Since every cap
+    is >= ucap, the key of s + c*x depends only on the key of s."""
+    out = dict(span)
+    for s in span.values():
+        for c in scalars:
+            cand = s + x.scale(c)
+            out.setdefault(_elem_key(cand, ucap), cand)
+    return out
+
+
+def _sort_key(field, x):
+    head = -x.val if x.coeffs else -INF  # zero sorts first
+    return (head, tuple((e, field.coords(c))
+                        for e, c in sorted(x.coeffs.items())))
+
+
+def torsion_span_oracle(phi, ucap, lifts):
+    """(roots, basis) of the t-torsion by closing the F_q-span of the
+    refined lifts (in the residual's scan order) with Laurent additions
+    keyed by their truncations at ucap, sorting by (-val, (exponent,
+    coordinates) of each term), and picking the basis greedily in that
+    order, skipping any root already in the closed span of the basis."""
+    ctx = phi.ctx
+    field = ctx.field
+    inner = ucap + ctx.m * (phi.r + 2)
+    scalars = range(1, ctx.q)  # F_q^x, as packed ints
+    span = {(): ctx.zero(inner)}
+    for x in lifts:
+        span = _span_with(span, x, scalars, ucap)
+    roots = sorted(span.values(), key=lambda x: _sort_key(field, x))
+    basis = []
+    span = {_elem_key(ctx.zero(inner), ucap): ctx.zero(inner)}
+    for cand in roots:
+        if _elem_key(cand, ucap) in span:
+            continue
+        basis.append(cand)
+        if len(basis) == phi.r:
+            break
+        span = _span_with(span, cand, scalars, ucap)
+    return roots, basis
+
+
+def partition_lex_key(r, n):
+    """The lexicographic key of a mask tuple: its flattened membership
+    vector, bit j of S_1 first."""
+    def key(masks):
+        return tuple((m >> j) & 1 for m in masks for j in range(n))
+    return key

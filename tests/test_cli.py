@@ -84,6 +84,20 @@ def test_period_ramification_exit_3_names_m():
     assert "enlarge m to 7" in proc.stderr
 
 
+def test_period_torsion_count_exit_3_names_ucap():
+    # the kernel's nonzero elements have valuation 1, so at ucap 1 every
+    # one of them truncates to zero
+    args = ("period", "--q", "2", "--A", "0,0,1")
+    proc = run_cli(*args, "--ucap", "1")
+    assert proc.returncode == 3 and proc.stdout == ""
+    ask = re.search(r"found 1 torsion elements, expected 2; raise ucap to "
+                    r"(\d+)$", proc.stderr.strip())
+    assert ask is not None, proc.stderr
+    rerun = run_cli(*args, "--ucap", ask.group(1))
+    assert rerun.returncode == 0, rerun.stderr
+    assert json_lines(rerun)[0]["value"]
+
+
 def test_mainthm_shift_precondition_exit_3():
     proc = run_cli("verify-mainthm", "--preset", "carlitz-q2",
                    "--xi", "theta")

@@ -2,8 +2,9 @@
 
 import pytest
 
-from drinfeld.partitions import (ShadowedPartition, _lex_key,
+from drinfeld.partitions import (ShadowedPartition, _enumerate_masks,
                                  count_partitions, enumerate_partitions)
+from oracles import partition_lex_key
 
 
 def enumerate_by_filter(r, n):
@@ -34,7 +35,7 @@ def enumerate_by_filter(r, n):
                 rec(masks + [m], seen | cells)
 
     rec([], 0)
-    out.sort(key=lambda sp: _lex_key(r, n)(sp.masks))
+    out.sort(key=lambda sp: partition_lex_key(r, n)(sp.masks))
     return out
 
 
@@ -181,3 +182,18 @@ def test_lex_order_of_enumeration():
         keys = [tuple((m >> j) & 1 for m in sp.masks for j in range(n))
                 for sp in enumerate_partitions(r, n)]
         assert keys == sorted(keys)
+
+
+def test_integer_lex_key_matches_tuple_order():
+    """The one-integer key sorts the enumerated mask tuples as the
+    flattened membership tuples do, for r <= 4, n <= 14 and the supports
+    all rows, 2..r, {1, r} and {r}."""
+    for r in range(1, 5):
+        supports = {range(1, r + 1), range(2, r + 1), (1, r), (r,)}
+        for n in range(15):
+            for rows in supports:
+                masks = _enumerate_masks(r, n, set(rows))
+                assert ([sp.masks
+                         for sp in enumerate_partitions(r, n, rows)]
+                        == sorted(masks, key=partition_lex_key(r, n))), \
+                    (r, n, rows)

@@ -9,7 +9,7 @@ from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
                              RamificationError, ResidueSplittingError)
 from drinfeld.ff import (FieldParams, _pol_gcd, _pol_mod, _pol_powmod,
                          _pol_sub, _pol_trim, field_for)
-from drinfeld.laurent import SeriesParams
+from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.periods import (_residual, _splitting_degree,
                               carlitz_period_routes,
@@ -17,6 +17,7 @@ from drinfeld.periods import (_residual, _splitting_degree,
                               period_from_torsion, quasi_function_eval,
                               quasi_period_orbit, quasi_period_prop,
                               quasi_periods, torsion_roots)
+from oracles import torsion_span_oracle
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 R2 = SeriesParams(FieldParams.make(2, 2), 3, 96)
@@ -118,6 +119,71 @@ def test_random_kernel_combinations_annihilated():
         z = td3.basis[0].scale(rng.randrange(3)) + \
             td3.basis[1].scale(rng.randrange(3))
         assert not phi3.phi_action(z).coeffs
+
+
+def _single_layer_torsion(seed):
+    """A random module over F_q, q cycling through {2, 3, 4, 5, 7, 9},
+    of rank 1-3 with constant coefficients (A_r != 0), so phi_t has one
+    Newton edge; m and s start from a draw of m <= 4 and s <= 2 and are
+    raised as the torsion errors ask while m <= 80 and q^s <= 4096.
+    Returns (phi, ucap, torsion data), or None when the bounds stop the
+    session first."""
+    rng = random.Random(seed)
+    q = (2, 3, 4, 5, 7, 9)[seed % 6]
+    r = rng.randint(1, 3)
+    A = [rng.randrange(q) for _ in range(r - 1)] + [rng.randrange(1, q)]
+    m, s = rng.randint(1, 4), rng.randint(1, 2)
+    ucap = rng.choice((16, 24, 48))
+    while m <= 80 and q ** s <= 4096:
+        ctx = SeriesParams(FieldParams.make(q, s), m)
+        phi = DrinfeldModule(ctx, [ctx.from_poly([a]) for a in A])
+        try:
+            return phi, ucap, torsion_roots(phi, ucap)
+        except RamificationError as exc:
+            m = exc.required_m
+        except ResidueSplittingError as exc:
+            s = exc.required_s
+    return None
+
+
+def test_torsion_kernel_matches_span_oracle():
+    """The kernel (zero, then the lifts by the coordinates of their
+    leading coefficients) and the greedy basis equal, coefficients and
+    caps, what closing the F_q-span of the same lifts gives, on seeded
+    single-layer sessions of up to 81 roots."""
+    reached = set()
+    for seed in range(120):
+        session = _single_layer_torsion(seed)
+        if session is None:
+            continue
+        phi, ucap, td = session
+        # the lifts in the residual's scan order: by packed leading term
+        lifts = sorted(td.roots[1:], key=lambda x: x.coeffs[x.val])
+        roots, basis = torsion_span_oracle(phi, ucap, lifts)
+        assert td.roots == roots, seed
+        assert td.basis == basis, seed
+        reached.add((phi.ctx.q, phi.r))
+    assert {q for q, _ in reached} == {2, 3, 4, 5, 7, 9}
+    assert {r for _, r in reached} == {1, 2, 3}
+    assert len(reached) >= 12
+
+
+def test_torsion_kernel_needs_no_span_closure(monkeypatch):
+    """The 49-point kernel of q = 7, A = (1, 1) costs at most 1,000
+    Laurent additions; closing its F_q-span took 12,656."""
+    ctx = SeriesParams(FieldParams.make(7, 4), 48)
+    phi = DrinfeldModule(ctx, [ctx.one(), ctx.one()])
+    calls = [0]
+    add = LaurentElem.__add__
+
+    def counted(x, y):
+        calls[0] += 1
+        return add(x, y)
+
+    monkeypatch.setattr(LaurentElem, "__add__", counted)
+    td = torsion_roots(phi, 48)
+    assert len(td.roots) == 49 and len(td.basis) == 2
+    assert calls[0] <= 1000
 
 
 def test_rank2_period_is_lattice_point():
