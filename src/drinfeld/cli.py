@@ -366,7 +366,8 @@ def cmd_period(args):
            "residual_valuations": {"refinement": td.traces,
                                    "exp_of_period": resid},
            "branch_choices": {"ell": 1,
-                              "slopes": td.to_json()["slopes"],
+                              "slopes": [[s.numerator, s.denominator, a, b]
+                                         for s, a, b in td.slopes],
                               "basis": _Text(_array([z.to_text()
                                                      for z in td.basis]))}})
     return 0 if all(v is None for v in resid) else 1
@@ -383,9 +384,8 @@ def cmd_quasiperiod(args):
         etas = quasi_periods(phi, zeta, cfg.ucap)
         values.append(_array([e.to_text() for e in etas]))
         row = []
-        for j, eta in enumerate(etas, 1):
-            direct, tail = quasi_period_orbit(phi, j, w, cfg.ucap,
-                                              terms=args.terms)
+        orbit = quasi_period_orbit(phi, w, cfg.ucap, terms=args.terms)
+        for j, (eta, (direct, tail)) in enumerate(zip(etas, orbit), 1):
             d = direct - eta
             floor = min(ctx.val_from_logq(tail), d.cap)
             good = (not d.coeffs) or d.val >= floor

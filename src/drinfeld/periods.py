@@ -8,6 +8,9 @@ whose error contracts since the linear coefficient dominates near a
 simple residual root.  The residual is F_q-linear and has a y-term, so
 it is separable: each of its nonzero roots y lifts to the one kernel
 element with leading term y u^v, and these lifts plus 0 are the kernel.
+
+Per torsion point zeta, one deformed logarithm L(zeta; t) gives every
+quasi-period eta_j and the Legendre rows; one exp orbit checks every eta_j.
 """
 
 from fractions import Fraction
@@ -66,16 +69,6 @@ class TorsionData:
         self.slopes = slopes
         self.traces = traces
         self.in_radius = in_radius
-
-    def to_json(self):
-        return {
-            "count": len(self.roots),
-            "slopes": [[s.numerator, s.denominator, int(a), int(b)]
-                       for s, a, b in self.slopes],
-            "basis": [z.to_json() for z in self.basis],
-            "in_radius": list(self.in_radius),
-            "refinement_vals": self.traces,
-        }
 
 
 def torsion_roots(phi: DrinfeldModule, ucap):
@@ -243,53 +236,62 @@ def _exp_deg_sup(phi, d, val_target):
     return best
 
 
-def quasi_period_orbit(phi: DrinfeldModule, j, omega, ucap, terms=20):
-    """Partial sum of sum_m exp(omega/theta^(m+1))^(q^j) theta^m together
-    with a certified log_q bound for the omitted tail.  For each fixed
-    exponential term the (n, m) degree q^j(da(n) + q^n(d-m-1)) + m is
-    strictly decreasing in m, so the tail is bounded by its value at
-    m = terms."""
-    if j < 1:
-        raise InvalidInput("quasi index must be >= 1")
+def quasi_period_orbit(phi: DrinfeldModule, omega, ucap, terms=20):
+    """[(partial sum of sum_m exp(omega/theta^(m+1))^(q^j) theta^m, a
+    certified log_q bound for the omitted tail) for j = 1..r-1]; the orbit
+    exp(omega/theta^(m+1)), m < terms, is evaluated once for every j, and
+    not at all in rank 1.  For each fixed exponential term the (n, m)
+    degree q^j(da(n) + q^n(d-m-1)) + m is strictly decreasing in m, so
+    the tail is bounded by its value at m = terms."""
+    if phi.r == 1:
+        return []
     if terms < 0:
         raise InvalidInput("terms must be >= 0, got %d" % terms)
     ctx = phi.ctx
     if not omega.coeffs:
-        return omega.truncate(ucap), -INF
+        return [(omega.truncate(ucap), -INF)] * (phi.r - 1)
     inner = ucap + ctx.m * (terms + 1)
-    acc = ctx.zero(INF)
-    for mm in range(terms):
-        e = phi.exp_eval(omega * ctx.theta(-(mm + 1)), ucap=inner)
-        acc = acc + e.pow_q(j) * ctx.theta(mm)
+    orbit = [phi.exp_eval(omega * ctx.theta(-(mm + 1)), ucap=inner)
+             for mm in range(terms)]
     d = omega.deg_bound()
-    tail = ctx.q ** j * _exp_deg_sup(phi, d - terms - 1,
-                                     ucap * ctx.q ** j) + terms
-    return acc.truncate(ucap), tail
+    out = []
+    for j in range(1, phi.r):
+        acc = ctx.zero(INF)
+        for mm, e in enumerate(orbit):
+            acc = acc + e.pow_q(j) * ctx.theta(mm)
+        tail = ctx.q ** j * _exp_deg_sup(phi, d - terms - 1,
+                                         ucap * ctx.q ** j) + terms
+        out.append((acc.truncate(ucap), tail))
+    return out
 
 
 def quasi_periods(phi: DrinfeldModule, zeta, ucap):
     """Quasi-periods F_j(omega), j = 1..r-1, of the period attached to
-    the torsion point zeta; a rank-1 module has none."""
-    return [quasi_period_prop(phi, j, zeta, ucap)
-            for j in range(1, phi.r)]
+    the torsion point zeta, all read off one DeformedLog at ucap + 2m; a
+    rank-1 module has none and builds nothing."""
+    if phi.r == 1:
+        return []
+    dl = DeformedLog(phi, zeta, ucap + 2 * phi.ctx.m)
+    return [quasi_period_prop(dl, j, ucap) for j in range(1, phi.r)]
 
 
-def quasi_period_prop(phi: DrinfeldModule, j, zeta, ucap):
-    """F_j(omega) for omega = theta L(zeta; theta), computed without
-    summing F_j: theta/(theta^(q^j) - theta) times the j-twisted value
-    of the deformed logarithm at theta, plus zeta^(q^j).
+def quasi_period_prop(dl: DeformedLog, j, ucap):
+    """F_j(omega) for omega = theta L(zeta; theta), zeta = dl.xi, read off
+    the deformed logarithm dl without summing F_j: theta/(theta^(q^j) -
+    theta) times the j-twisted value of dl at theta, plus zeta^(q^j).
+    The value is certified below ucap when dl is built at ucap + 2m or
+    above.
 
     (With ell division steps the correction is
     sum_{m < ell} exp(omega/theta^(m+1))^(q^j) theta^m; the exponent on
     theta is the summation index m.  Only ell = 1 is used here.)"""
-    ctx = phi.ctx
+    ctx = dl.phi.ctx
     inner = ucap + 2 * ctx.m
-    dl = DeformedLog(phi, zeta, inner)
     tw = dl.twist_eval_theta(j)
     br = bracket(ctx, j)
     val = tw * ctx.theta() * br.truncate(br.val + inner + ctx.m * ctx.q ** j
                                          ).invert()
-    return (val + zeta.pow_q(j)).truncate(ucap)
+    return (val + dl.xi.pow_q(j)).truncate(ucap)
 
 
 def legendre_check(phi: DrinfeldModule, ucap, t_prec):
@@ -319,15 +321,21 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
     report = {"deg_j": None if degj == -INF else
               [Fraction(degj).numerator, Fraction(degj).denominator]}
 
-    omegas, etas = [], []
+    omegas, etas, rows = [], [], []
     for zeta in zetas:
         om = period_from_torsion(phi, zeta, inner)
-        eta_closed = quasi_period_prop(phi, 1, zeta, inner)
+        dl = DeformedLog(phi, zeta, inner + 2 * ctx.m)
+        eta_closed = quasi_period_prop(dl, 1, inner)
         eta_direct = quasi_function_eval(phi, 1, om, inner)
         if (eta_closed - eta_direct).coeffs:
             raise PrecisionExhausted("quasi-period routes disagree")
         omegas.append(om)
         etas.append(eta_closed)
+        # determinant row: zeta^(q^col) - t s^(col) / (t - theta^(q^col))
+        s = dl.series(t_prec).truncate_u(inner)
+        rows.append([-s.twist(col).div_pole(col).shift_t(1).truncate_t(t_prec)
+                     + TateSeries.from_scalar(ctx, zeta.pow_q(col), t_prec)
+                     for col in range(2)])
 
     combo = omegas[0] * etas[1] - omegas[1] * etas[0]
     root = (-B).root_q_minus_1()
@@ -345,19 +353,6 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
     report["branch"] = {"root_of_minus_B": ctx.field.coords(
         root.coeffs[root.val]), "root_val": root.val}
 
-    # determinant twist identity
-    dls = [DeformedLog(phi, z, inner) for z in zetas]
-    rows = []
-    for i, dl in enumerate(dls):
-        s = dl.series(t_prec)
-        row = []
-        for col in range(2):
-            # zeta_i^(q^col) - t s^(col) / (t - theta^(q^col))
-            pole = s.twist(col).div_pole(col).shift_t(1).truncate_t(t_prec)
-            entry = -pole + TateSeries.from_scalar(
-                ctx, zetas[i].pow_q(col), t_prec)
-            row.append(entry)
-        rows.append(row)
     det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
     resid = det.twist(1).scale(B) + det.mul_pole(0)
     ok_det, uval, win = resid.residual_report()

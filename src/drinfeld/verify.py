@@ -20,7 +20,7 @@ from .agf import (DeformedLog, OmegaCarlitz, b_seq, carlitz_bseq_product,
 from .tate import TateSeries
 from .periods import (carlitz_period_routes, legendre_check,
                       period_from_torsion, quasi_period_orbit,
-                      quasi_period_prop, torsion_roots)
+                      quasi_periods, torsion_roots)
 
 # Every check below runs from one of these: q, residue degree s,
 # ramification index m, and the module coefficients A_i as F_q-polynomial
@@ -314,8 +314,8 @@ def check_torsion_periods(ucap=128):
         ok = ok and not phi.phi_action(z).coeffs
     zeta = td.basis[0]
     om = period_from_torsion(phi, zeta, 60)
-    closed = quasi_period_prop(phi, 1, zeta, 56)
-    partial, tail = quasi_period_orbit(phi, 1, om, 56, terms=20)
+    closed = quasi_periods(phi, zeta, 56)[0]
+    partial, tail = quasi_period_orbit(phi, om, 56, terms=20)[0]
     dq = closed - partial
     floor = min(ctx2.val_from_logq(tail), dq.cap)
     ok = ok and dq.vbound >= floor

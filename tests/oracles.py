@@ -3,15 +3,19 @@ Laurent element, the base-q digit factors of a bracket power, the
 Newton-inverse expansion of a bracket fraction, exact evaluation of a
 t-rational away from its poles, the degree of a bracket fraction, the
 composed t-series sums, differences and pole products that the
-one-pass forms replace, the F_q-span closure of torsion lifts, and the
-tuple key of the partition order.  The package itself needs none of
-them."""
+one-pass forms replace, the F_q-span closure of torsion lifts, the
+tuple key of the partition order, the quasi-period and its orbit sum
+computed for one index j at a time, and the Legendre determinant
+report from Tate rows built at their own cap.  The package itself needs none
+of them."""
 
 from math import comb, inf as INF
 
+from drinfeld.agf import DeformedLog, _report
 from drinfeld.errors import PreconditionError
 from drinfeld.laurent import LaurentElem
-from drinfeld.modules import _den_elem
+from drinfeld.modules import _den_elem, bracket
+from drinfeld.periods import _exp_deg_sup, torsion_roots
 from drinfeld.tate import TateSeries
 
 
@@ -171,3 +175,53 @@ def partition_lex_key(r, n):
     def key(masks):
         return tuple((m >> j) & 1 for m in masks for j in range(n))
     return key
+
+
+def quasi_period_one_j(phi, j, zeta, ucap):
+    """F_j(omega) for omega = theta L(zeta; theta) from a deformed
+    logarithm built for this j alone at ucap + 2m: theta/(theta^(q^j) -
+    theta) times its j-twisted value at theta, plus zeta^(q^j)."""
+    ctx = phi.ctx
+    inner = ucap + 2 * ctx.m
+    dl = DeformedLog(phi, zeta, inner)
+    tw = dl.twist_eval_theta(j)
+    br = bracket(ctx, j)
+    val = tw * ctx.theta() * br.truncate(br.val + inner + ctx.m * ctx.q ** j
+                                         ).invert()
+    return (val + zeta.pow_q(j)).truncate(ucap)
+
+
+def quasi_orbit_one_j(phi, j, omega, ucap, terms=20):
+    """(partial sum of sum_m exp(omega/theta^(m+1))^(q^j) theta^m over
+    m < terms, certified log_q bound for the tail), evaluating the whole
+    exp orbit for this j alone."""
+    ctx = phi.ctx
+    if not omega.coeffs:
+        return omega.truncate(ucap), -INF
+    inner = ucap + ctx.m * (terms + 1)
+    acc = ctx.zero(INF)
+    for mm in range(terms):
+        e = phi.exp_eval(omega * ctx.theta(-(mm + 1)), ucap=inner)
+        acc = acc + e.pow_q(j) * ctx.theta(mm)
+    d = omega.deg_bound()
+    tail = ctx.q ** j * _exp_deg_sup(phi, d - terms - 1,
+                                     ucap * ctx.q ** j) + terms
+    return acc.truncate(ucap), tail
+
+
+def legendre_det_twist_one_cap(phi, ucap, t_prec):
+    """The det_twist entry of the rank-2 Legendre report, from the Tate
+    rows zeta^(q^col) - t L^(col) / (t - theta^(q^col)) of deformed
+    logarithms built at inner = ucap + 4m itself."""
+    ctx = phi.ctx
+    inner = ucap + 4 * ctx.m
+    rows = []
+    for z in torsion_roots(phi, inner).basis:
+        s = DeformedLog(phi, z, inner).series(t_prec)
+        rows.append([-s.twist(col).div_pole(col).shift_t(1).truncate_t(t_prec)
+                     + TateSeries.from_scalar(ctx, z.pow_q(col), t_prec)
+                     for col in range(2)])
+    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    resid = det.twist(1).scale(phi.A[1]) + det.mul_pole(0)
+    ok, uval, win = resid.residual_report()
+    return _report(ok, uval, win)

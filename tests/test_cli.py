@@ -15,9 +15,10 @@ from math import inf
 import pytest
 
 from drinfeld import cli
+from drinfeld.agf import DeformedLog
 from drinfeld.errors import ConfigError
 from drinfeld.laurent import LaurentElem, SeriesParams
-from drinfeld.modules import BracketFrac
+from drinfeld.modules import BracketFrac, DrinfeldModule
 from drinfeld.ff import FieldParams
 from drinfeld.tate import TateRational, TateSeries
 
@@ -768,6 +769,37 @@ def _torsion_session_args(seed, rank=None,
         knobs = raised
 
 
+def _torsion_cap_c_against_2c(cmd, args, c):
+    """Runs the period or quasiperiod command at ucap c and 2c: both end
+    in the same exit code, 0 or 3, and at exit 0 each printed value
+    (periods, quasi-periods, torsion basis) cut back to c is the same.
+    Returns whether the runs exited 0."""
+    q, s, m = (int(args[k]) for k in (1, 3, 5))
+    ctx = SeriesParams(FieldParams.make(q, s), m)
+
+    def cut(obj):
+        return LaurentElem.from_json(ctx, obj).truncate(c).to_json()
+
+    code_lo, lo = _main_rows([cmd, *args, "--ucap", str(c)])
+    code_hi, hi = _main_rows([cmd, *args, "--ucap", str(2 * c)])
+    assert code_lo == code_hi, (args, cmd)
+    assert code_lo in (0, 3), (args, cmd)
+    if code_lo:
+        return False
+    (lo,), (hi,) = lo, hi
+    lo_vals, hi_vals = lo["branch_choices"]["basis"], \
+        hi["branch_choices"]["basis"]
+    if cmd == "period":
+        lo_vals, hi_vals = lo_vals + lo["value"], hi_vals + hi["value"]
+    else:
+        for a, b in zip(lo["value"], hi["value"]):
+            lo_vals, hi_vals = lo_vals + a, hi_vals + b
+    assert len(lo_vals) == len(hi_vals), (args, cmd)
+    for a, b in zip(lo_vals, hi_vals):
+        assert cut(a) == cut(b), (args, cmd, a["cap"], b["cap"])
+    return True
+
+
 def test_torsion_sessions_cap_c_against_2c():
     """period and quasiperiod at ucap 2c, each printed value (periods,
     quasi-periods, torsion basis) cut back to c, print the values of
@@ -777,33 +809,24 @@ def test_torsion_sessions_cap_c_against_2c():
     ran = 0
     for seed in range(48):
         args = _torsion_session_args(seed)
-        q, s, m = (int(args[k]) for k in (1, 3, 5))
-        ctx = SeriesParams(FieldParams.make(q, s), m)
         c = random.Random(seed).choice((24, 32, 48))
-
-        def cut(obj):
-            return LaurentElem.from_json(ctx, obj).truncate(c).to_json()
-
         for cmd in ("period", "quasiperiod"):
-            code_lo, lo = _main_rows([cmd, *args, "--ucap", str(c)])
-            code_hi, hi = _main_rows([cmd, *args, "--ucap", str(2 * c)])
-            assert code_lo == code_hi, (seed, cmd)
-            assert code_lo in (0, 3), (seed, cmd)
-            if code_lo:
-                continue
-            ran += 1
-            (lo,), (hi,) = lo, hi
-            lo_vals, hi_vals = lo["branch_choices"]["basis"], \
-                hi["branch_choices"]["basis"]
-            if cmd == "period":
-                lo_vals, hi_vals = lo_vals + lo["value"], hi_vals + hi["value"]
-            else:
-                for a, b in zip(lo["value"], hi["value"]):
-                    lo_vals, hi_vals = lo_vals + a, hi_vals + b
-            assert len(lo_vals) == len(hi_vals), (seed, cmd)
-            for a, b in zip(lo_vals, hi_vals):
-                assert cut(a) == cut(b), (seed, cmd, a["cap"], b["cap"])
+            ran += _torsion_cap_c_against_2c(cmd, args, c)
     assert ran >= 24
+
+
+def test_rank3_quasiperiod_cap_c_against_2c():
+    """quasiperiod at ucap c in {24, 48} and 2c, as above, on seeded
+    rank-3 single-layer sessions with m <= 26 and q^s <= 4096, so that
+    the quasi-periods eta_1 and eta_2 of every basis element are cut
+    back and compared."""
+    ran = set()
+    for seed in range(24):
+        args = _torsion_session_args(
+            seed, 3, lambda q, m, s: m <= 26 and q ** s <= 4096)
+        if _torsion_cap_c_against_2c("quasiperiod", args, (24, 48)[seed % 2]):
+            ran.add((seed, int(args[1])))
+    assert len(ran) >= 7 and {q for _, q in ran} == {2, 3}
 
 
 def test_legendre_cap_c_against_2c():
@@ -843,3 +866,35 @@ def test_legendre_cap_c_against_2c():
         for row in (lo, hi):
             assert min(row["residual_valuations"].values()) >= c, (args, c)
     assert ran >= 20
+
+
+def test_one_deformed_log_and_exp_orbit_per_basis_element(monkeypatch):
+    """quasiperiod and legendre build one deformed logarithm per torsion
+    basis element, and quasiperiod evaluates the exp orbit once per
+    element: rank 3 at terms 8 makes 3 DeformedLog and 3 (2 + 8)
+    exp_eval calls, two for each period and eight for its orbit;
+    legendre on rank2-q2 makes 2 DeformedLog; rank 1 has no
+    quasi-periods and makes no DeformedLog and only the period's two
+    exp_eval calls."""
+    counts = {"dl": 0, "exp": 0}
+    init, exp_eval = DeformedLog.__init__, DrinfeldModule.exp_eval
+
+    def counted_init(self, *args, **kw):
+        counts["dl"] += 1
+        init(self, *args, **kw)
+
+    def counted_exp(self, *args, **kw):
+        counts["exp"] += 1
+        return exp_eval(self, *args, **kw)
+
+    monkeypatch.setattr(DeformedLog, "__init__", counted_init)
+    monkeypatch.setattr(DrinfeldModule, "exp_eval", counted_exp)
+    for argv, want in [
+            (["quasiperiod", "--q", "2", "--s", "3", "--m", "7",
+              "--A", "1;1;1"], {"dl": 3, "exp": 30}),
+            (["legendre", "--preset", "rank2-q2"], {"dl": 2}),
+            (["quasiperiod", "--preset", "carlitz-q2"], {"dl": 0, "exp": 2})]:
+        counts.update(dl=0, exp=0)
+        code, _ = _main_rows(argv)
+        assert code == 0, argv
+        assert {k: counts[k] for k in want} == want, argv

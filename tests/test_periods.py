@@ -5,6 +5,8 @@ from math import lcm
 
 import pytest
 
+from drinfeld import cli
+from drinfeld.agf import DeformedLog
 from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
                              RamificationError, ResidueSplittingError)
 from drinfeld.ff import (FieldParams, _pol_gcd, _pol_mod, _pol_powmod,
@@ -17,7 +19,9 @@ from drinfeld.periods import (_residual, _splitting_degree,
                               period_from_torsion, quasi_function_eval,
                               quasi_period_orbit, quasi_period_prop,
                               quasi_periods, torsion_roots)
-from oracles import torsion_span_oracle
+from oracles import (legendre_det_twist_one_cap, quasi_orbit_one_j,
+                     quasi_period_one_j, torsion_span_oracle)
+from test_cli import _torsion_session_args
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 R2 = SeriesParams(FieldParams.make(2, 2), 3, 96)
@@ -226,7 +230,7 @@ def test_quasi_routes_agree_on_torsion():
     td = torsion_roots(phi, 60)
     for zeta in td.basis:
         om = period_from_torsion(phi, zeta, 52)
-        closed = quasi_period_prop(phi, 1, zeta, 40)
+        closed = quasi_periods(phi, zeta, 40)[0]
         direct = quasi_function_eval(phi, 1, om, 40)
         d = closed - direct
         assert not d.coeffs and d.cap >= 40
@@ -237,16 +241,16 @@ def test_quasi_orbit_partial_sums_within_tail():
     td = torsion_roots(phi, 60)
     zeta = td.basis[0]
     om = period_from_torsion(phi, zeta, 52)
-    closed = quasi_period_prop(phi, 1, zeta, 48)
-    partial, tail = quasi_period_orbit(phi, 1, om, 48, terms=20)
+    closed = quasi_periods(phi, zeta, 48)[0]
+    partial, tail = quasi_period_orbit(phi, om, 48, terms=20)[0]
     d = closed - partial
     # disagreement may only live at or below the certified tail size
     assert d.vbound >= min(R2.val_from_logq(tail), d.cap)
 
     # with few terms the tail enters the window; the bound stays valid
     om70 = period_from_torsion(phi, zeta, 76)
-    closed70 = quasi_period_prop(phi, 1, zeta, 70)
-    part70, tail70 = quasi_period_orbit(phi, 1, om70, 70, terms=12)
+    closed70 = quasi_periods(phi, zeta, 70)[0]
+    part70, tail70 = quasi_period_orbit(phi, om70, 70, terms=12)[0]
     d70 = closed70 - part70
     assert d70.coeffs  # the truncation error is genuinely visible
     assert d70.val >= R2.val_from_logq(tail70)
@@ -256,8 +260,8 @@ def test_quasi_orbit_more_terms_tightens():
     phi = _rank2()
     td = torsion_roots(phi, 60)
     om = period_from_torsion(phi, td.basis[0], 52)
-    _, t20 = quasi_period_orbit(phi, 1, om, 48, terms=20)
-    _, t30 = quasi_period_orbit(phi, 1, om, 48, terms=30)
+    _, t20 = quasi_period_orbit(phi, om, 48, terms=20)[0]
+    _, t30 = quasi_period_orbit(phi, om, 48, terms=30)[0]
     assert t30 < t20
 
 
@@ -267,8 +271,66 @@ def test_quasi_periods_list():
     td = torsion_roots(phi, 60)
     etas = quasi_periods(phi, td.basis[0], 40)
     assert len(etas) == 1
-    d = etas[0] - quasi_period_prop(phi, 1, td.basis[0], 40)
+    d = etas[0] - quasi_period_one_j(phi, 1, td.basis[0], 40)
     assert not d.coeffs
+
+
+def _quasi_sessions():
+    """(phi, torsion data at ucap 48) for the seeded rank-2 and rank-3
+    single-layer sessions 0-23 of _torsion_session_args with m <= 26 and
+    q^s <= 4096 (q = 3, s = 6, m = 26 among them) that reach a basis."""
+    for rank in (2, 3):
+        for seed in range(24):
+            args = _torsion_session_args(
+                seed, rank, lambda q, m, s: m <= 26 and q ** s <= 4096)
+            q, s, m = (int(args[k]) for k in (1, 3, 5))
+            phi = cli.SessionConfig(q=q, s=s, m=m, ucap=48,
+                                    A=cli.parse_coeff_polys(args[7])).phi
+            try:
+                yield phi, torsion_roots(phi, 48)
+            except (RamificationError, ResidueSplittingError):
+                continue
+
+
+def test_shared_quasi_periods_match_per_j_oracles():
+    """The quasi-periods read off one deformed logarithm per torsion
+    point, and the orbit sums read off one exp orbit, equal by ==
+    (coefficients, caps and tail bounds) what building both for each j
+    alone gives; so does a deformed logarithm built above ucap + 2m."""
+    seen, ranks = 0, set()
+    for phi, td in _quasi_sessions():
+        m = phi.ctx.m
+        for i, zeta in enumerate(td.basis):
+            c = (24, 48)[i % 2]
+            js = range(1, phi.r)
+            etas = quasi_periods(phi, zeta, c)
+            assert etas == [quasi_period_one_j(phi, j, zeta, c) for j in js]
+            above = DeformedLog(phi, zeta, c + 5 * m)
+            assert [quasi_period_prop(above, j, c) for j in js] == etas
+            om = period_from_torsion(phi, zeta, c)
+            assert quasi_period_orbit(phi, om, c, terms=8) == \
+                [quasi_orbit_one_j(phi, j, om, c, terms=8) for j in js]
+            seen += 1
+            ranks.add(phi.r)
+    assert ranks == {2, 3}
+    assert seen >= 50
+
+
+def test_deformed_log_cut_back_matches_lower_cap():
+    """L(zeta; t) built at c + 2m, its series cut back to c, equals by
+    == the series built at c, for c in {24, 48} and t_prec in {4, 8, 12};
+    legendre_check reads its Tate rows this way."""
+    seen = 0
+    for phi, td in _quasi_sessions():
+        for zeta in td.basis:
+            for c in (24, 48):
+                hi = DeformedLog(phi, zeta, c + 2 * phi.ctx.m)
+                lo = DeformedLog(phi, zeta, c)
+                for t_prec in (4, 8, 12):
+                    assert hi.series(t_prec).truncate_u(c) == \
+                        lo.series(t_prec)
+                    seen += 1
+    assert seen >= 300
 
 
 def test_quasi_period_scales_linearly():
@@ -278,8 +340,8 @@ def test_quasi_period_scales_linearly():
     phi = DrinfeldModule(ctx, [ctx.one(), ctx.int_scalar(2)])
     td = torsion_roots(phi, 60)
     zeta = td.basis[0]
-    a = quasi_period_prop(phi, 1, zeta.scale(2), 40)
-    b = quasi_period_prop(phi, 1, zeta, 40).scale(2)
+    a = quasi_periods(phi, zeta.scale(2), 40)[0]
+    b = quasi_periods(phi, zeta, 40)[0].scale(2)
     d = a - b
     assert not d.coeffs
 
@@ -292,10 +354,8 @@ def test_period_of_zero_is_zero():
 def test_quasi_index_validated():
     with pytest.raises(InvalidInput):
         quasi_function_eval(_rank2(), 0, R2.one(), 20)
-    with pytest.raises(InvalidInput):
-        quasi_period_orbit(_rank2(), 0, R2.one(), 20)
     with pytest.raises(InvalidInput, match="terms"):
-        quasi_period_orbit(_rank2(), 1, R2.one(), 20, terms=-1)
+        quasi_period_orbit(_rank2(), R2.one(), 20, terms=-1)
 
 
 def test_legendre_rank2_q2():
@@ -316,6 +376,17 @@ def test_legendre_q3():
     c = rep["legendre"]["c"]
     assert c == (2, 0)  # a unit of F_3, not forced to be 1
 
+
+def test_legendre_rows_match_rows_built_at_inner():
+    """legendre_check reads its Tate rows off the deformed logarithm it
+    builds for eta_1 at inner + 2m, cut back to inner; its det_twist
+    entry (holds, u_val, t_prec) is the one of rows built at inner."""
+    ctx = SeriesParams(FieldParams.make(3, 2), 8, 192)
+    phi3 = DrinfeldModule(ctx, [ctx.one(), ctx.int_scalar(2)])
+    for phi, ucap, t_prec in [(_rank2(), 192, 16), (_rank2(), 40, 8),
+                              (phi3, 48, 6)]:
+        assert legendre_check(phi, ucap, t_prec)["det_twist"] == \
+            legendre_det_twist_one_cap(phi, ucap, t_prec)
 
 def test_legendre_gate_rejects_large_j_invariant():
     phi = DrinfeldModule(CTX2, [CTX2.theta(2), CTX2.one()])
@@ -466,11 +537,3 @@ def test_torsion_deterministic_and_cap_stable():
     for x, y in zip(a.basis, b.basis):
         assert x.truncate(35).coeffs == y.truncate(35).coeffs
 
-
-def test_torsion_json_shape():
-    td = torsion_roots(_rank2(), 50)
-    blob = json.dumps(td.to_json(), sort_keys=True)
-    data = json.loads(blob)
-    assert data["count"] == 4
-    assert data["slopes"] == [[1, 1, 1, 4]]
-    assert len(data["basis"]) == 2
