@@ -126,9 +126,14 @@ class DeformedLog:
             self.terms.append(seq[n] * xq)
 
     def series(self, t_prec):
+        """The sum to O(t^t_prec), certified below ucap.  Each term's
+        numerator is cut at ucap and each pole division stops there
+        (expand_sum), so nothing above ucap is built; the final cut
+        caps the exact zeros of an empty sum.  The terms themselves stay
+        exact: identity (b) compares them with beta exactly."""
         return expand_sum(self.phi.ctx,
                           [term.truncate_u(self.ucap) for term in self.terms],
-                          t_prec).truncate_u(self.ucap)
+                          t_prec, self.ucap).truncate_u(self.ucap)
 
     def eval_theta(self):
         """Value at t = theta via exact per-term rationals; agrees with
@@ -173,17 +178,15 @@ class AGFValue:
         uq = u
         for n in range(1, self.cut):
             uq = uq.pow_q(1)
-            frac = -(alpha[n] * uq)
+            c = alpha[n].times_to_laurent(-uq, ucap)
             self.terms.append(
-                TateRational(ctx,
-                             TateSeries.from_scalar(ctx, frac.to_laurent(ucap)),
-                             {n: 1}))
+                TateRational(ctx, TateSeries.from_scalar(ctx, c), {n: 1}))
         self.residue = -u
 
     def theta_pole_form(self, t_prec):
         reg = expand_sum(self.phi.ctx,
                          [term.truncate_u(self.ucap) for term in self.terms],
-                         t_prec)
+                         t_prec, self.ucap)
         return ThetaPoleForm(reg.truncate_u(self.ucap), self.residue)
 
 
@@ -363,15 +366,15 @@ class OmegaCarlitz:
     def series(self):
         ctx = self.ctx
         W = self.regular_series()
-        return (W.scale(self.root * (-ctx.theta())).div_pole(0)
-                .truncate_u(self.ucap))
+        return W.scale(self.root * (-ctx.theta())).div_pole(0, self.ucap)
 
     def theta_pole_form(self):
         """Split omega = regular + res/(t - theta), the residue being
         -theta * root * W(theta)."""
         ctx = self.ctx
         res = -(self.pi_tilde("factored"))
-        pole = TateSeries.from_scalar(ctx, res, self.t_prec).div_pole(0)
+        pole = TateSeries.from_scalar(ctx, res, self.t_prec).div_pole(
+            0, self.ucap)
         reg = self.series() - pole
         return ThetaPoleForm(reg.truncate_u(self.ucap), res)
 
@@ -416,8 +419,8 @@ class OmegaCarlitz:
         published cap."""
         ctx = self.ctx
         W = self.regular_series()
-        s = (W.scale(self.root * (-ctx.theta())).div_pole(0)
-             .truncate_u(self._inner - ctx.m))
+        s = W.scale(self.root * (-ctx.theta())).div_pole(
+            0, self._inner - ctx.m)
         resid = s.twist(1) - s.mul_pole(0)
         return resid.truncate_u(self.ucap)
 

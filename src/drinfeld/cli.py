@@ -374,6 +374,9 @@ def cmd_period(args):
 
 
 def cmd_quasiperiod(args):
+    # checked before any work: a rank-1 module never reaches the orbit
+    if args.terms < 0:
+        raise InvalidInput("terms must be >= 0, got %d" % args.terms)
     cfg = SessionConfig.from_args(args)
     phi, ctx = cfg.phi, cfg.ctx
     td = torsion_roots(phi, cfg.ucap)

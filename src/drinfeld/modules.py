@@ -15,9 +15,10 @@ exact, not numerical.  A session expands each denominator multiset
 once: the expansions are cached on its SeriesParams; they serve lifts,
 sums and equality.  Evaluation expands no denominator: to_laurent
 divides the numerator by each bracket's binomial factors 1 - y^(p^j)
-with running sums.  BracketFrac takes its arithmetic from
-tate.FactoredFrac, the base it shares with TateRational, and drops the
-denominator of an exact zero.
+with running sums, and times_to_laurent builds a fraction-times-scalar
+product only in the window to_laurent reads.  BracketFrac takes its
+arithmetic from tate.FactoredFrac, the base it shares with
+TateRational, and drops the denominator of an exact zero.
 """
 
 from fractions import Fraction
@@ -186,6 +187,26 @@ class BracketFrac(FactoredFrac):
         base = v + shift
         return LaurentElem.wrap(ctx, {base + k: c for k, c in enumerate(z)
                                       if c}, lim + shift)
+
+    def times_to_laurent(self, x, ucap):
+        """(self * x).to_laurent(ucap), coefficients and cap included,
+        with the product built only in the window to_laurent reads:
+        below lim = ucap - m * den_deg().  Numerator terms at or above
+        lim - v(x), and x's terms at or above lim - v(num), only reach
+        exponents >= lim, so the product of the cut operands is the full
+        product cut at min(its cap, lim).  A product whose leading term
+        lies at or above lim reads nothing, and to_laurent gives
+        zero(ucap) for it.  An infinite ucap, or an operand with no
+        terms, takes the full product."""
+        num = self.num
+        if ucap == INF or not num.coeffs or not x.coeffs:
+            return (self * x).to_laurent(ucap)
+        lim = ucap - self.ctx.m * self.den_deg()
+        vn, vx = min(num.coeffs), min(x.coeffs)
+        if vn + vx >= lim:
+            return self.ctx.zero(ucap)
+        return BracketFrac(self.ctx, num.truncate(lim - vx) *
+                           x.truncate(lim - vn), self.den).to_laurent(ucap)
 
     def __repr__(self):
         return "<BracketFrac %r / %r>" % (self.num, sorted(self.den.items()))
@@ -514,7 +535,7 @@ class DrinfeldModule:
         for n in range(cut):
             if n:
                 xq = xq.pow_q(1)
-            total = total + (fracs_upto[n] * xq).to_laurent(ucap)
+            total = total + fracs_upto[n].times_to_laurent(xq, ucap)
         return total.truncate(ucap)
 
     def exp_eval(self, xi, ucap):

@@ -17,7 +17,10 @@ coefficient steps, not an O(t_prec^2) product with a geometric series.
 Every sum of fractions is expanded by expand_sum, which adds the
 numerators that share a pole multiset and divides each group by its
 top pole once, Horner style, so a chain of nested pole sets costs one
-division per pole, not one per term and pole.  Its inverse,
+division per pole, not one per term and pole.  A caller that cuts the
+expansion at a u-cap passes that cap in, and each division stops there:
+the cap recurrence is min-plus linear, so nothing changes below it and
+nothing above it is built.  Its inverse,
 TateSeries.mul_pole, multiplies by (t - theta^(q^e)) in one pass that
 builds each coefficient c_(k-1) - theta^(q^e) c_k as a single dict; it
 serves every such product, including the lift of both numerators to
@@ -168,7 +171,7 @@ class TateSeries:
             prev = c
         return TateSeries(ctx, out, self.t_prec)
 
-    def div_pole(self, e):
+    def div_pole(self, e, ucap=INF):
         """self / (t - theta^(q^e)) in the Tate algebra, to the same
         t_prec: y_k = u^(m q^e) (y_(k-1) - c_k), each step one
         subtraction and one u-shift.  Caps obey the same recurrence,
@@ -176,7 +179,13 @@ class TateSeries:
         equals the product with the geometric series
         -sum_k theta^(-q^e (k+1)) t^k coefficient for coefficient and
         cap for cap.  The cap recurrence is min-plus linear, so dividing
-        a sum gives the sum of the quotients, caps included."""
+        a sum gives the sum of the quotients, caps included.
+
+        A finite ucap stops each step at ucap: every step reads only
+        exponents below min(cap(y_(k-1)), cap(c_k), ucap - m q^e), so
+        the result equals self.div_pole(e).truncate_u(ucap) coefficient
+        for coefficient and cap for cap, and nothing above ucap is
+        built."""
         if self.t_prec == INF:
             raise InvalidInput("dividing an exact polynomial by a pole "
                                "needs a finite t_prec")
@@ -187,7 +196,7 @@ class TateSeries:
         y, cap = {}, INF
         out = []
         for c in self.coeffs:
-            lim = min(cap, c.cap)
+            lim = min(cap, c.cap, ucap - step)
             y = {k + step: v for k, v in y.items() if k < lim}
             for k, v in c.coeffs.items():
                 if k >= lim:
@@ -430,12 +439,19 @@ class TateRational(FactoredFrac):
             len(self.num.coeffs) - 1, sorted(self.den.items()))
 
 
-def expand_sum(ctx, fracs, t_prec):
+def expand_sum(ctx, fracs, t_prec, ucap=INF):
     """sum(fracs) as a series to O(t^t_prec).  Numerators (cut to
     t_prec) that share a pole multiset are added first; then the group
     with the largest top pole is divided once by that pole and added
     into the group with that pole removed, until only the pole-free
-    group is left."""
+    group is left.
+
+    Every division stops at ucap (div_pole), so a caller that cuts the
+    sum at ucap gets the same bytes with nothing built above that cap:
+    expand_sum(ctx, fracs, t_prec, ucap).truncate_u(ucap) equals
+    expand_sum(ctx, fracs, t_prec).truncate_u(ucap).  Numerators that
+    no division reaches (pole-free fractions, an empty sum) come back
+    uncut."""
     groups = {}
 
     def put(poles, x):
@@ -447,7 +463,7 @@ def expand_sum(ctx, fracs, t_prec):
         poles = max(groups, key=lambda p: p[-1][0] if p else 0)
         e, mlt = poles[-1]
         put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
-            groups.pop(poles).div_pole(e))
+            groups.pop(poles).div_pole(e, ucap))
     return groups.get((), TateSeries.zero(ctx, t_prec))
 
 

@@ -14,8 +14,8 @@ from drinfeld.ff import FieldParams
 from drinfeld.laurent import SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
-from drinfeld.agf import (B_ROUTES, DeformedLog, OmegaCarlitz, agf, b_seq,
-                          carlitz_bseq_product, carlitz_pi,
+from drinfeld.agf import (B_ROUTES, AGFValue, DeformedLog, OmegaCarlitz, agf,
+                          b_seq, carlitz_bseq_product, carlitz_pi,
                           check_main_theorem, delta, eval_theta_frac,
                           shift_precondition_violations, x_phi)
 from drinfeld.tate import TateRational, TateSeries
@@ -384,9 +384,46 @@ def test_deformed_log_series_division_count(monkeypatch):
     calls = []
     div_pole = TateSeries.div_pole
     monkeypatch.setattr(TateSeries, "div_pole",
-                        lambda self, e: calls.append(e) or div_pole(self, e))
+                        lambda self, e, ucap: calls.append(e) or
+                        div_pole(self, e, ucap))
     dl.series(8)
     assert calls == [6, 5, 4, 3, 2, 1]
+
+
+def test_pole_divisions_stop_at_the_callers_cap(monkeypatch):
+    """No coefficient that div_pole builds under DeformedLog.series or
+    AGFValue.theta_pole_form has a cap above the caller's ucap: each
+    division stops where the caller cuts.  Checked on the rank3-q2
+    main-theorem session at ucap 48: its generating function divides
+    by the simple poles 1..8, its deformed logarithms by the nested
+    poles 1..5 (at xi) and 1..8 (at phi(xi))."""
+    ctx, phi = preset_session("rank3-q2")
+    xi = ctx.one() + ctx.theta(-1) + ctx.theta(-2)
+    caller, seen = [], []
+    div_pole = TateSeries.div_pole
+
+    def spy(self, e, *cap):
+        out = div_pole(self, e, *cap)
+        if caller:
+            seen.append((e, caller[-1], max(c.cap for c in out.coeffs)))
+        return out
+
+    def under(method):
+        def run(self, *args):
+            caller.append(self.ucap)
+            try:
+                return method(self, *args)
+            finally:
+                caller.pop()
+        return run
+
+    monkeypatch.setattr(TateSeries, "div_pole", spy)
+    monkeypatch.setattr(DeformedLog, "series", under(DeformedLog.series))
+    monkeypatch.setattr(AGFValue, "theta_pole_form",
+                        under(AGFValue.theta_pole_form))
+    assert check_main_theorem(phi, xi, 48, 12)["holds"]
+    assert all(cap <= ucap for _, ucap, cap in seen), seen
+    assert {e for e, _, _ in seen} == set(range(1, 9))
 
 
 # -- omega and the period --

@@ -209,9 +209,14 @@ def test_exit_code_table(args, code, needle):
             else "config error: ")
 
 
-@pytest.mark.parametrize("terms", ["-1", "-5"])
-def test_negative_terms_exit_2_names_terms(terms):
-    proc = run_cli("quasiperiod", "--preset", "rank2-q2", "--terms", terms)
+@pytest.mark.parametrize("preset, terms", [
+    pytest.param("rank2-q2", "-1", id="-1"),
+    pytest.param("rank2-q2", "-5", id="-5"),
+    pytest.param("carlitz-q2", "-1", id="carlitz-q2--1")])
+def test_negative_terms_exit_2_names_terms(preset, terms):
+    """A negative --terms is refused before any work, in every rank; a
+    rank-1 module never reaches the orbit that checks it too."""
+    proc = run_cli("quasiperiod", "--preset", preset, "--terms", terms)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr

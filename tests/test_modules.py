@@ -366,6 +366,69 @@ def test_to_laurent_matches_newton_oracle(q, s, cases, m):
             (frac, ucap)
 
 
+def _times_case(ctx, rng):
+    """(frac, x, ucap) for times_to_laurent: _to_laurent_case's fractions
+    (numerators exact, capped or zero to a cap, ucap finite or
+    infinite), now and then over no bracket at all, times an x that is
+    exact, capped, zero to a cap or exactly zero.  x's valuation often
+    sits at the edge of the window ucap - m * den_deg(), so some
+    products lie wholly above what to_laurent reads."""
+    frac, ucap = _to_laurent_case(ctx, rng)
+    if rng.random() < 0.15:
+        frac = BracketFrac(ctx, frac.num)
+    shift = ctx.m * frac.den_deg()
+    vn = frac.num.vbound if frac.num.vbound != INF else 0
+    edge = ucap - shift - vn if ucap != INF else 40  # lim - v(num)
+    vx = (rng.randint(edge - 3, edge + 6) if rng.random() < 0.3
+          else rng.randint(min(-20, edge), edge))
+    kind = rng.choice(("exact", "capped", "exact", "capped", "zero",
+                       "exact zero"))
+    if kind == "exact zero":
+        return frac, ctx.zero(), ucap
+    if kind == "zero":
+        return frac, ctx.zero(vx + rng.randint(0, 20)), ucap
+    exps = {vx} | {vx + rng.randrange(60) for _ in range(rng.randint(0, 30))}
+    cap = INF if kind == "exact" else vx + rng.randint(1, 70)
+    x = ctx.make({e: rng.randrange(1, ctx.field.order) for e in exps}, cap)
+    return frac, x, ucap
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q, s", [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1),
+                                  (4, 2), (5, 1), (5, 2), (9, 1), (9, 2)])
+def test_times_to_laurent_matches_product_then_to_laurent(q, s, m,
+                                                          monkeypatch):
+    """times_to_laurent(x, ucap) is (f * x).to_laurent(ucap), coefficients
+    and cap, on seeded fractions and scalars: x exact, capped or without
+    terms, numerators zero to a cap, products wholly above the window,
+    and ucap infinite.  With a finite ucap and two operands with terms,
+    the numerator handed to to_laurent holds nothing at or above the
+    window ucap - m * den_deg(), and its cap is not above it."""
+    ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+    rng = random.Random(7000 + 100 * q + 10 * s + m)
+    to_laurent = BracketFrac.to_laurent
+    seen = []
+    monkeypatch.setattr(BracketFrac, "to_laurent",
+                        lambda f, u: seen.append(f.num) or to_laurent(f, u))
+    guarded = windowed = 0
+    for _ in range(60):
+        frac, x, ucap = _times_case(ctx, rng)
+        seen.clear()
+        got = frac.times_to_laurent(x, ucap)
+        assert got == to_laurent(frac * x, ucap), (frac, x, ucap)
+        if ucap == INF or not frac.num.coeffs or not x.coeffs:
+            continue
+        lim = ucap - m * frac.den_deg()
+        if min(frac.num.coeffs) + min(x.coeffs) >= lim:
+            guarded += 1
+            assert not seen
+            continue
+        windowed += 1
+        num, = seen
+        assert num.cap <= lim and max(num.coeffs) < lim
+    assert guarded and windowed
+
+
 # -- coefficients: closed form vs recurrence --
 
 def test_carlitz_coefficients_explicit():

@@ -151,6 +151,43 @@ def test_div_pole_matches_geometric_product():
                         empty * geometric_pole_series(ctx, e, 0))
 
 
+def _cut_points(rng, series):
+    """u-cuts below the first finite cap, between two caps, above every
+    cap and infinite; an exact series cuts among its exponents."""
+    caps = sorted({c.cap for c in series.coeffs if c.cap != INF} |
+                  {e for c in series.coeffs for e in c.coeffs})
+    if not caps:
+        return [rng.randrange(-10, 30), INF]
+    lo, hi = caps[0], caps[-1]
+    return [lo - rng.randrange(1, 8), rng.randrange(lo, hi + 1),
+            hi + rng.randrange(1, 8), INF]
+
+
+def test_div_pole_window_equals_cut_quotient():
+    """div_pole(e, u) is div_pole(e).truncate_u(u), coefficient for
+    coefficient and cap for cap, for cuts below the first cap, between
+    caps, above them and infinite, on series with exact, capped, zero to
+    a cap and exactly zero coefficients, divided once or through a
+    chain of nested poles."""
+    rng = random.Random(53)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                for lead in (0, rng.randrange(1, 4)):
+                    n = lead + 4 + rng.randrange(0, 5)
+                    x = _pole_operand(ctx, rng, lead, n)
+                    for e in (0, 1, 2):
+                        full = x.div_pole(e)
+                        for u in _cut_points(rng, full):
+                            assert x.div_pole(e, u) == full.truncate_u(u)
+                    chain = x.div_pole(3).div_pole(2).div_pole(1)
+                    for u in _cut_points(rng, chain):
+                        assert (x.div_pole(3, u).div_pole(2, u)
+                                .div_pole(1, u)) == chain.truncate_u(u)
+
+
 def test_div_pole_of_polynomial_raises():
     f = t_poly(CTX2, [CTX2.one(), CTX2.theta()])
     with pytest.raises(InvalidInput):
@@ -306,6 +343,30 @@ def test_expand_sum_matches_per_term_oracle():
                         f = fracs[0]
                         assert f.to_series(t_prec) == _per_term_sum(
                             ctx, [f], t_prec)
+
+
+def test_expand_sum_window_equals_cut_sum():
+    """expand_sum(..., u) cut at u is expand_sum(...) cut at u, and
+    needs no cut when some fraction has a pole: every division then
+    stops at u.  Nested chains, overlapping and repeated pole sets,
+    exact, capped and zero numerators; cuts below the first cap,
+    between caps, above them and infinite."""
+    rng = random.Random(59)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+                for t_prec in range(0, 9, 2):
+                    for _ in range(2):
+                        fracs = _rand_fracs(ctx, rng)
+                        full = expand_sum(ctx, fracs, t_prec)
+                        for u in _cut_points(rng, full):
+                            got = expand_sum(ctx, fracs, t_prec, u)
+                            want = full.truncate_u(u)
+                            assert got.truncate_u(u) == want
+                            if any(f.den for f in fracs):
+                                assert got == want
 
 
 def test_series_eval_polynomial_horner():
