@@ -148,15 +148,15 @@ class BracketFrac(FactoredFrac):
         division is the running sum z_k <- z_k + z_(k - S), ascending,
         with S = m (q^e - 1) p^j, over the numerator's dense window below
         min(ucap - shift, num.cap).  The cap is min(ucap, num.cap +
-        shift); an infinite ucap stands for the session's relative
-        budget ctx.prec past the value's valuation.  An exact zero
-        carries no denominator, so the first branch takes it."""
+        shift) in every branch; an infinite ucap stands for the session's
+        relative budget ctx.prec past the value's valuation.  An exact
+        zero carries no denominator, so the first branch takes it."""
         if not self.den:
             return self.num.truncate(ucap)
         ctx, num = self.ctx, self.num
         shift = ctx.m * self.den_deg()
         if not num.coeffs:  # zero to the numerator's precision
-            return ctx.zero(num.cap + shift)
+            return ctx.zero(min(ucap, num.cap + shift))
         v = min(num.coeffs)
         if ucap == INF:  # the session's relative budget, as for invert
             ucap = v + shift + ctx.prec
@@ -530,35 +530,37 @@ class DrinfeldModule:
     # -- evaluation --
 
     def _eval_series(self, fracs_upto, cut, xi, ucap):
+        """sum_(n < cut) fracs_upto[n] xi^(q^n), cut >= 1; every term's
+        cap, and so the sum's, is at most ucap."""
         total = self.ctx.zero(INF)
         xq = xi
         for n in range(cut):
             if n:
                 xq = xq.pow_q(1)
             total = total + fracs_upto[n].times_to_laurent(xq, ucap)
-        return total.truncate(ucap)
+        return total
 
     def exp_eval(self, xi, ucap):
-        """exp_phi(xi) with the certified absolute cap ucap.  The alpha_n
+        """exp_phi(xi) certified below a cap of at most ucap.  The alpha_n
         come from phi's exp equation (route "equation"): to_laurent reads
         only a fraction's value, so the partition sums are not needed."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
-            return self.ctx.zero(xi.cap)
+            return self.ctx.zero(min(ucap, xi.cap))
         cut = self.exp_tail_cut(xi.deg(), ucap)
         self._extend_alpha(cut - 1, "equation")
         return self._eval_series(self._alpha["equation"], cut, xi, ucap)
 
     def log_eval(self, xi, ucap):
-        """log_phi(xi) with the certified absolute cap ucap; xi must lie
+        """log_phi(xi) certified below a cap of at most ucap; xi must lie
         inside the convergence radius.  The beta_n come from phi's log
         equation (route "equation", _log_step), as in exp_eval."""
         if xi.is_exact_zero():
             return xi
         if not xi.coeffs:
             self.log_tail_cut(Fraction(-xi.cap, self.ctx.m), xi.cap)
-            return self.ctx.zero(xi.cap)
+            return self.ctx.zero(min(ucap, xi.cap))
         cut = self.log_tail_cut(xi.deg(), ucap)
         self._extend_beta(cut - 1, "equation")
         return self._eval_series(self._beta["equation"], cut, xi, ucap)

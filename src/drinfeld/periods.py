@@ -61,14 +61,13 @@ def _splitting_degree(field, g):
 
 
 class TorsionData:
-    __slots__ = ("roots", "basis", "slopes", "traces", "in_radius")
+    __slots__ = ("roots", "basis", "slopes", "traces")
 
-    def __init__(self, roots, basis, slopes, traces, in_radius):
+    def __init__(self, roots, basis, slopes, traces):
         self.roots = roots
         self.basis = basis
         self.slopes = slopes
         self.traces = traces
-        self.in_radius = in_radius
 
 
 def torsion_roots(phi: DrinfeldModule, ucap):
@@ -169,10 +168,7 @@ def torsion_roots(phi: DrinfeldModule, ucap):
         span = {field.add(a, field.mul(c, y)) for a in span for c in range(q)}
     if len(basis) != phi.r:
         raise PrecisionExhausted("could not extract a full torsion basis")
-
-    conv = phi.convergence_data()
-    in_radius = [bool(z.deg() < conv.logq_R) for z in basis]
-    return TorsionData(roots, basis, slopes, traces, in_radius)
+    return TorsionData(roots, basis, slopes, traces)
 
 
 def _residual(field, terms, y):
@@ -333,7 +329,7 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
         etas.append(eta_closed)
         # determinant row: zeta^(q^col) - t s^(col) / (t - theta^(q^col))
         s = dl.series(t_prec).truncate_u(inner)
-        rows.append([-s.twist(col).div_pole(col).shift_t(1).truncate_t(t_prec)
+        rows.append([-s.twist(col).div_pole(col).shift_t(1)
                      + TateSeries.from_scalar(ctx, zeta.pow_q(col), t_prec)
                      for col in range(2)])
 

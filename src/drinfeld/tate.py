@@ -17,10 +17,10 @@ coefficient steps, not an O(t_prec^2) product with a geometric series.
 Every sum of fractions is expanded by expand_sum, which adds the
 numerators that share a pole multiset and divides each group by its
 top pole once, Horner style, so a chain of nested pole sets costs one
-division per pole, not one per term and pole.  A caller that cuts the
-expansion at a u-cap passes that cap in, and each division stops there:
-the cap recurrence is min-plus linear, so nothing changes below it and
-nothing above it is built.  Its inverse,
+division per pole, not one per term and pole.  A caller that wants the
+expansion cut at a u-cap passes that cap in and cuts nothing itself:
+each division stops there, and the cap recurrence is min-plus linear,
+so nothing changes below it and nothing above it is built.  Its inverse,
 TateSeries.mul_pole, multiplies by (t - theta^(q^e)) in one pass that
 builds each coefficient c_(k-1) - theta^(q^e) c_k as a single dict; it
 serves every such product, including the lift of both numerators to
@@ -415,12 +415,6 @@ class TateRational(FactoredFrac):
         return TateRational(self.ctx, self.num.twist(ell),
                             {e + ell: mlt for e, mlt in self.den.items()})
 
-    def truncate_u(self, cap):
-        """The numerator's coefficients cut at cap.  Pole division only
-        raises u-exponents, so the expansions of self and of the result
-        agree below cap."""
-        return TateRational(self.ctx, self.num.truncate_u(cap), self.den)
-
     def to_series(self, t_prec):
         return expand_sum(self.ctx, [self], t_prec)
 
@@ -440,31 +434,30 @@ class TateRational(FactoredFrac):
 
 
 def expand_sum(ctx, fracs, t_prec, ucap=INF):
-    """sum(fracs) as a series to O(t^t_prec).  Numerators (cut to
-    t_prec) that share a pole multiset are added first; then the group
-    with the largest top pole is divided once by that pole and added
-    into the group with that pole removed, until only the pole-free
-    group is left.
-
-    Every division stops at ucap (div_pole), so a caller that cuts the
-    sum at ucap gets the same bytes with nothing built above that cap:
-    expand_sum(ctx, fracs, t_prec, ucap).truncate_u(ucap) equals
-    expand_sum(ctx, fracs, t_prec).truncate_u(ucap).  Numerators that
-    no division reaches (pole-free fractions, an empty sum) come back
-    uncut."""
+    """sum(fracs) as a series to O(t^t_prec), cut at ucap: exactly
+    expand_sum(ctx, fracs, t_prec).truncate_u(ucap), with nothing built
+    above ucap.  Numerators (cut at ucap, then to t_prec) that share a
+    pole multiset are added first; then the group with the largest top
+    pole is divided once by that pole, each step stopping at ucap
+    (div_pole), and added into the group with that pole removed, until
+    only the pole-free group is left.  That group is cut at ucap too,
+    which caps what no division reaches: the t-padding and an empty
+    sum.  Cutting in u before t leaves the padding one shared exact
+    zero until that last cut."""
     groups = {}
 
     def put(poles, x):
         groups[poles] = groups[poles] + x if poles in groups else x
 
     for f in fracs:
-        put(tuple(sorted(f.den.items())), f.num.truncate_t(t_prec))
+        put(tuple(sorted(f.den.items())),
+            f.num.truncate_u(ucap).truncate_t(t_prec))
     while any(groups):
         poles = max(groups, key=lambda p: p[-1][0] if p else 0)
         e, mlt = poles[-1]
         put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
             groups.pop(poles).div_pole(e, ucap))
-    return groups.get((), TateSeries.zero(ctx, t_prec))
+    return groups.get((), TateSeries.zero(ctx, t_prec)).truncate_u(ucap)
 
 
 class ThetaPoleForm:
@@ -477,8 +470,9 @@ class ThetaPoleForm:
         self.residue = residue
 
     def to_series(self, t_prec=None):
-        """regular + residue/(t - theta) to O(t^t_prec); t_prec defaults
-        to that of the regular part and must be finite."""
+        """regular + residue/(t - theta) to O(t^t_prec), or to the
+        regular part's window where that is smaller (the sum keeps the
+        smaller); t_prec defaults to that window and must be finite."""
         tp = self.regular.t_prec if t_prec is None else t_prec
         pole = TateSeries.from_scalar(self.regular.ctx, self.residue, tp)
-        return self.regular.truncate_t(tp) + pole.div_pole(0)
+        return self.regular + pole.div_pole(0)

@@ -58,7 +58,7 @@ def frac_to_laurent_newton(frac, ucap):
         return num.truncate(ucap)
     den = _den_elem(ctx, tuple(sorted(frac.den.items())))
     if not num.coeffs:  # zero to the numerator's precision
-        return ctx.zero(num.cap - den.val)
+        return ctx.zero(min(ucap, num.cap - den.val))
     rel = ucap - num.vbound + den.val
     if rel <= 0:
         return ctx.zero(ucap)

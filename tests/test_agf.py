@@ -11,7 +11,7 @@ from drinfeld.errors import (CompatPreconditionFailed, InvalidInput,
                              NoRootInField, OutsideRadius,
                              RamificationError)
 from drinfeld.ff import FieldParams
-from drinfeld.laurent import SeriesParams
+from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.agf import (B_ROUTES, AGFValue, DeformedLog, OmegaCarlitz, agf,
@@ -424,6 +424,30 @@ def test_pole_divisions_stop_at_the_callers_cap(monkeypatch):
     assert check_main_theorem(phi, xi, 48, 12)["holds"]
     assert all(cap <= ucap for _, ucap, cap in seen), seen
     assert {e for e, _, _ in seen} == set(range(1, 9))
+
+
+@pytest.mark.parametrize("name, ucap, t_prec, series_max, form_max", [
+    ("rank2-q2", 384, 48, 23, 7), ("carlitz-q2", 128, 48, 15, 6),
+    ("rank3-q2", 64, 24, 20, 8)])
+def test_window_cuts_build_few_elements(name, ucap, t_prec, series_max,
+                                        form_max, monkeypatch):
+    """DeformedLog.series and AGFValue.theta_pole_form construct no more
+    LaurentElems than these counts at xi = 1 + 1/theta.  expand_sum
+    cuts each numerator in u before padding it to t_prec, so the padding
+    stays the one shared exact zero; cutting the padding instead builds
+    one element per slot (over 150 on each session)."""
+    ctx, phi = preset_session(name)
+    xi = ctx.one() + ctx.theta(-1)
+    dl, form = DeformedLog(phi, xi, ucap), agf(phi, xi, ucap)
+    built = []
+    init = LaurentElem.__init__
+    monkeypatch.setattr(LaurentElem, "__init__", lambda self, *a, **k:
+                        built.append(1) or init(self, *a, **k))
+    dl.series(t_prec)
+    assert len(built) <= series_max
+    built.clear()
+    form.theta_pole_form(t_prec)
+    assert len(built) <= form_max
 
 
 # -- omega and the period --

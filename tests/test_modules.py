@@ -19,6 +19,7 @@ from drinfeld.modules import (BracketFrac, DrinfeldModule, _bracket_pow,
                               _den_elem, bracket, carlitz)
 from drinfeld.partitions import enumerate_partitions
 from drinfeld.tate import TateRational, TateSeries
+from drinfeld.verify import preset_session
 
 from oracles import (bracket_digit_factor, frac_deg, frac_to_laurent_newton,
                      laurent_pow)
@@ -319,6 +320,16 @@ def test_frac_to_laurent_cap_discipline():
     # doubling the cap and truncating back is byte-identical
     y = a.to_laurent(60).truncate(30)
     assert x == y
+
+
+def test_termless_values_keep_to_the_cap_asked_for():
+    """A numerator or an argument with no terms gives a zero whose cap is
+    no higher than the ucap asked for, as every other branch does."""
+    ctx, phi = preset_session("carlitz-q2")
+    assert BracketFrac(ctx, ctx.zero(10), {1: 1}).to_laurent(5) == \
+        ctx.zero(5)
+    assert phi.exp_eval(ctx.zero(50), ucap=10) == ctx.zero(10)
+    assert phi.log_eval(ctx.zero(50), ucap=10) == ctx.zero(10)
 
 
 def _to_laurent_case(ctx, rng):

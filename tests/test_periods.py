@@ -60,7 +60,6 @@ def test_carlitz_q2_torsion_is_theta():
     assert dict(td.basis[0].coeffs) == {-1: 1}
     assert td.traces == [[]]
     assert td.slopes == [(Fraction(1), 1, 2)]
-    assert td.in_radius == [True]
 
 
 def test_carlitz_q2_period_routes_agree_exactly():
@@ -89,7 +88,6 @@ def test_rank2_torsion_structure():
     assert len(td.roots) == 4
     assert td.slopes == [(Fraction(1), 1, 4)]
     assert [z.val for z in td.basis] == [-1, -1]
-    assert td.in_radius == [True, True]
     diff = td.basis[0] - td.basis[1]
     assert diff.coeffs  # genuinely independent
 

@@ -346,11 +346,11 @@ def test_expand_sum_matches_per_term_oracle():
 
 
 def test_expand_sum_window_equals_cut_sum():
-    """expand_sum(..., u) cut at u is expand_sum(...) cut at u, and
-    needs no cut when some fraction has a pole: every division then
-    stops at u.  Nested chains, overlapping and repeated pole sets,
-    exact, capped and zero numerators; cuts below the first cap,
-    between caps, above them and infinite."""
+    """expand_sum(..., u) is expand_sum(...) cut at u, coefficient for
+    coefficient and cap for cap, with no further cut: on nested chains,
+    overlapping and repeated pole sets, pole-free fractions only and
+    the empty sum; exact, capped and zero numerators; cuts below the
+    first cap, between caps, above them and infinite."""
     rng = random.Random(59)
     for q in (2, 3, 4, 5, 9):
         for s in (1, 2):
@@ -358,15 +358,14 @@ def test_expand_sum_window_equals_cut_sum():
             for m in (1, 2, 3):
                 ctx = SeriesParams(fp, m, 32)
                 for t_prec in range(0, 9, 2):
-                    for _ in range(2):
-                        fracs = _rand_fracs(ctx, rng)
+                    pole_free = [TateRational(ctx, _rand_numer(ctx, rng))
+                                 for _ in range(rng.randrange(1, 3))]
+                    for fracs in (_rand_fracs(ctx, rng),
+                                  _rand_fracs(ctx, rng), pole_free, []):
                         full = expand_sum(ctx, fracs, t_prec)
                         for u in _cut_points(rng, full):
-                            got = expand_sum(ctx, fracs, t_prec, u)
-                            want = full.truncate_u(u)
-                            assert got.truncate_u(u) == want
-                            if any(f.den for f in fracs):
-                                assert got == want
+                            assert expand_sum(ctx, fracs, t_prec, u) == \
+                                full.truncate_u(u)
 
 
 def test_series_eval_polynomial_horner():
@@ -459,8 +458,7 @@ def test_rational_series_expansion_matches_cross_multiplication():
             s = f.to_series(n)
             back = s * _den_product(ctx, f.den.items())
             assert back == numer.truncate_t(n)
-            cut = f.truncate_u(12).to_series(n)
-            assert cut.truncate_u(12) == s.truncate_u(12)
+            assert expand_sum(ctx, [f], n, 12) == s.truncate_u(12)
 
 
 def test_rational_eval_agrees_with_denominator_clearing():
