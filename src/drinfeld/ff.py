@@ -8,7 +8,9 @@ i + e*j, so packing nests correctly (p^i * q^j = p^(i+e*j)).
 
 Small fields (order <= 2^12) get exp/log tables relative to a fixed
 generator and Frobenius permutation tables; larger fields (capped at
-2^20) fall back to schoolbook polynomial arithmetic per operation.
+2^20) fall back to schoolbook polynomial arithmetic per operation, and
+apply a^(q^k) as one F_p-matrix per k, read off the images of the basis
+(`Field.basis_images`).
 """
 
 import json
@@ -21,6 +23,14 @@ from .errors import ConfigError, InvalidElement, NoRootInField
 
 TABLE_MAX = 1 << 12
 ORDER_CAP = 1 << 20
+
+
+def over_cap(q, s):
+    """The note an exit naming residue degree s appends when F_{q^s} is
+    beyond ORDER_CAP (a rerun there could only be refused), else ''."""
+    if q ** s <= ORDER_CAP:
+        return ""
+    return " (q^s = %d^%d exceeds the supported cap 2^20)" % (q, s)
 
 
 def _factor(n):
@@ -354,6 +364,7 @@ class Field:
         self._level = _ExtLevel(Lq, params.modulus_s) if self.s > 1 else Lq
         self.exp_tab = self.log_tab = None
         self._frob_tabs = None
+        self._frob_mats = {}  # k -> a^(q^k) as an F_p-matrix, untabled fields
         self._addtab = self._negtab = None
         self._lanes = None
         # packed element -> its coordinate vector as a list, and that
@@ -460,7 +471,18 @@ class Field:
             return a
         if self._frob_tabs is not None:
             return self._frob_tabs[k][a]
-        return self.pow_int(a, pow(self.q, k, self.order - 1))
+        mat = self._frob_mats.get(k)
+        if mat is None:
+            n = pow(self.q, k, self.order - 1)
+            mat = self._frob_mats[k] = _matrix(
+                self, self.basis_images(lambda b: self.pow_int(b, n)))
+        return mat(a)
+
+    def basis_images(self, f):
+        """The images f(p^k), k < dim, of the F_p-basis (the packed
+        elements p^k) under an F_p-linear map f of the field; they fix f,
+        as f(a) = sum c_k f(p^k) over the coordinates c of a."""
+        return [f(self.p ** k) for k in range(self.dim)]
 
     def int_scalar(self, k):
         """Image of the integer k in the prime field."""
@@ -518,7 +540,8 @@ class Field:
                 k, unit = k + 1, self.mul(unit, norm)
             raise NoRootInField(
                 "no (q-1)-st root in F_{q^s}; residue degree s=%d would "
-                "contain one" % (self.s * k), required_s=self.s * k)
+                "contain one%s" % (self.s * k, over_cap(q, self.s * k)),
+                required_s=self.s * k)
 
         def b(a):
             out, prod = 0, 1
@@ -529,6 +552,44 @@ class Field:
 
         y = self.inv(next(v for v in (b(q ** j) for j in range(self.s)) if v))
         return min((self.mul(y, a) for a in range(1, q)), key=self.coords)
+
+
+def _matrix(field, images):
+    """The F_p-linear map with the given basis images, as a function of
+    packed elements.  In characteristic 2 a packed element is its own
+    coordinate bit vector, so its image is the XOR of the images at its
+    set bits.  Otherwise each image's coordinates ride in one integer,
+    one lane each, wide enough to hold a sum of dim products of two
+    digits below p; the image is the lanes' sum weighted by the digits
+    of the element, each lane reduced mod p."""
+    if field.p == 2:
+        def apply(a):
+            out, k = 0, 0
+            while a:
+                if a & 1:
+                    out ^= images[k]
+                a >>= 1
+                k += 1
+            return out
+        return apply
+    p, dim = field.p, field.dim
+    width = ((p - 1) ** 2 * dim).bit_length()
+    mask = (1 << width) - 1
+    shifts = [width * j for j in reversed(range(dim))]
+    rows = [sum(c << (width * j) for j, c in enumerate(field.coords(v)))
+            for v in images]
+
+    def apply(a):
+        acc = 0
+        for row in rows:
+            a, c = divmod(a, p)
+            if c:
+                acc += c * row
+        out = 0
+        for sh in shifts:
+            out = out * p + (acc >> sh & mask) % p
+        return out
+    return apply
 
 
 class _Rows(dict):

@@ -8,6 +8,9 @@ whose error contracts since the linear coefficient dominates near a
 simple residual root.  The residual is F_q-linear and has a y-term, so
 it is separable: each of its nonzero roots y lifts to the one kernel
 element with leading term y u^v, and these lifts plus 0 are the kernel.
+Its roots are the kernel of its matrix over F_p, read off its values on
+the dim basis elements of the residue field and listed in ascending
+packed int, the order of the refinement traces.
 
 Per torsion point zeta, one deformed logarithm L(zeta; t) gives every
 quasi-period eta_j and the Legendre rows; one exp orbit checks every eta_j.
@@ -18,7 +21,7 @@ from math import inf as INF
 
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
-from .ff import _pol_mod, _pol_powmod
+from .ff import _pol_mod, _pol_powmod, over_cap
 from .modules import DrinfeldModule, bracket
 from .agf import (DeformedLog, OmegaCarlitz, _check_t_prec, _report,
                   carlitz_pi)
@@ -72,8 +75,8 @@ class TorsionData:
 
 def torsion_roots(phi: DrinfeldModule, ucap):
     """All q^r roots of phi_t, a canonical F_q-basis of the kernel, and
-    the refinement traces (in the scan order of the residual's roots,
-    by packed int).
+    the refinement traces (in the order of the residual's roots
+    ascending by packed int).
 
     The roots are printed zero first, then by the F_p coordinates of
     the leading coefficient: on one valuation layer that is the order
@@ -111,18 +114,15 @@ def torsion_roots(phi: DrinfeldModule, ucap):
     # endpoint, so g has a simple-root derivative and is separable.
     vmin = min(val + d * v for d, val in points)
     terms = {d: c.coeffs[c.val] for d, c in coeffs if c.val + d * v == vmin}
-    if field.order > (1 << 16):
-        raise PrecisionExhausted("residue field too large to scan")
-    ys = [y for y in range(1, field.order) if not _residual(field, terms, y)]
+    ys = _residual_kernel(field, terms)
     if len(ys) < xb - xa:
         g = [0] * (max(terms) + 1)
         for d, c in terms.items():
             g[d] = c
-        dd = _splitting_degree(field, g)
+        s = field.s * _splitting_degree(field, g)
         raise ResidueSplittingError(
             "the residual polynomial splits over residue degree %d; "
-            "enlarge s to %d" % (field.s * dd, field.s * dd),
-            required_s=field.s * dd)
+            "enlarge s to %d%s" % (s, s, over_cap(q, s)), required_s=s)
 
     lifted = {}
     traces = []
@@ -169,6 +169,39 @@ def torsion_roots(phi: DrinfeldModule, ucap):
     if len(basis) != phi.r:
         raise PrecisionExhausted("could not extract a full torsion basis")
     return TorsionData(roots, basis, slopes, traces)
+
+
+def _residual_kernel(field, terms):
+    """The nonzero roots of the residual g = sum c y^d over the residue
+    field, ascending by packed int.  g is F_p-linear, so they are the
+    kernel of its matrix: g is evaluated on the dim basis elements p^k
+    only.  Rows (g(p^k) | p^k) of coordinates are eliminated mod p on
+    the left half; the rows whose left half vanishes are a basis of the
+    kernel, whose F_p-span is listed."""
+    p, dim = field.p, field.dim
+    rows = [list(field.coords(v)) + [int(j == k) for j in range(dim)]
+            for k, v in enumerate(field.basis_images(
+                lambda y: _residual(field, terms, y)))]
+    rank = 0
+    for col in range(dim):
+        piv = next((i for i in range(rank, dim) if rows[i][col]), None)
+        if piv is None:
+            continue
+        row = rows[piv]
+        inv = pow(row[col], p - 2, p)
+        row = [x * inv % p for x in row]
+        rows[piv] = rows[rank]
+        rows[rank] = row
+        for i in range(rank + 1, dim):
+            c = rows[i][col]
+            if c:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], row)]
+        rank += 1
+    span = [[0] * dim]
+    for row in rows[rank:]:
+        span = [[(x + c * y) % p for x, y in zip(v, row[dim:])]
+                for v in span for c in range(p)]
+    return sorted(map(field.element, span))[1:]
 
 
 def _residual(field, terms, y):

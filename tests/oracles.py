@@ -15,7 +15,7 @@ from drinfeld.agf import DeformedLog, _report
 from drinfeld.errors import PreconditionError
 from drinfeld.laurent import LaurentElem
 from drinfeld.modules import _den_elem, bracket
-from drinfeld.periods import _exp_deg_sup, torsion_roots
+from drinfeld.periods import _exp_deg_sup, _residual, torsion_roots
 from drinfeld.tate import TateSeries
 
 
@@ -145,7 +145,8 @@ def _sort_key(field, x):
 
 def torsion_span_oracle(phi, ucap, lifts):
     """(roots, basis) of the t-torsion by closing the F_q-span of the
-    refined lifts (in the residual's scan order) with Laurent additions
+    refined lifts (in the order of the residual's roots, ascending by
+    packed int) with Laurent additions
     keyed by their truncations at ucap, sorting by (-val, (exponent,
     coordinates) of each term), and picking the basis greedily in that
     order, skipping any root already in the closed span of the basis."""
@@ -167,6 +168,13 @@ def torsion_span_oracle(phi, ucap, lifts):
             break
         span = _span_with(span, cand, scalars, ucap)
     return roots, basis
+
+
+def residual_roots_scan(field, terms):
+    """The nonzero roots of the residual sum c y^d over its terms {d: c},
+    by evaluating it on every nonzero element of the field, ascending by
+    packed int."""
+    return [y for y in range(1, field.order) if not _residual(field, terms, y)]
 
 
 def partition_lex_key(r, n):

@@ -180,6 +180,38 @@ def test_root_q_minus_1_untabled_field_exact_required_s():
     assert seen == {1, 2, 3, 4}
 
 
+def test_root_q_minus_1_failure_notes_cap():
+    """The exit names required_s either way, and notes when F_(q^s) at
+    that s is beyond the supported cap: -1 has a square root in F_9, but
+    a non-square of F_(3^12) has its first in F_(3^24)."""
+    with pytest.raises(NoRootInField) as e:
+        field_for(FieldParams.make(3, 1)).root_q_minus_1(2)
+    assert str(e.value).endswith("s=2 would contain one")
+    F = field_for(FieldParams.make(3, 12))
+    c = next(c for c in range(2, 30)
+             if F.pow_int(c, (F.order - 1) // 2) != 1)
+    with pytest.raises(NoRootInField) as e:
+        F.root_q_minus_1(c)
+    assert e.value.required_s == 24
+    assert str(e.value).endswith(
+        "s=24 would contain one (q^s = 3^24 exceeds the supported cap 2^20)")
+
+
+@pytest.mark.parametrize("q,s", [(2, 13), (2, 16), (3, 8), (5, 6), (2, 20)])
+def test_frob_matrix_matches_power(q, s):
+    """On fields without tables, Frobenius applies an F_p-matrix built
+    from the basis images; it equals the power a^(q^(k mod s)) on 0, 1,
+    every basis element p^j and 40 seeded elements, for k = 0..s+1."""
+    F = field_for(FieldParams.make(q, s))
+    assert F.exp_tab is None
+    rng = random.Random(30_000 * q + s)
+    elems = [0, 1] + [F.p ** j for j in range(F.dim)] + \
+        [rng.randrange(F.order) for _ in range(40)]
+    for k in range(s + 2):
+        for a in elems:
+            assert F.frob(a, k) == F.pow_int(a, q ** (k % s)), (k, a)
+
+
 def test_order_cap_enforced():
     with pytest.raises(ConfigError):
         FieldParams.make(2, 21)

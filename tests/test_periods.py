@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import random
 from fractions import Fraction
@@ -5,7 +7,7 @@ from math import lcm
 
 import pytest
 
-from drinfeld import cli
+from drinfeld import cli, periods
 from drinfeld.agf import DeformedLog
 from drinfeld.errors import (GateFailed, InvalidInput, PrecisionExhausted,
                              RamificationError, ResidueSplittingError)
@@ -13,14 +15,16 @@ from drinfeld.ff import (FieldParams, _pol_gcd, _pol_mod, _pol_powmod,
                          _pol_sub, _pol_trim, field_for)
 from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
-from drinfeld.periods import (_residual, _splitting_degree,
+from drinfeld.periods import (_residual, _residual_kernel, _splitting_degree,
                               carlitz_period_routes,
                               legendre_check, newton_slopes,
                               period_from_torsion, quasi_function_eval,
                               quasi_period_orbit, quasi_period_prop,
                               quasi_periods, torsion_roots)
+from drinfeld.verify import preset_session
 from oracles import (legendre_det_twist_one_cap, quasi_orbit_one_j,
-                     quasi_period_one_j, torsion_span_oracle)
+                     quasi_period_one_j, residual_roots_scan,
+                     torsion_span_oracle)
 from test_cli import _torsion_session_args
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
@@ -519,6 +523,114 @@ def test_sparse_residual_matches_horner(q, s):
             g[d] = c
         for y in ys:
             assert _residual(F, terms, y) == _pol_eval(F, g, y), (terms, y)
+
+
+def _lin_compose(F, q, outer, inner):
+    """Coefficients of the linearised composition outer(inner(y)), each
+    polynomial given as [c_0, c_1, ...] for sum c_i y^(q^i)."""
+    out = [0] * (len(outer) + len(inner) - 1)
+    for j, m in enumerate(outer):
+        for i, c in enumerate(inner):
+            out[i + j] = F.add(out[i + j], F.mul(m, F.pow_int(c, q ** j)))
+    return out
+
+
+def _subspace_poly(F, q, gens):
+    """prod (y - v) over the F_q-span V of gens, linearised:
+    P_(V + <w>) = P_V^q - P_V(w)^(q-1) P_V."""
+    P = [1]
+    for w in gens:
+        lam = F.pow_int(_residual(F, {q ** i: c for i, c in enumerate(P)},
+                                  w), q - 1)
+        P = _lin_compose(F, q, [F.neg(lam), 1], P)
+    return P
+
+
+@pytest.mark.parametrize("q,s", [(q, s) for q in (2, 3, 4, 5, 7, 8, 9)
+                                 for s in range(1, 13) if q ** s <= 4096])
+def test_residual_kernel_matches_scan(q, s):
+    """The kernel of the residual's F_p-matrix lists the same roots, in
+    the same order, as evaluating the residual on every field element.
+    Residuals of rank r = 1..3 are M(P_V(y)): P_V the subspace polynomial
+    of a seeded F_q-space V of each dimension k <= min(r, s), and M a
+    seeded linearised polynomial of q-degree r - k with a y-term, redrawn
+    until the kernel is exactly V (over F_2 every a y + b y^2 has a root,
+    so rank 1 has no empty kernel); and a y-term alone."""
+    F = field_for(FieldParams.make(q, s))
+    rng = random.Random(100 * q + s)
+    cases = [{1: rng.randrange(1, F.order)}]
+    for r in range(1, 4):
+        for k in range(min(r, s) + 1):
+            if (q, r, k) == (2, 1, 0):
+                continue  # a y + b y^2 has the root a/b
+            gens = []
+            while len(gens) < k:
+                w = rng.randrange(1, F.order)
+                if _residual(F, {q ** i: c for i, c in enumerate(
+                        _subspace_poly(F, q, gens))}, w):
+                    gens.append(w)
+            P = _subspace_poly(F, q, gens)
+            for _ in range(50):
+                M = [rng.randrange(1, F.order)] + \
+                    [rng.randrange(F.order) for _ in range(r - k - 1)] + \
+                    [rng.randrange(1, F.order)] * (r > k)
+                terms = {q ** i: c for i, c in
+                         enumerate(_lin_compose(F, q, M, P)) if c}
+                if len(residual_roots_scan(F, terms)) == q ** k - 1:
+                    cases.append(terms)
+                    break
+            else:
+                raise AssertionError("no residual with kernel dim %d" % k)
+    for terms in cases:
+        assert _residual_kernel(F, terms) == \
+            residual_roots_scan(F, terms), terms
+
+
+def test_torsion_evaluates_residual_on_basis_only(monkeypatch):
+    """torsion_roots evaluates the residual on the dim basis elements of
+    the residue field, not on each of its elements: 4 times over F_625
+    (a scan makes 624 evaluations), and twice over rank2-q2's F_4."""
+    calls = []
+
+    def counted(field, terms, y):
+        calls.append(y)
+        return _residual(field, terms, y)
+    monkeypatch.setattr(periods, "_residual", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["period", "--q", "5", "--s", "4", "--m", "8",
+                         "--A", "3"]) == 0
+    assert calls == [1, 5, 25, 125]
+    calls.clear()
+    ctx, phi = preset_session("rank2-q2", prec=48)
+    torsion_roots(phi, 48)
+    assert len(calls) == ctx.field.dim == 2
+
+
+@pytest.mark.parametrize("s,required", [(16, None), (17, 34), (18, None),
+                                        (19, 38), (20, None)])
+def test_torsion_on_fields_without_tables(s, required):
+    """period --q 2 --m 3 --A "1;1" on F_(2^s), s = 16..20: the four
+    roots when the residual splits there, else exit 3 naming the residue
+    degree s' = 2s, noting that F_(2^s') is beyond the supported cap."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["period", "--q", "2", "--s", str(s), "--m", "3",
+                         "--A", "1;1"])
+    if required is None:
+        assert code == 0
+        assert len(json.loads(out.getvalue())["residual_valuations"]
+                   ["refinement"]) + 1 == 4
+    else:
+        assert code == 3 and not out.getvalue()
+        assert ("enlarge s to %d (q^s = 2^%d exceeds the supported cap "
+                "2^20)" % (required, required)) in err.getvalue()
+
+
+def test_residue_splitting_within_cap_has_no_cap_note():
+    ctx = SeriesParams(FieldParams.make(2), 3, 48)
+    with pytest.raises(ResidueSplittingError) as ei:
+        torsion_roots(DrinfeldModule(ctx, [ctx.one(), ctx.one()]), 30)
+    assert str(ei.value).endswith("enlarge s to 2")
 
 
 def test_multilayer_kernel_rejected():
