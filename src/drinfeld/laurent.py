@@ -13,14 +13,20 @@ exact non-monomials get the session's relative precision budget.  All
 caps are conservative, so any coefficient below a cap is certified.
 
 Products take one of three routes.  A single-term operand scales the
-other term by term.  A product of at most 512 term pairs, or a sparse
-one whose exponent window is at least its number of term pairs, is a
+other term by term; a unit monomial u^e only shifts the exponents, with
+no field product, and u^0 hands back the other operand's dict when
+nothing is cut.  A product of at most 512 term pairs, or a sparse one
+whose exponent window is at least its number of term pairs, is a
 schoolbook sum: on fields with exp/log tables (order <= TABLE_MAX) in
 the log domain, where each term pair costs one read of the exp table
 and at most one field addition, and on larger fields by Field.mul per
 term pair.  Every other product is one Kronecker substitution: both
 operands are packed into integers by the field's lane layout
-(ff.Lanes), multiplied once, and unpacked.
+(ff.Lanes), multiplied once, and unpacked.  A Tate product is one
+convolution of coefficient lists (_convolve): each coefficient pair
+takes its route, and all the Kronecker pairs that land on one output
+coefficient are summed in one integer, which is unpacked once; a
+single product is that convolution's one-pair case.
 
 Elements are immutable: nothing changes .coeffs after construction.
 Results the kernel builds itself (products, sums of equal caps,
@@ -106,53 +112,16 @@ class SeriesParams:
         return (self.field is other.field and self.m == other.m)
 
 
-def _dict_mul_kron(field, A, B, lim):
-    """Product window by Kronecker substitution: both operands are
-    packed into integers by the field's lane layout, multiplied once,
-    and unpacked; exponents at or beyond lim are never unpacked."""
-    amin, bmin = min(A), min(B)
-    base = amin + bmin
-    n = max(A) - amin + max(B) - bmin + 1
-    if lim < base + n:
-        n = lim - base
-        if n <= 0:
-            return {}
-    lanes = field.lanes
-    width = lanes.width(min(len(A), len(B)))
-    prod = lanes.pack(A, amin, n, width) * lanes.pack(B, bmin, n, width)
-    vals = lanes.unpack(prod, n, width)
-    return dict(compress(zip(range(base, base + n), vals), vals))
-
-
-def _dict_mul(field, A, B, lim):
-    """Product of sparse coefficient dicts, dropping exponents >= lim.
-    The result holds no zero values.
-
-    A single-term operand takes one dictcomp.  Few term pairs, or pairs
-    spread over a window at least as wide as their number, take the
-    schoolbook.  On a field with tables it runs in the log domain: the
-    logs of the larger operand are read once, and each pair adds two
-    logs and reads the doubled exp table; on a field without tables each
-    pair is one Field.mul.  A pair that lands on an empty slot is stored
-    without an addition (XOR in characteristic 2), and sums that cancel
-    are dropped once at the end.  Every other product is one Kronecker
-    product.
-    """
-    if not A or not B:
-        return {}
-    if len(A) > len(B):
-        A, B = B, A
-    if len(A) == 1:
-        (e1, c1), = A.items()
-        mul = field.mul
-        return {e1 + e2: mul(c1, c2) for e2, c2 in B.items() if e1 + e2 < lim}
-    pairs = len(A) * len(B)
-    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
-        return _dict_mul_kron(field, A, B, lim)
+def _mul_into(field, out, A, B, lim):
+    """Add the product of A and B below lim into out by the schoolbook.
+    On a field with tables the pairs run in the log domain: the logs of
+    B are read once, and each pair adds two logs and reads the doubled
+    exp table; on a field without tables each pair is one Field.mul.  A
+    pair that lands on an empty slot is stored without an addition (XOR
+    in characteristic 2); sums that cancel leave zero values in out."""
     add = xor if field.p == 2 else field.add
-    exp, log = field.exp_tab, field.log_tab
-    out = {}
     get = out.get
+    exp, log = field.exp_tab, field.log_tab
     if exp is None:
         mul = field.mul
         for e1, c1 in A.items():
@@ -170,6 +139,125 @@ def _dict_mul(field, A, B, lim):
                 if e < lim:
                     v = exp[l1 + l2]
                     out[e] = add(prev, v) if (prev := get(e)) else v
+
+
+def _convolve(field, As, Bs, lims):
+    """[the sum over i + j = k of As[i] * Bs[j] below lims[k], for k <
+    len(lims)]: one coefficient dict per output index, holding no zero
+    values, for lists of coefficient dicts (empty ones allowed).
+
+    Each pair takes _dict_mul's route.  Single-term and schoolbook pairs
+    add straight into k's dict (_mul_into).  The other pairs are
+    Kronecker pairs: every operand they use is packed once, at its own
+    valuation v, by the field's lane layout (ff.Lanes), as far as any of
+    its pairs reads; each pair's integer product is shifted by
+    v_i + v_j - base_k slots, base_k being the least such valuation sum
+    at k, and the shifted products of k are combined into one integer
+    that is unpacked once, below lims[k].  In characteristic 2 they are
+    combined by XOR: the lanes never carry, and unpacking reads each
+    lane mod 2, so a lane needs only one pair's width.  For odd p they
+    are added, and a lane is as wide as the summed term counts need.
+    """
+    n = len(lims)
+    outs = [{} for _ in range(n)]
+    lo_a = [min(A) if A else 0 for A in As]
+    hi_a = [max(A) if A else 0 for A in As]
+    lo_b = [min(B) if B else 0 for B in Bs]
+    hi_b = [max(B) if B else 0 for B in Bs]
+    kron = []
+    for i, A in enumerate(As[:n]):
+        if not A:
+            continue
+        la, va, wa = len(A), lo_a[i], hi_a[i] - lo_a[i] + 1
+        for j, B in enumerate(Bs[:n - i]):
+            if not B:
+                continue
+            k = i + j
+            lim = lims[k]
+            if va + lo_b[j] >= lim:
+                continue
+            lb = len(B)
+            pairs = la * lb
+            if pairs > 512 and la > 1 and lb > 1 and \
+                    wa + hi_b[j] - lo_b[j] < pairs:
+                kron.append((i, j, k))
+            elif la <= lb:
+                _mul_into(field, outs[k], A, B, lim)
+            else:
+                _mul_into(field, outs[k], B, A, lim)
+    if kron:
+        p2 = field.p == 2
+        base, top, terms, need_a, need_b = {}, {}, {}, {}, {}
+        for i, j, k in kron:
+            v, w = lo_a[i] + lo_b[j], hi_a[i] + hi_b[j] + 1
+            t = min(len(As[i]), len(Bs[j]))
+            if k in base:
+                base[k], top[k] = min(base[k], v), max(top[k], w)
+                terms[k] = max(terms[k], t) if p2 else terms[k] + t
+            else:
+                base[k], top[k], terms[k] = v, w, t
+            r = lims[k] - v
+            need_a[i] = max(need_a.get(i, 0), r)
+            need_b[j] = max(need_b.get(j, 0), r)
+        lanes = field.lanes
+        width = lanes.width(max(terms.values()))
+        slot = 8 * width * lanes.count
+        pa = {i: lanes.pack(As[i], lo_a[i], r, width)
+              for i, r in need_a.items()}
+        pb = {j: lanes.pack(Bs[j], lo_b[j], r, width)
+              for j, r in need_b.items()}
+        acc = {}
+        for i, j, k in kron:
+            x = pa[i] * pb[j] << (lo_a[i] + lo_b[j] - base[k]) * slot
+            if k in acc:
+                x = acc[k] ^ x if p2 else acc[k] + x
+            acc[k] = x
+        add = xor if p2 else field.add
+        for k, x in acc.items():
+            b = base[k]
+            m = min(lims[k], top[k]) - b
+            vals = lanes.unpack(x, m, width)
+            out = outs[k]
+            if out:
+                get = out.get
+                for e, c in compress(zip(range(b, b + m), vals), vals):
+                    out[e] = add(prev, c) if (prev := get(e)) else c
+            else:
+                outs[k] = dict(compress(zip(range(b, b + m), vals), vals))
+    return [{e: c for e, c in d.items() if c} if 0 in d.values() else d
+            for d in outs]
+
+
+def _dict_mul(field, A, B, lim):
+    """Product of sparse coefficient dicts, dropping exponents >= lim.
+    The result holds no zero values.
+
+    A single-term operand takes one dictcomp, with no Field.mul when its
+    coefficient is 1: a unit monomial u^e only shifts the exponents, and
+    u^0 with nothing cut hands back the other dict itself (dicts are
+    never changed after construction).  Few term pairs, or pairs spread
+    over a window at least as wide as their number, take the schoolbook
+    (_mul_into).  Every other product is one Kronecker product, the
+    one-pair case of _convolve.
+    """
+    if not A or not B:
+        return {}
+    if len(A) > len(B):
+        A, B = B, A
+    if len(A) == 1:
+        (e1, c1), = A.items()
+        if c1 != 1:
+            mul = field.mul
+            return {e1 + e2: mul(c1, c2) for e2, c2 in B.items()
+                    if e1 + e2 < lim}
+        if e1 == 0 and (lim == INF or max(B) < lim):
+            return B
+        return {e1 + e2: c2 for e2, c2 in B.items() if e1 + e2 < lim}
+    pairs = len(A) * len(B)
+    if pairs > 512 and max(A) - min(A) + max(B) - min(B) + 1 < pairs:
+        return _convolve(field, [A], [B], [lim])[0]
+    out = {}
+    _mul_into(field, out, A, B, lim)
     return {e: c for e, c in out.items() if c}
 
 
@@ -314,14 +402,20 @@ class LaurentElem:
 
     def pow_q(self, k):
         """Frobenius power x^(q^k).  Twists run forward only: k < 0
-        raises InvalidInput, since nothing in the package twists back."""
+        raises InvalidInput, since nothing in the package twists back.
+        When s divides k the twist fixes every scalar and only scales
+        the exponents."""
         if k > 0:
             field = self.ctx.field
             Q = self.ctx.q ** k
             cap = self.cap if self.cap == INF else self.cap * Q
-            return LaurentElem.wrap(self.ctx, {e * Q: field.frob(c, k)
-                                               for e, c in self.coeffs.items()},
-                                    cap)
+            if k % field.s == 0:
+                # the Frobenius fixes F_{q^s}: only the exponents move
+                out = {e * Q: c for e, c in self.coeffs.items()}
+            else:
+                frob = field.frob
+                out = {e * Q: frob(c, k) for e, c in self.coeffs.items()}
+            return LaurentElem.wrap(self.ctx, out, cap)
         if k:
             raise InvalidInput("Frobenius twists run forward only, got k = %d"
                                % k)

@@ -3,7 +3,11 @@
 TateSeries is a t-power series with LaurentElem coefficients, known for
 t-degrees below t_prec (t_prec = +inf means a polynomial, exact beyond
 its listed coefficients).  The Gauss norm of sum c_k t^k is max|c_k|,
-and a series lies in the Tate algebra when |c_k| -> 0.
+and a series lies in the Tate algebra when |c_k| -> 0.  A product of
+two series is one convolution of their coefficient dicts
+(laurent._convolve), cut at caps that are computed up front, with no
+LaurentElem product or sum per coefficient pair: every wide pair that
+lands on one output coefficient is summed in one packed integer.
 
 TateRational is numerator * product (t - theta^(q^e))^(-mult) with every
 pole exponent e >= 1; it takes its arithmetic from FactoredFrac, the
@@ -37,7 +41,7 @@ from math import inf as INF
 from operator import xor
 
 from .errors import IndeterminateNorm, InvalidInput, TailNotNegligible
-from .laurent import LaurentElem
+from .laurent import LaurentElem, _convolve
 
 
 class TateSeries:
@@ -120,24 +124,40 @@ class TateSeries:
         return TateSeries(self.ctx, out, tp)
 
     def __mul__(self, other):
+        """The Cauchy product as one convolution (laurent._convolve).
+        Coefficient k takes the cap that LaurentElem.__mul__ and then
+        __add__ would give it: the least min(vbound(a) + cap(b),
+        vbound(b) + cap(a)) over its pairs a, b that are not exactly
+        zero.  A slot where no such pair lands is the shared exact zero;
+        one where the pairs leave no terms is termless at that cap."""
         self._check(other)
         tp = min(self.t_prec + other.tval, other.t_prec + self.tval)
+        a, b = self.coeffs, other.coeffs
         if tp == INF:
-            n = len(self.coeffs) + len(other.coeffs) - 1 if self.coeffs and other.coeffs else 0
+            n = len(a) + len(b) - 1 if a and b else 0
         else:
             tp = int(tp)
             n = tp
-        out = [self.ctx.zero()] * n
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero():
+        vb = [(y.vbound, y.cap) for y in b[:n]]
+        caps = [None] * n
+        for i, x in enumerate(a[:n]):
+            if not x.coeffs and x.cap == INF:
                 continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                if not b.is_exact_zero():
-                    out[k] = out[k] + a * b
-        return TateSeries(self.ctx, out, tp)
+            va, ca = x.vbound, x.cap
+            for k, (vy, cy) in enumerate(vb[:n - i], i):
+                if vy == INF:
+                    continue
+                c = min(va + cy, vy + ca)
+                if caps[k] is None or c < caps[k]:
+                    caps[k] = c
+        ctx = self.ctx
+        dicts = _convolve(ctx.field, [x.coeffs for x in a[:n]],
+                          [y.coeffs for y in b[:n]],
+                          [INF if c is None else c for c in caps])
+        zero = ctx.zero()
+        wrap = LaurentElem.wrap
+        return TateSeries(ctx, [zero if c is None else wrap(ctx, d, c)
+                                for d, c in zip(dicts, caps)], tp)
 
     def mul_pole(self, e):
         """self * (t - theta^(q^e)) in one pass: y_k = c_(k-1) -

@@ -233,3 +233,27 @@ def legendre_det_twist_one_cap(phi, ucap, t_prec):
     resid = det.twist(1).scale(phi.A[1]) + det.mul_pole(0)
     ok, uval, win = resid.residual_report()
     return _report(ok, uval, win)
+
+
+def tate_mul_pairwise(x, y):
+    """x * y one coefficient pair at a time: out[k] += a * b by
+    LaurentElem.__mul__ and __add__, over the pairs that are not exactly
+    zero, starting from one shared exact zero per slot."""
+    tp = min(x.t_prec + y.tval, y.t_prec + x.tval)
+    if tp == INF:
+        n = len(x.coeffs) + len(y.coeffs) - 1 if x.coeffs and y.coeffs \
+            else 0
+    else:
+        tp = int(tp)
+        n = tp
+    out = [x.ctx.zero()] * n
+    for i, a in enumerate(x.coeffs):
+        if a.is_exact_zero():
+            continue
+        for j, b in enumerate(y.coeffs):
+            k = i + j
+            if k >= n:
+                break
+            if not b.is_exact_zero():
+                out[k] = out[k] + a * b
+    return TateSeries(x.ctx, out, tp)

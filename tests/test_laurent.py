@@ -9,8 +9,9 @@ from drinfeld.errors import (DivideByZero, InvalidInput, PrecisionExhausted,
                              RamificationError, NoRootInField)
 from drinfeld.ff import FieldParams, field_for
 from drinfeld.laurent import LaurentElem, SeriesParams, _dict_mul
+from drinfeld.tate import TateSeries
 
-from oracles import laurent_pow
+from oracles import laurent_pow, tate_mul_pairwise
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
@@ -103,6 +104,25 @@ def test_pow_q_caps_scale():
     assert y.cap == 17 * 9 and y.coeffs == {-18: 1, 27: 2}
     with pytest.raises(InvalidInput):
         y.pow_q(-2)
+
+
+def test_pow_q_fixing_the_field_matches_per_term_frobenius():
+    """For k a multiple of s, pow_q(k) moves exponents only; it must
+    agree with a per-term Field.frob on fields with and without tables."""
+    rng = random.Random(31)
+    for q, s in ((2, 1), (3, 2), (4, 2), (9, 2), (2, 13), (3, 8)):
+        ctx = SeriesParams(FieldParams.make(q, s), 2, 32)
+        F = ctx.field
+        for k in (s, 2 * s):
+            Q = q ** k
+            for cap in (INF, 40):
+                coeffs = {rng.randrange(-10, 30): rng.randrange(1, F.order)
+                          for _ in range(12)}
+                x = LaurentElem(ctx, coeffs, cap)
+                want = LaurentElem(ctx, {e * Q: F.frob(c, k)
+                                         for e, c in x.coeffs.items()},
+                                   cap if cap == INF else cap * Q)
+                assert x.pow_q(k) == want, (q, s, k, cap)
 
 
 def test_pow_q_negative_requires_divisibility():
@@ -276,6 +296,8 @@ def _operand_pairs(F, rng):
         (rand(-40, 80, 20), rand(-40, 80, 20)),
         (rand(0, 5000, 30), rand(0, 5000, 40)),
         ({7: rng.randrange(1, F.order)}, rand(-40, 80, 60)),
+        ({0: 1}, rand(-40, 80, 60)),
+        (rand(-40, 80, 30), {-9: 1}),
     ]
 
 
@@ -333,6 +355,115 @@ def test_fast_multiply_matches_schoolbook():
                 assert _dict_mul(F, A, B, lim) == want, (q, s, g, lim)
         school = "schoolbook" if F.exp_tab is not None else "plain schoolbook"
         assert routes == {"single", school, "kronecker"}, (q, s)
+        # u^0 with nothing cut hands back the other dict itself
+        B = {e: rng.randrange(1, F.order) for e in range(-3, 9)}
+        assert _dict_mul(F, {0: 1}, B, INF) is B
+        assert _dict_mul(F, B, {0: 1}, 9) is B
+
+
+def _tate_coeff(ctx, rng, kind):
+    """A Tate coefficient of the given kind: the exact zero, termless at
+    a cap, a unit or other single term, a few scattered terms, or a wide
+    dense run (wide against wide is a Kronecker pair); every one with
+    terms is exact or capped, the cap possibly inside its support."""
+    F = ctx.field
+    lo = rng.randrange(-20, 40)
+    if kind == "zero":
+        return ctx.zero()
+    if kind == "termless":
+        return LaurentElem(ctx, {}, lo)
+    if kind == "unit":
+        terms = {lo: 1}
+    elif kind == "mono":
+        terms = {lo: rng.randrange(1, F.order)}
+    elif kind == "small":
+        terms = {lo + rng.randrange(30): rng.randrange(1, F.order)
+                 for _ in range(rng.randrange(2, 9))}
+    else:
+        terms = {lo + e: rng.randrange(1, F.order)
+                 for e in range(rng.randrange(30, 50)) if rng.random() < 0.9}
+    cap = INF if rng.random() < 0.4 else lo + rng.randrange(1, 70)
+    return LaurentElem(ctx, terms, cap)
+
+
+_TATE_KINDS = ("zero", "termless", "unit", "mono", "small", "wide", "wide")
+
+
+def _tate_operand(ctx, rng):
+    """A series of up to 5 random coefficients after 0-2 exact zeros
+    (tval > 0), exact (t_prec = inf) or cut at a t_prec that may fall
+    inside or beyond them."""
+    lead = rng.choice((0, 0, 1, 2))
+    coeffs = [ctx.zero()] * lead + [_tate_coeff(ctx, rng,
+                                                rng.choice(_TATE_KINDS))
+                                    for _ in range(rng.randrange(1, 6))]
+    tp = INF if rng.random() < 0.4 else rng.randrange(1, len(coeffs) + 3)
+    return TateSeries(ctx, coeffs, tp)
+
+
+def _tate_pair_routes(x, y, prod):
+    """The _dict_mul routes of the pairs that land in prod below their
+    slot's cap, and whether a Kronecker pair's valuation sum reached its
+    slot's cap (a window with lim_k <= base_k)."""
+    F = x.ctx.field
+    routes, above = set(), False
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            k = i + j
+            if not a.coeffs or not b.coeffs or k >= len(prod.coeffs):
+                continue
+            route = _route(F, a.coeffs, b.coeffs)
+            if min(a.coeffs) + min(b.coeffs) >= prod.coeffs[k].cap:
+                above |= route == "kronecker"
+            else:
+                routes.add(route)
+    return routes, above
+
+
+def test_tate_product_matches_pairwise():
+    """TateSeries.__mul__ (one convolution) against tate_mul_pairwise
+    (LaurentElem.__mul__ and __add__ per coefficient pair), compared by
+    ==, so coefficients and caps alike, over q in {2,3,4,5,9}, s in
+    {1,2}, m in {1,2,3} and the table-less F_{2^13} and F_{3^8}.  The
+    operands mix exact, capped and termless coefficients, exact zeros,
+    t_prec = inf and tval > 0; some product mixes all three routes and
+    some Kronecker pair lies wholly above its slot's cap.  Last, an odd-p
+    slot summing three Kronecker pairs whose lanes overflow a lane sized
+    for one pair."""
+    rng = random.Random(41)
+    fields = [(q, s, m, 6) for q in (2, 3, 4, 5, 9) for s in (1, 2)
+              for m in (1, 2, 3)]
+    fields += [(2, 13, 1, 3), (3, 8, 1, 3)]
+    mixed = above = False
+    for q, s, m, count in fields:
+        ctx = SeriesParams(FieldParams.make(q, s), m, 64)
+        F = ctx.field
+        school = "schoolbook" if F.exp_tab is not None else "plain schoolbook"
+        for _ in range(count):
+            x, y = _tate_operand(ctx, rng), _tate_operand(ctx, rng)
+            got = x * y
+            assert got == tate_mul_pairwise(x, y), (q, s, m)
+            routes, hit = _tate_pair_routes(x, y, got)
+            mixed |= routes >= {"single", school, "kronecker"}
+            above |= hit
+        x = _tate_operand(ctx, rng)
+        for z in (TateSeries.zero(ctx), TateSeries.zero(ctx, 4),
+                  TateSeries(ctx, [ctx.zero(), ctx.zero()], 3)):
+            assert x * z == tate_mul_pairwise(x, z)
+            assert z * x == tate_mul_pairwise(z, x)
+    assert mixed and above
+    # every coordinate p - 1 = 2: a pair puts 40 * 4 = 160 into the
+    # middle lane of t^1's u^39, a one-byte lane, and the two pairs there
+    # sum to 320 > 255; slot k of x * x is (pairs at k) * run^2, checked
+    # against the inline schoolbook too
+    ctx = SeriesParams(FieldParams.make(3), 1, 64)
+    run = LaurentElem(ctx, {e: 2 for e in range(40)}, INF)
+    x = TateSeries(ctx, [run] * 3)
+    assert x * x == tate_mul_pairwise(x, x)
+    sq = _schoolbook(ctx.field, run.coeffs, run.coeffs, INF)
+    assert [c.coeffs for c in (x * x).coeffs] == [
+        {e: v * c % 3 for e, c in sq.items() if v * c % 3}
+        for v in (1, 2, 3, 2, 1)]
 
 
 def _cancelling_elem(ctx, rng, lo, hi):
