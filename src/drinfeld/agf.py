@@ -8,7 +8,6 @@ u-caps and an explicit t-window, so every reported identity comes with
 the precision below which its residual provably vanishes.
 """
 
-from fractions import Fraction
 from math import inf as INF
 
 from .errors import (CompatPreconditionFailed, InvalidInput,
@@ -99,10 +98,11 @@ class DeformedLog:
     partition sum lacks; the values are the same.  The series and the
     values at theta read only values: a numerator cut at ucap divided by
     a pole it contains is exact below ucap, and a zero adds nothing, so
-    the printed bytes do not depend on the route."""
+    the printed bytes do not depend on the route.  An xi with no terms
+    is bounded by its cap (deg_bound) and takes the same terms, so the
+    caps come from the b_n, as for any other xi."""
 
     def __init__(self, phi: DrinfeldModule, xi: LaurentElem, ucap):
-        ctx = phi.ctx
         self.phi = phi
         self.xi = xi
         self.ucap = ucap
@@ -110,13 +110,7 @@ class DeformedLog:
             self.cut = 0
             self.terms = []
             return
-        if not xi.coeffs:
-            phi.log_tail_cut(Fraction(-xi.cap, ctx.m), xi.cap)
-            self.cut = 0
-            self.terms = []
-            self.ucap = min(ucap, xi.cap)
-            return
-        self.cut = phi.log_tail_cut(xi.deg(), ucap)
+        self.cut = phi.log_tail_cut(xi.deg_bound(), ucap)
         seq = b_seq(phi, self.cut - 1, route="twist")
         self.terms = []
         xq = xi
@@ -168,8 +162,7 @@ class AGFValue:
             self.terms = []
             self.residue = u
             return
-        d = u.deg() if u.coeffs else Fraction(-u.cap, ctx.m)
-        self.cut = phi.exp_tail_cut(d - 1, ucap)
+        self.cut = phi.exp_tail_cut(u.deg_bound() - 1, ucap)
         alpha = phi.exp_coeffs(self.cut - 1, "equation")
         self.terms = []
         uq = u
@@ -203,16 +196,14 @@ def shift_precondition_violations(phi: DrinfeldModule, xi):
     """The shift identity needs |A_i xi^(q^i)| < R for 0 <= i <= r, with
     A_0 = theta.  Returns (i, offending log_q value, logq_R) triples."""
     conv = phi.convergence_data()
-    d = xi.deg()
-    if d is None:
-        return []
+    d = xi.deg_bound()
     out = []
     if 1 + d >= conv.logq_R:
         out.append((0, 1 + d, conv.logq_R))
     for i in range(1, phi.r + 1):
         if phi.A[i - 1].is_exact_zero():
             continue
-        v = phi.A[i - 1].deg() + phi.ctx.q ** i * d
+        v = phi.A[i - 1].deg_bound() + phi.ctx.q ** i * d
         if v >= conv.logq_R:
             out.append((i, v, conv.logq_R))
     return out
@@ -252,13 +243,11 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
 
     # (a) convergence: the certified Gauss-norm bounds of the summands
     # strictly decrease once n is past the support, staying <= the
-    # radius bound.  A zero xi has no summands (and no degree).
+    # radius bound.  An exact-zero xi has no summands.
     rho = -conv.logq_R
-    bounds = []
-    if dl.cut:
-        d = xi.deg()
-        bounds = [(ctx.q ** n - 1) * rho + ctx.q ** n * d
-                  for n in range(dl.cut)]
+    d = xi.deg_bound()
+    bounds = [(ctx.q ** n - 1) * rho + ctx.q ** n * d
+              for n in range(dl.cut)]
     dec = all(bounds[n + 1] < bounds[n] for n in range(len(bounds) - 1))
     report["a"] = {"holds": bool(dec),
                    "term_bound_logq": [[b.numerator, b.denominator]

@@ -9,8 +9,12 @@ value -v/m; the normalization m lets ramified quantities such as
 
 Cap discipline: add takes the min of caps, mul takes
 min(val(x) + cap(y), val(y) + cap(x)); inversion and (q-1)-st roots of
-exact non-monomials get the session's relative precision budget.  All
-caps are conservative, so any coefficient below a cap is certified.
+exact non-monomials get the session's relative precision budget.  A
+value with no terms below its cap is bounded by that cap: its valuation
+bound (vbound) is the cap, and deg_bound, the one degree there is, is
+-cap/m, so every operation and evaluator takes it as it takes any other
+value.  All caps are conservative, so any coefficient below a cap is
+certified.
 
 Products take one of three routes.  A single-term operand scales the
 other term by term; a unit monomial u^e only shifts the exponents, with
@@ -322,14 +326,9 @@ class LaurentElem:
     def is_zero_to_prec(self):
         return not self.coeffs
 
-    def deg(self):
-        """log_q of the absolute value as a Fraction; None for zero."""
-        if not self.coeffs:
-            return None
-        return Fraction(-min(self.coeffs), self.ctx.m)
-
     def deg_bound(self):
-        """Certified upper bound for log_q|x| (-inf for exact zero)."""
+        """Certified upper bound for log_q|x|: -val/m with terms, -cap/m
+        without (-inf for exact zero)."""
         vb = self.vbound
         if vb == INF:
             return -INF

@@ -146,22 +146,20 @@ class BracketFrac(FactoredFrac):
         the numerator shifted by m * den_deg(), divided d times by
         1 - y_e^(p^j) for each base-p digit d of mult at place p^j; each
         division is the running sum z_k <- z_k + z_(k - S), ascending,
-        with S = m (q^e - 1) p^j, over the numerator's dense window below
-        min(ucap - shift, num.cap).  The cap is min(ucap, num.cap +
-        shift) in every branch; an infinite ucap stands for the session's
-        relative budget ctx.prec past the value's valuation.  An exact
+        with S = m (q^e - 1) p^j, over the numerator's dense window from
+        v = num.vbound up to min(ucap - shift, num.cap).  The cap is
+        min(ucap, num.cap + shift); a numerator with no terms, or one
+        that starts at or above ucap - shift, has an empty window and
+        gives the zero at that cap.  An infinite ucap stands for the
+        session's relative budget ctx.prec past v + shift.  An exact
         zero carries no denominator, so the first branch takes it."""
         if not self.den:
             return self.num.truncate(ucap)
         ctx, num = self.ctx, self.num
         shift = ctx.m * self.den_deg()
-        if not num.coeffs:  # zero to the numerator's precision
-            return ctx.zero(min(ucap, num.cap + shift))
-        v = min(num.coeffs)
+        v = num.vbound
         if ucap == INF:  # the session's relative budget, as for invert
             ucap = v + shift + ctx.prec
-        if ucap - v - shift <= 0:
-            return ctx.zero(ucap)
         lim = min(ucap - shift, num.cap)
         n = lim - v
         z = [0] * n
@@ -170,10 +168,7 @@ class BracketFrac(FactoredFrac):
                 z[e - v] = c
         field = ctx.field
         p = field.p
-        # on an odd prime field the elements are residues mod p: a pass
-        # adds integers and reduces once at its end
-        prime = p > 2 and field.order == p
-        plus = xor if p == 2 else add if prime else field.add
+        plus = xor if p == 2 else field.add
         for e, mult in self.den.items():
             S = ctx.m * (ctx.q ** e - 1)
             while mult and S < n:
@@ -181,8 +176,6 @@ class BracketFrac(FactoredFrac):
                 for _ in range(d):
                     for b in range(S, n, S):
                         z[b:b + S] = map(plus, z[b:b + S], z[b - S:b])
-                    if prime:
-                        z = [c % p for c in z]
                 S *= p
         base = v + shift
         return LaurentElem.wrap(ctx, {base + k: c for k, c in enumerate(z)
@@ -191,18 +184,17 @@ class BracketFrac(FactoredFrac):
     def times_to_laurent(self, x, ucap):
         """(self * x).to_laurent(ucap), coefficients and cap included,
         with the product built only in the window to_laurent reads:
-        below lim = ucap - m * den_deg().  Numerator terms at or above
-        lim - v(x), and x's terms at or above lim - v(num), only reach
-        exponents >= lim, so the product of the cut operands is the full
-        product cut at min(its cap, lim).  A product whose leading term
-        lies at or above lim reads nothing, and to_laurent gives
-        zero(ucap) for it.  An infinite ucap, or an operand with no
-        terms, takes the full product."""
+        below lim = ucap - m * den_deg().  With v the valuation bounds
+        (vbound), numerator terms at or above lim - v(x), and x's terms
+        at or above lim - v(num), only reach exponents >= lim, so the
+        product of the cut operands is the full product cut at min(its
+        cap, lim).  A product whose valuation bound lies at or above lim
+        reads nothing, and to_laurent gives zero(ucap) for it.  An
+        infinite ucap makes the window and both cuts infinite, so the
+        full product is built."""
         num = self.num
-        if ucap == INF or not num.coeffs or not x.coeffs:
-            return (self * x).to_laurent(ucap)
         lim = ucap - self.ctx.m * self.den_deg()
-        vn, vx = min(num.coeffs), min(x.coeffs)
+        vn, vx = num.vbound, x.vbound
         if vn + vx >= lim:
             return self.ctx.zero(ucap)
         return BracketFrac(self.ctx, num.truncate(lim - vx) *
@@ -461,7 +453,8 @@ class DrinfeldModule:
         q = self.ctx.q
         rho = {}
         for i in self.support:
-            rho[i] = Fraction(self.A[i - 1].deg() - q ** i, q ** i - 1)
+            rho[i] = Fraction(self.A[i - 1].deg_bound() - q ** i,
+                              q ** i - 1)
         best = max(rho.values())
         winners = [i for i in self.support if rho[i] == best]
         return ConvergenceData(self.support, rho, winners[0],
@@ -478,7 +471,7 @@ class DrinfeldModule:
             for i in self.support:
                 if i > k:
                     continue
-                v = self.A[i - 1].deg() + q ** i * self._da[k - i]
+                v = self.A[i - 1].deg_bound() + q ** i * self._da[k - i]
                 best = v if best is None else max(best, v)
             # best is None when the support cannot reach k: alpha_k = 0
             self._da.append(best - q ** k if best is not None else -INF)
@@ -501,7 +494,8 @@ class DrinfeldModule:
                 window = h[n - self.r + 1:n + 1]
                 W = max(window)
                 if W <= goal and all(
-                        self.A[i - 1].deg() + q ** i * W <= W + q ** (n + 1)
+                        self.A[i - 1].deg_bound() + q ** i * W <=
+                        W + q ** (n + 1)
                         for i in self.support):
                     return n + 1
             n += 1
@@ -543,25 +537,24 @@ class DrinfeldModule:
     def exp_eval(self, xi, ucap):
         """exp_phi(xi) certified below a cap of at most ucap.  The alpha_n
         come from phi's exp equation (route "equation"): to_laurent reads
-        only a fraction's value, so the partition sums are not needed."""
+        only a fraction's value, so the partition sums are not needed.
+        An xi with no terms is O(u^c) and takes the same series, so the
+        cap is at most min over n < cut of val(alpha_n) + q^n c, which
+        can lie below c when some |alpha_n| is large."""
         if xi.is_exact_zero():
             return xi
-        if not xi.coeffs:
-            return self.ctx.zero(min(ucap, xi.cap))
-        cut = self.exp_tail_cut(xi.deg(), ucap)
+        cut = self.exp_tail_cut(xi.deg_bound(), ucap)
         self._extend_alpha(cut - 1, "equation")
         return self._eval_series(self._alpha["equation"], cut, xi, ucap)
 
     def log_eval(self, xi, ucap):
         """log_phi(xi) certified below a cap of at most ucap; xi must lie
         inside the convergence radius.  The beta_n come from phi's log
-        equation (route "equation", _log_step), as in exp_eval."""
+        equation (route "equation", _log_step), as in exp_eval; an xi
+        with no terms is bounded by its cap and takes the same series."""
         if xi.is_exact_zero():
             return xi
-        if not xi.coeffs:
-            self.log_tail_cut(Fraction(-xi.cap, self.ctx.m), xi.cap)
-            return self.ctx.zero(min(ucap, xi.cap))
-        cut = self.log_tail_cut(xi.deg(), ucap)
+        cut = self.log_tail_cut(xi.deg_bound(), ucap)
         self._extend_beta(cut - 1, "equation")
         return self._eval_series(self._beta["equation"], cut, xi, ucap)
 

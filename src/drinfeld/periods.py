@@ -240,10 +240,7 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
     ctx = phi.ctx
     if z.is_exact_zero():
         return z
-    if not z.coeffs:
-        return ctx.zero(min(ucap, z.cap))
-    d = z.deg()
-    cut = phi.exp_tail_cut(d - 1, -(-ucap // ctx.q ** j))
+    cut = phi.exp_tail_cut(z.deg_bound() - 1, -(-ucap // ctx.q ** j))
     alpha = phi.exp_coeffs(cut - 1, "equation")
     fracs = [a.pow_q(j).div_factor(n + j) for n, a in enumerate(alpha)]
     return phi._eval_series(fracs, cut, z.pow_q(j), ucap)
@@ -277,7 +274,7 @@ def quasi_period_orbit(phi: DrinfeldModule, omega, ucap, terms=20):
     if terms < 0:
         raise InvalidInput("terms must be >= 0, got %d" % terms)
     ctx = phi.ctx
-    if not omega.coeffs:
+    if omega.is_exact_zero():
         return [(omega.truncate(ucap), -INF)] * (phi.r - 1)
     inner = ucap + ctx.m * (terms + 1)
     orbit = [phi.exp_eval(omega * ctx.theta(-(mm + 1)), ucap=inner)
@@ -338,8 +335,7 @@ def legendre_check(phi: DrinfeldModule, ucap, t_prec):
     if phi.r != 2:
         raise InvalidInput("the determinant relation needs rank 2")
     B = phi.A[1]
-    d1 = phi.A[0].deg()
-    degj = -INF if d1 is None else (q + 1) * d1 - B.deg()
+    degj = (q + 1) * phi.A[0].deg_bound() - B.deg_bound()
     if not degj < q * q:
         raise GateFailed(
             "j-invariant degree %s is not < q^2 = %d; this regime is "

@@ -276,7 +276,7 @@ class TateSeries:
         potential = None
         for c in self.coeffs:
             if c.coeffs:
-                d = c.deg()
+                d = c.deg_bound()
                 best = d if best is None else max(best, d)
             elif not c.is_exact_zero():
                 b = c.deg_bound()

@@ -201,7 +201,7 @@ def check_norms():
                 f = x_phi(phi, sp)
                 w = sp.weights(ctx.q)
                 closed = sum(
-                    w[i - 1] * (phi.A[i - 1].deg() - ctx.q ** i)
+                    w[i - 1] * (phi.A[i - 1].deg_bound() - ctx.q ** i)
                     for i in phi.support if w[i - 1])
                 got = f.to_series(4).gauss_norm_logq()
                 terms += 1
@@ -274,7 +274,7 @@ def check_carlitz_compat(ucap=64, t_prec=12):
     inner = ucap + 4
 
     def L(xi):
-        cut = phi.log_tail_cut(xi.deg(), inner)
+        cut = phi.log_tail_cut(xi.deg_bound(), inner)
         prods = carlitz_bseq_product(ctx, cut - 1)
         acc = TateSeries.zero(ctx, t_prec)
         xq = xi

@@ -81,11 +81,8 @@ def rational_eval(f, z):
 
 def frac_deg(f):
     """log_q of the absolute value of a bracket fraction as a Fraction;
-    None for zero."""
-    d = f.num.deg()
-    if d is None:
-        return None
-    return d - f.den_deg()
+    -inf for exact zero."""
+    return f.num.deg_bound() - f.den_deg()
 
 
 def laurent_sum(x, y):

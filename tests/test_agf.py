@@ -84,7 +84,7 @@ def test_x_phi_norm_matches_closed_form():
             want = partition_norm_logq(phi, sp)
             assert s.gauss_norm_logq() == want
             # the constant t-coefficient already attains the norm
-            assert s.coeffs[0].deg() == want
+            assert s.coeffs[0].deg_bound() == want
 
 
 # -- the b-sequence --

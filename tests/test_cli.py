@@ -903,3 +903,62 @@ def test_one_deformed_log_and_exp_orbit_per_basis_element(monkeypatch):
         code, _ = _main_rows(argv)
         assert code == 0, argv
         assert {k: counts[k] for k in want} == want, argv
+
+
+_FUZZ_COMMANDS = ("partitions", "coeffs", "convergence", "bseq", "deform",
+                  "agf", "verify-mainthm", "period", "quasiperiod",
+                  "legendre")
+
+
+def _fuzz_argv(rng):
+    """One argv for a random command on a preset or a small random
+    session: q in {2, 3, 4, 5, 9}, rank 1-2, n, ucap, tprec and terms
+    that may be zero or negative, and xi inside or outside the
+    convergence radius."""
+    cmd = rng.choice(_FUZZ_COMMANDS)
+    q = rng.choice((2, 3, 4, 5, 9))
+    n = str(rng.randint(-2, 3))
+    argv = [cmd]
+    if cmd == "partitions":
+        argv += [str(rng.randint(-1, 3)), n]
+    elif cmd in ("coeffs", "bseq"):
+        argv.append(n)
+    if rng.random() < 0.3:
+        argv += ["--preset", rng.choice(("carlitz-q2", "carlitz-q3",
+                                         "rank2-q2", "rank3-q2"))]
+    else:
+        polys = []
+        for _ in range(rng.randint(1, 2)):
+            digits = [rng.randrange(q) for _ in range(rng.randint(1, 3))]
+            digits[-1] = digits[-1] or rng.randrange(2)
+            polys.append(",".join(map(str, digits)))
+        argv += ["--q", str(q), "--s", str(rng.choice((1, 2))),
+                 "--m", str(rng.choice((1, 2))), "--A", ";".join(polys)]
+    argv += ["--ucap", str(rng.choice((-3, 0, 4, 8, 12, 16, 16, 24))),
+             "--tprec", str(rng.choice((-1, 0, 1, 2, 4, 4)))]
+    if cmd == "quasiperiod":
+        argv += ["--terms", str(rng.choice((-1, 0, 1, 2)))]
+    if cmd in ("deform", "agf", "verify-mainthm"):
+        argv += ["--xi", rng.choice(("0", "1", "theta^2", "theta^5",
+                                     "theta^-1", "1+theta^-2",
+                                     "%d*theta^-3" % rng.randrange(1, q)))]
+    return argv
+
+
+def test_fuzzed_argv_exit_cleanly():
+    """300 seeded argv over ten commands end in a documented exit code
+    (0, 1, 2 or 3, argparse's own exit 2 included), with no exception
+    escaping main."""
+    rng = random.Random(31)
+    seen = set()
+    for _ in range(300):
+        argv = _fuzz_argv(rng)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), argv
+        seen.add(code)
+    assert {0, 2, 3} <= seen

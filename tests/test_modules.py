@@ -11,6 +11,7 @@ from operator import add
 import pytest
 
 from drinfeld import modules
+from drinfeld.agf import check_main_theorem
 from drinfeld.cli import _frac_text
 from drinfeld.errors import InvalidInput, OutsideRadius
 from drinfeld.ff import FieldParams
@@ -49,7 +50,7 @@ def partition_norm_logq(phi, sp):
     total = Fraction(0)
     for i, w in enumerate(sp.weights(q), start=1):
         if w:
-            total += w * (phi.A[i - 1].deg() - q ** i)
+            total += w * (phi.A[i - 1].deg_bound() - q ** i)
     return total
 
 
@@ -324,12 +325,22 @@ def test_frac_to_laurent_cap_discipline():
 
 def test_termless_values_keep_to_the_cap_asked_for():
     """A numerator or an argument with no terms gives a zero whose cap is
-    no higher than the ucap asked for, as every other branch does."""
+    no higher than the ucap asked for, as every other branch does, nor
+    higher than its series earns: exp(O(u)) on rank 1, q = 3, A_1 =
+    theta^6 is known only below u^0, since alpha_1 u^3 has valuation 0.
+    The main theorem's checks run on such an xi like on any other."""
     ctx, phi = preset_session("carlitz-q2")
     assert BracketFrac(ctx, ctx.zero(10), {1: 1}).to_laurent(5) == \
         ctx.zero(5)
     assert phi.exp_eval(ctx.zero(50), ucap=10) == ctx.zero(10)
     assert phi.log_eval(ctx.zero(50), ucap=10) == ctx.zero(10)
+    ctx3 = SeriesParams(FieldParams.make(3), 1, 64)
+    big = DrinfeldModule(ctx3, [ctx3.theta(6)])
+    assert big.exp_eval(ctx3.zero(1), 40).cap <= 0
+    for c in (0, 4, 20):
+        rep = check_main_theorem(phi, ctx.zero(c), 16, 4)
+        assert rep["holds"] and rep["cut"] >= 1
+        assert all(rep[k]["u_val"] <= 16 for k in "bcde")
 
 
 def _to_laurent_case(ctx, rng):
@@ -676,7 +687,7 @@ def _eval_reading(phi, route, xi, cap):
     """(exp_eval, log_eval) at xi of a fresh copy of phi whose evaluation
     reads the given route's coefficients."""
     twin = DrinfeldModule(phi.ctx, phi.A)
-    d = xi.deg()
+    d = xi.deg_bound()
     n = max(twin.exp_tail_cut(d, cap), twin.log_tail_cut(d, cap))
     twin._alpha["equation"] = twin.exp_coeffs(n, route)
     twin._beta["equation"] = twin.log_coeffs(n, route)
@@ -1031,7 +1042,7 @@ def test_partition_norm_decomposition_identity():
             val = partition_norm_logq(phi, sp)
             for i in phi.support:
                 anchor = Fraction(q ** n - 1, q ** i - 1) * (
-                    phi.A[i - 1].deg() - q ** i)
+                    phi.A[i - 1].deg_bound() - q ** i)
                 corr = sum((q ** k - 1) * w[k - 1]
                            * (conv.rho[k] - conv.rho[i])
                            for k in phi.support)
