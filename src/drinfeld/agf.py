@@ -44,32 +44,35 @@ B_ROUTES = ("definition", "twist", "untwisted")
 
 
 def b_seq(phi: DrinfeldModule, n, route="definition"):
-    """b_0 .. b_n as exact rationals in t.
+    """b_0 .. b_n as exact rationals in t, in a new list.
 
     definition: sum of partition summands.
     twist:      b_m = sum_k A_k/(t - theta^(q^k)) * b_(m-k)^((k)).
     untwisted:  b_m = sum_k A_k^(q^(m-k))/(t - theta^(q^m)) * b_(m-k).
-    """
+
+    The twist route builds each module's sequence once: one list held
+    by phi is extended from its current length (_twist_step), as
+    phi._extend_alpha extends alpha, and a call returns a copy of its
+    first n + 1 entries, so a caller may change the list it gets."""
     ctx = phi.ctx
     one = TateRational(ctx, TateSeries.from_scalar(ctx, ctx.one()))
     if route not in B_ROUTES:
         raise InvalidInput("unknown route %r" % route)
     check_index(n)
+    if route == "twist":
+        seq = getattr(phi, "_b_twist", None)
+        if seq is None:
+            seq = phi._b_twist = [one]
+        for m in range(len(seq), n + 1):
+            seq.append(_twist_step(phi, seq, m))
+        return seq[:n + 1]
     out = [one]
     for m in range(1, n + 1):
+        acc = TateRational(ctx, TateSeries.zero(ctx))
         if route == "definition":
-            acc = TateRational(ctx, TateSeries.zero(ctx))
             for sp in enumerate_partitions(phi.r, m, support=phi.support):
                 acc = acc + x_phi(phi, sp)
-        elif route == "twist":
-            acc = TateRational(ctx, TateSeries.zero(ctx))
-            for k in phi.support:
-                if k > m:
-                    continue
-                acc = acc + (out[m - k].twist(k) * phi.A[k - 1]
-                             ).div_factor(k)
         else:
-            acc = TateRational(ctx, TateSeries.zero(ctx))
             for k in phi.support:
                 if k > m:
                     continue
@@ -77,6 +80,16 @@ def b_seq(phi: DrinfeldModule, n, route="definition"):
                              ).div_factor(m)
         out.append(acc)
     return out
+
+
+def _twist_step(phi, seq, m):
+    """b_m by the twist recurrence, given b_0 .. b_(m-1) in seq."""
+    acc = TateRational(phi.ctx, TateSeries.zero(phi.ctx))
+    for k in phi.support:
+        if k > m:
+            continue
+        acc = acc + (seq[m - k].twist(k) * phi.A[k - 1]).div_factor(k)
+    return acc
 
 
 def carlitz_bseq_product(ctx, n):
@@ -93,7 +106,10 @@ class DeformedLog:
     log_q||b_n xi^(q^n)|| <= (q^n - 1) rho + q^n deg xi).
 
     The b_n come from b_seq's twist route, at most r terms a step, not
-    from the partition sum.  On sparse supports its fractions may keep
+    from the partition sum.  That route keeps one sequence per module,
+    so a second deformed logarithm on phi (at phi_t(xi), at a doubled
+    cap, at another torsion point) runs only the steps past the longest
+    cut so far.  On sparse supports its fractions may keep
     removable poles, and exact-zero numerators with poles, that the
     partition sum lacks; the values are the same.  The series and the
     values at theta read only values: a numerator cut at ucap divided by

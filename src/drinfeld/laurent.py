@@ -337,7 +337,7 @@ class LaurentElem:
     # -- ring operations --
 
     def _check(self, other):
-        if not self.ctx.same(other.ctx):
+        if self.ctx is not other.ctx and not self.ctx.same(other.ctx):
             raise InvalidInput("operands live in different series contexts")
 
     def __add__(self, other):
@@ -403,7 +403,9 @@ class LaurentElem:
         """Frobenius power x^(q^k).  Twists run forward only: k < 0
         raises InvalidInput, since nothing in the package twists back.
         When s divides k the twist fixes every scalar and only scales
-        the exponents."""
+        the exponents; otherwise a field with tables reads its Frobenius
+        table for k once, and a field without them calls Field.frob per
+        term."""
         if k > 0:
             field = self.ctx.field
             Q = self.ctx.q ** k
@@ -411,6 +413,9 @@ class LaurentElem:
             if k % field.s == 0:
                 # the Frobenius fixes F_{q^s}: only the exponents move
                 out = {e * Q: c for e, c in self.coeffs.items()}
+            elif field._frob_tabs is not None:
+                tab = field._frob_tabs[k % field.s]
+                out = {e * Q: tab[c] for e, c in self.coeffs.items()}
             else:
                 frob = field.frob
                 out = {e * Q: frob(c, k) for e, c in self.coeffs.items()}

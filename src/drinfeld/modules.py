@@ -500,7 +500,7 @@ class DrinfeldModule:
                     return n + 1
             n += 1
         raise PrecisionExhausted("exponential tail did not certify; the "
-                                 "requested cap is too deep")
+                                 "requested cap is too deep; lower ucap")
 
     def log_tail_cut(self, d, val_target):
         """Smallest N with q^N (rho + d) - rho <= -val_target/m, using the
@@ -519,7 +519,8 @@ class DrinfeldModule:
             if self.ctx.q ** n * (rho + d) - rho <= goal:
                 return n
             n += 1
-        raise PrecisionExhausted("logarithm tail did not certify")
+        raise PrecisionExhausted("logarithm tail did not certify; lower "
+                                 "ucap")
 
     # -- evaluation --
 

@@ -236,6 +236,11 @@ class TateSeries:
         return TateSeries(ctx, out, self.t_prec)
 
     def scale(self, c: LaurentElem):
+        """self * c coefficientwise.  The exact one hands back self, as
+        each product x * 1 would give x itself; a capped one takes the
+        products, which cut at its cap."""
+        if c.cap == INF and c.coeffs == {0: 1}:
+            return self
         return TateSeries(self.ctx, [x * c for x in self.coeffs], self.t_prec)
 
     def shift_t(self, k):
@@ -456,28 +461,32 @@ class TateRational(FactoredFrac):
 def expand_sum(ctx, fracs, t_prec, ucap=INF):
     """sum(fracs) as a series to O(t^t_prec), cut at ucap: exactly
     expand_sum(ctx, fracs, t_prec).truncate_u(ucap), with nothing built
-    above ucap.  Numerators (cut at ucap, then to t_prec) that share a
-    pole multiset are added first; then the group with the largest top
-    pole is divided once by that pole, each step stopping at ucap
-    (div_pole), and added into the group with that pole removed, until
-    only the pole-free group is left.  That group is cut at ucap too,
-    which caps what no division reaches: the t-padding and an empty
-    sum.  Cutting in u before t leaves the padding one shared exact
-    zero until that last cut."""
+    above ucap.  Numerators (cut to t_prec, then at ucap) that share a
+    pole multiset are added first, as exact t-polynomials; then the
+    group with the largest top pole is padded to t_prec, divided once by
+    that pole, each step stopping at ucap (div_pole), and added into the
+    group with that pole removed, until only the pole-free group is
+    left.  That group is padded to t_prec and cut at ucap too, which
+    caps what no division reaches: the t-padding and an empty sum.  A
+    padded slot is an exact zero, which a sum hands back unchanged, so
+    padding only the divided groups gives the same coefficients."""
     groups = {}
 
     def put(poles, x):
         groups[poles] = groups[poles] + x if poles in groups else x
 
     for f in fracs:
-        put(tuple(sorted(f.den.items())),
-            f.num.truncate_u(ucap).truncate_t(t_prec))
+        num = f.num
+        if len(num.coeffs) > t_prec:
+            num = TateSeries(ctx, num.coeffs[:t_prec])
+        put(tuple(sorted(f.den.items())), num.truncate_u(ucap))
     while any(groups):
         poles = max(groups, key=lambda p: p[-1][0] if p else 0)
         e, mlt = poles[-1]
         put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
-            groups.pop(poles).div_pole(e, ucap))
-    return groups.get((), TateSeries.zero(ctx, t_prec)).truncate_u(ucap)
+            groups.pop(poles).truncate_t(t_prec).div_pole(e, ucap))
+    return groups.get((), TateSeries.zero(ctx)).truncate_t(
+        t_prec).truncate_u(ucap)
 
 
 class ThetaPoleForm:

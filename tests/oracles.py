@@ -3,7 +3,8 @@ Laurent element, the base-q digit factors of a bracket power, the
 Newton-inverse expansion of a bracket fraction, exact evaluation of a
 t-rational away from its poles, the degree of a bracket fraction, the
 composed t-series sums, differences and pole products that the
-one-pass forms replace, the F_q-span closure of torsion lifts, the
+one-pass forms replace, a sum of t-fractions that pads every numerator
+to the window before adding, the F_q-span closure of torsion lifts, the
 tuple key of the partition order, the quasi-period and its orbit sum
 computed for one index j at a time, and the Legendre determinant
 report from Tate rows built at their own cap.  The package itself needs none
@@ -254,3 +255,24 @@ def tate_mul_pairwise(x, y):
             if not b.is_exact_zero():
                 out[k] = out[k] + a * b
     return TateSeries(x.ctx, out, tp)
+
+
+def expand_sum_pad_first(ctx, fracs, t_prec, ucap=INF):
+    """sum(fracs) to O(t^t_prec), cut at ucap, with every numerator cut
+    at ucap and padded to t_prec before any sum: the groups of equal
+    pole multisets are added as series of the window, and each is
+    divided by its top pole in turn, as tate.expand_sum does."""
+    groups = {}
+
+    def put(poles, x):
+        groups[poles] = groups[poles] + x if poles in groups else x
+
+    for f in fracs:
+        put(tuple(sorted(f.den.items())),
+            f.num.truncate_u(ucap).truncate_t(t_prec))
+    while any(groups):
+        poles = max(groups, key=lambda p: p[-1][0] if p else 0)
+        e, mlt = poles[-1]
+        put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
+            groups.pop(poles).div_pole(e, ucap))
+    return groups.get((), TateSeries.zero(ctx, t_prec)).truncate_u(ucap)

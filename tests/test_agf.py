@@ -238,6 +238,58 @@ def test_deformed_log_twist_route_matches_partition_sum(monkeypatch):
     assert dense and sparse and pole_diffs
 
 
+def _fresh(phi):
+    return DrinfeldModule(phi.ctx, phi.A)
+
+
+def test_twist_b_seq_reuse_matches_a_fresh_module():
+    """b_seq's twist route extends one list per module.  Two calls in a
+    row (shorter then longer, longer then shorter, equal) each give the
+    list that a fresh module gives, by equals and by the printed bytes;
+    changing a returned list changes no later call; and deformed
+    logarithms on the reused module print the bytes of ones on a fresh
+    module."""
+    sparse = set()
+    for seed in range(30):
+        phi0, xi = _random_deform_session(seed)
+        if len(phi0.support) < phi0.r:
+            sparse.add(phi0.ctx.q)
+        for a, b in ((2, 6), (6, 2), (4, 4)):
+            phi = _fresh(phi0)
+            for n in (a, b):
+                got = b_seq(phi, n, "twist")
+                want = b_seq(_fresh(phi0), n, "twist")
+                assert len(got) == len(want) == n + 1
+                assert all(x.equals(y) for x, y in zip(got, want)), seed
+                assert [x.to_text() for x in got] == \
+                    [y.to_text() for y in want], seed
+                got[1] = got[0]
+                got.append(got[0])
+            for ucap in (16, 48, 128):
+                try:
+                    _, want = _deformed_log_bytes(_fresh(phi0), xi, ucap, 6)
+                except OutsideRadius:
+                    break
+                assert _deformed_log_bytes(phi, xi, ucap, 6)[1] == want, \
+                    (seed, a, b, ucap)
+    assert sparse == {2, 3, 4, 5, 9}
+
+
+def test_main_theorem_runs_each_twist_step_once(monkeypatch):
+    """check_main_theorem on rank2-q2 at (192, 24) builds deformed
+    logarithms with cuts 6 (at xi) and 8 (at phi_t(xi)).  The module's
+    one sequence runs b_1 .. b_7 once each: seven twist steps, not
+    5 + 7."""
+    agf_mod = importlib.import_module("drinfeld.agf")
+    ctx, phi = preset_session("rank2-q2")
+    steps, step = [], agf_mod._twist_step
+    monkeypatch.setattr(agf_mod, "_twist_step", lambda p, seq, m:
+                        steps.append(m) or step(p, seq, m))
+    report = check_main_theorem(phi, ctx.one() + ctx.theta(-1), 192, 24)
+    assert report["holds"] and report["cut"] == 6
+    assert steps == list(range(1, 8))
+
+
 def test_deformed_log_removable_poles_print_nothing(monkeypatch):
     """deform --q 2 --A "0;0;1" --xi theta^-1 --ucap 128 has cut 6, and
     its b_4, b_5 carry more poles on the twist route than in the

@@ -99,6 +99,19 @@ def test_period_torsion_count_exit_3_names_ucap():
     assert json_lines(rerun)[0]["value"]
 
 
+@pytest.mark.parametrize("cmd, prefix", [
+    ("deform", "logarithm tail did not certify"),
+    ("agf", "exponential tail did not certify; the requested cap is too "
+            "deep")])
+def test_tail_exit_3_names_ucap(cmd, prefix, capsys):
+    """A cap too deep for the tail bound exits 3 and says which knob to
+    lower."""
+    assert cli.main([cmd, "--preset", "carlitz-q2", "--xi", "theta^-1",
+                     "--tprec", "2", "--ucap", str(10 ** 130)]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == "precondition error: %s; lower ucap" % prefix
+
+
 def test_mainthm_shift_precondition_exit_3():
     proc = run_cli("verify-mainthm", "--preset", "carlitz-q2",
                    "--xi", "theta")

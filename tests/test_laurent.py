@@ -125,6 +125,34 @@ def test_pow_q_fixing_the_field_matches_per_term_frobenius():
                 assert x.pow_q(k) == want, (q, s, k, cap)
 
 
+def test_pow_q_off_the_field_matches_per_term_frobenius():
+    """For k with s not dividing k, pow_q(k) must agree with a per-term
+    Field.frob: on F_4, F_8, F_9, F_25, F_81 and F_(2^12), which read
+    one Frobenius table per call, and on F_(2^13), which has none.
+    Skipping the Frobenius moves some scalar on each of them."""
+    rng = random.Random(37)
+    for q, s in ((2, 2), (2, 3), (3, 2), (5, 2), (9, 2), (3, 4), (2, 12),
+                 (4, 6), (2, 13)):
+        ctx = SeriesParams(FieldParams.make(q, s), 2, 32)
+        F = ctx.field
+        for k in sorted({1, s - 1, s + 1, 2 * s - 1} - {0}):
+            if k % s == 0:
+                continue
+            Q = q ** k
+            for cap in (INF, 40):
+                coeffs = {rng.randrange(-10, 30): rng.randrange(1, F.order)
+                          for _ in range(12)}
+                coeffs[-11] = 1
+                x = LaurentElem(ctx, coeffs, cap)
+                want = LaurentElem(ctx, {e * Q: F.frob(c, k)
+                                         for e, c in x.coeffs.items()},
+                                   cap if cap == INF else cap * Q)
+                got = x.pow_q(k)
+                assert got == want, (q, s, k, cap)
+                assert got.coeffs != {e * Q: c for e, c in
+                                      x.coeffs.items()}, (q, s, k)
+
+
 def test_pow_q_negative_requires_divisibility():
     # twists run forward only: divisible exponents are refused too
     for coeffs in ({1: 1}, {3: 1}, {}):

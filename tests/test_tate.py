@@ -13,8 +13,8 @@ from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.tate import (TateRational, TateSeries, ThetaPoleForm,
                            expand_sum)
 
-from oracles import (EvalAtPole, laurent_sum, mul_pole_composed,
-                     rational_eval, tate_diff, tate_sum)
+from oracles import (EvalAtPole, expand_sum_pad_first, laurent_sum,
+                     mul_pole_composed, rational_eval, tate_diff, tate_sum)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3, 2), 2, 40)
@@ -366,6 +366,85 @@ def test_expand_sum_window_equals_cut_sum():
                         for u in _cut_points(rng, full):
                             assert expand_sum(ctx, fracs, t_prec, u) == \
                                 full.truncate_u(u)
+
+
+def _long_numer(ctx, rng):
+    """An exact t-polynomial of length 0-6, often longer than the window,
+    whose coefficients are exact, capped, zero to a cap or exactly zero
+    (inside the list too, so a cut can end on one)."""
+    coeffs = []
+    for _ in range(rng.randrange(0, 7)):
+        kind = rng.randrange(4)
+        v = rng.randrange(-6, 10)
+        if kind == 3:
+            coeffs.append(ctx.zero())
+        elif kind == 2:
+            coeffs.append(ctx.zero(v))
+        else:
+            c = {e: rng.randrange(1, ctx.field.order)
+                 for e in range(v, v + rng.randrange(1, 5))}
+            coeffs.append(ctx.make(c, INF if kind == 0 else
+                                   v + rng.randrange(1, 8)))
+    return TateSeries(ctx, coeffs, INF)
+
+
+def test_expand_sum_matches_pad_first_oracle():
+    """expand_sum adds numerators as exact t-polynomials and pads a group
+    only to divide it, and the pole-free group at the end: the same
+    series, caps and t_prec as padding every numerator first
+    (oracles.expand_sum_pad_first), on empty, pole-free-only, one-term
+    and mixed lists, at windows shorter and longer than the numerators
+    and at finite and infinite u-cuts."""
+    rng = random.Random(61)
+    for q in (2, 3, 4, 5, 9):
+        for s in (1, 2):
+            fp = FieldParams.make(q, s)
+            for m in (1, 2, 3):
+                ctx = SeriesParams(fp, m, 32)
+
+                def frac(poles=True):
+                    den = {e: rng.randrange(1, 3) for e in
+                           rng.sample(range(1, 4), rng.randrange(0, 3))}
+                    return TateRational(ctx, _long_numer(ctx, rng),
+                                        den if poles else {})
+
+                mixed = [frac() for _ in range(rng.randrange(2, 6))]
+                mixed += [TateRational(ctx, _long_numer(ctx, rng), f.den)
+                          for f in mixed[:2]]
+                for fracs in ([], [frac(False) for _ in range(3)],
+                              [frac()], mixed):
+                    for t_prec in (0, 1, 3, 7):
+                        for u in (INF, rng.randrange(-4, 12),
+                                  rng.randrange(12, 40)):
+                            got = expand_sum(ctx, fracs, t_prec, u)
+                            want = expand_sum_pad_first(ctx, fracs,
+                                                        t_prec, u)
+                            assert got.t_prec == want.t_prec == t_prec
+                            assert got == want
+                            assert got.to_text() == want.to_text()
+
+
+def _general_scale(x, c):
+    return TateSeries(x.ctx, [y * c for y in x.coeffs], x.t_prec)
+
+
+def test_scale_by_exact_one_is_the_series_itself():
+    """scale by the exact one hands back the same object; by a capped
+    one or a unit monomial u^e, e != 0, it equals the coefficientwise
+    products, caps included."""
+    rng = random.Random(67)
+    for ctx in (CTX2, CTX3):
+        for _ in range(40):
+            x = _rand_series(ctx, rng)
+            x = TateSeries(ctx, x.coeffs + [_rand_scalar(ctx, rng)],
+                           x.t_prec)
+            assert x.scale(ctx.one()) is x
+            for c in (ctx.one().truncate(rng.randrange(-4, 24)),
+                      ctx.monomial(1, rng.choice((-5, -1, 1, 3))),
+                      ctx.monomial(1, 2, rng.randrange(4, 24))):
+                got, want = x.scale(c), _general_scale(x, c)
+                assert got == want
+                assert got.to_text() == want.to_text()
 
 
 def test_series_eval_polynomial_horner():
