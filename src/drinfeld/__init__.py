@@ -14,7 +14,7 @@ from .tate import TateRational, TateSeries
 from .partitions import (ShadowedPartition, count_partitions,
                          enumerate_partitions)
 from .modules import BracketFrac, DrinfeldModule, bracket, carlitz
-from .agf import (DeformedLog, OmegaCarlitz, agf, b_seq, carlitz_pi,
+from .agf import (DeformedLog, OmegaCarlitz, b_seq, carlitz_pi,
                   check_main_theorem, omega_carlitz, x_phi)
 from .periods import (TorsionData, carlitz_period_routes, legendre_check,
                       newton_slopes, period_from_torsion, quasi_periods,
@@ -27,7 +27,7 @@ __all__ = [
     "TateRational", "TateSeries",
     "ShadowedPartition", "count_partitions", "enumerate_partitions",
     "BracketFrac", "DrinfeldModule", "bracket", "carlitz",
-    "DeformedLog", "OmegaCarlitz", "agf", "b_seq", "carlitz_pi",
+    "DeformedLog", "OmegaCarlitz", "b_seq", "carlitz_pi",
     "check_main_theorem", "omega_carlitz", "x_phi",
     "TorsionData", "carlitz_period_routes", "legendre_check",
     "newton_slopes", "period_from_torsion", "quasi_periods",

@@ -351,17 +351,23 @@ class OmegaCarlitz:
             self.depth += 1
             if self.depth > 64:
                 raise PrecisionExhausted("omega factor depth exploded")
+        self._w = None
 
     def regular_series(self):
         """W = prod_{i>=1} (1 - t/theta^(q^i))^(-1) as a series at the
         internal cap.  Every factor has u-exponents >= 0, so cutting at
-        that cap first drops nothing below it."""
-        ctx = self.ctx
-        out = TateSeries.from_scalar(ctx, ctx.one(), self.t_prec).truncate_u(
-            self._inner)
-        for i in range(1, self.depth + 1):
-            out = out.div_pole(i).scale(-ctx.theta().pow_q(i))
-        return out
+        that cap first drops nothing below it.  W depends only on ctx,
+        t_prec, the internal cap and depth, all fixed in __init__, so it
+        is built on the first call and handed out again after that
+        (series are never changed after construction)."""
+        if self._w is None:
+            ctx = self.ctx
+            out = TateSeries.from_scalar(ctx, ctx.one(), self.t_prec
+                                         ).truncate_u(self._inner)
+            for i in range(1, self.depth + 1):
+                out = out.div_pole(i).scale(-ctx.theta().pow_q(i))
+            self._w = out
+        return self._w
 
     def series(self):
         ctx = self.ctx

@@ -12,21 +12,30 @@ Lucas's theorem, with prod (d + 1) terms over the base-p digits d of
 mult; since mult is built from powers of q, the expanded denominators
 stay sparse, so route cross-checks and composition identities are
 exact, not numerical.  A session expands each denominator multiset
-once: the expansions are cached on its SeriesParams; they serve lifts,
-sums and equality.  Evaluation expands no denominator: to_laurent
-divides the numerator by each bracket's binomial factors 1 - y^(p^j)
-with running sums, and times_to_laurent builds a fraction-times-scalar
+once: the expansions are cached on its SeriesParams; they serve the
+lifts, sums and equality that multiply by an expanded cofactor, which
+are those for odd p and the thin ones in characteristic 2.  There
+[e]^(2^j) is a binomial with unit coefficients and addition is XOR, so
+a dense lift, and every division, runs on the numerator packed into
+one integer, one field element per slot: each binomial factor is one
+shift and XOR (_pack2, _unpack2).  Evaluation expands no denominator:
+to_laurent divides the numerator by each bracket's binomial factors
+1 - y^(p^j), by running sums for odd p and by prefix XORs in
+characteristic 2, and times_to_laurent builds a fraction-times-scalar
 product only in the window to_laurent reads.  BracketFrac takes its
 arithmetic from tate.FactoredFrac, the base it shares with
 TateRational, and drops the denominator of an exact zero.
 """
 
+from array import array
 from fractions import Fraction
 from functools import reduce
+from itertools import compress
 from math import comb, inf as INF
-from operator import add, xor
+from operator import add
 
 from .errors import (InvalidInput, OutsideRadius, PrecisionExhausted)
+from .ff import _LANE_FORMAT
 from .laurent import LaurentElem
 from .partitions import enumerate_partitions, iter_bits
 from .tate import FactoredFrac
@@ -75,8 +84,10 @@ def _den_elem(ctx, items):
     (e, mult): the product of the brackets [e]^mult in that order, each
     written out at once (_bracket_pow).  The coefficients are kept in
     the context's den_cache under items, so every lift, sum and equality
-    of the session expands a multiset once; the cache holds cofactor
-    expansions only, never a coefficient, and dies with the context."""
+    of the session that multiplies by an expanded cofactor (odd p, and
+    sparse lifts in characteristic 2; see BracketFrac._lift) expands a
+    multiset once; the cache holds cofactor expansions only, never a
+    coefficient, and dies with the context."""
     coeffs = ctx.den_cache.get(items)
     if coeffs is None:
         out = ctx.one()
@@ -84,6 +95,31 @@ def _den_elem(ctx, items):
             out = out * _bracket_pow(ctx, e, mult)
         coeffs = ctx.den_cache[items] = out.coeffs
     return LaurentElem.wrap(ctx, coeffs, INF)
+
+
+def _slot_bytes(field):
+    """Bytes per slot of the packed characteristic-2 path: a slot holds
+    one packed element of F_(2^dim), the bit vector of its coordinates,
+    so a field of order at most 2^8, 2^16 or 2^32 takes 1, 2 or 4."""
+    return 1 if field.order <= 1 << 8 else 2 if field.order <= 1 << 16 else 4
+
+
+def _pack2(coeffs, v, n, slot):
+    """The integer whose slot k (slot bytes wide) holds coeffs[v + k],
+    for 0 <= k < n; coeffs has no exponent below v.  In characteristic 2
+    XOR of two such integers adds them slot by slot, with no carry."""
+    z = [0] * n
+    for e, c in coeffs.items():
+        if e - v < n:
+            z[e - v] = c
+    return int.from_bytes(array(_LANE_FORMAT[slot], z), "little")
+
+
+def _unpack2(x, base, n, slot):
+    """{base + k: slot k of x} over the nonzero slots k < n of a packed
+    integer x that fits in n slots."""
+    vals = memoryview(x.to_bytes(n * slot, "little")).cast(_LANE_FORMAT[slot])
+    return dict(compress(zip(range(base, base + n), vals), vals))
 
 
 class BracketFrac(FactoredFrac):
@@ -112,14 +148,53 @@ class BracketFrac(FactoredFrac):
 
     def _lift(self, target):
         """Numerator after lifting to the denominator multiset target: times
-        the expanded cofactor prod [e]^(target - den).  An exact zero, or
-        a fraction already over target, returns its numerator as it is."""
+        the cofactor prod [e]^(target - den).  An exact zero, or a
+        fraction already over target, returns its numerator as it is.
+
+        In characteristic 2, [e]^(2^j) = theta^(q^e 2^j) (1 + u^S) with
+        S = m (q^e - 1) 2^j, so the cofactor is a unit monomial u^lead,
+        lead = -m * (its degree), times one binomial 1 + u^S per set bit
+        j of each missing multiplicity.  The numerator is packed one
+        element per slot (_pack2) from its valuation v, each binomial is
+        x ^= x << S slots, and the lead only moves the start exponent; the
+        product is known below num.cap + lead, as num * cofactor's cap
+        rule gives.  That path is taken when its window, the numerator's
+        plus the sum of the S, is at most the term pairs |num| *
+        2^(#binomials) of the expanded product.  A sparser lift, a
+        numerator with no terms and every odd p take num * _den_elem(ctx,
+        extra), the expanded cofactor."""
         extra = tuple(sorted((e, m - self.den.get(e, 0))
                              for e, m in target.items()
                              if m - self.den.get(e, 0) > 0))
-        if not extra or self.num.is_exact_zero():
-            return self.num
-        return self.num * _den_elem(self.ctx, extra)
+        num, ctx = self.num, self.ctx
+        if not extra or num.is_exact_zero():
+            return num
+        if ctx.field.p == 2 and num.coeffs:
+            m, q = ctx.m, ctx.q
+            deg = spread = binomials = 0
+            for e, mult in extra:
+                deg += mult * q ** e
+                spread += mult * (q ** e - 1)  # the sum of this e's S / m
+                binomials += mult.bit_count()
+            coeffs = num.coeffs
+            pairs = len(coeffs) << binomials
+            v = min(coeffs)
+            width = max(coeffs) - v + 1
+            n = width + m * spread
+            if n <= pairs:
+                slot = _slot_bytes(ctx.field)
+                bits = 8 * slot
+                x = _pack2(coeffs, v, width, slot)
+                for e, mult in extra:
+                    for j in iter_bits(mult):
+                        x ^= x << (m * (q ** e - 1) << j) * bits
+                if num.cap < v + n:
+                    n = num.cap - v
+                    x &= (1 << n * bits) - 1
+                lead = -m * deg
+                return LaurentElem.wrap(ctx, _unpack2(x, v + lead, n, slot),
+                                        num.cap + lead)
+        return num * _den_elem(ctx, extra)
 
     def pow_q(self, k):
         """Forward twists only: the numerator's pow_q refuses k < 0."""
@@ -144,15 +219,19 @@ class BracketFrac(FactoredFrac):
         [e] = theta^(q^e) (1 - y_e) with y_e = u^(m (q^e - 1)), and
         (1 - y)^(p^j) = 1 - y^(p^j) in characteristic p.  So the value is
         the numerator shifted by m * den_deg(), divided d times by
-        1 - y_e^(p^j) for each base-p digit d of mult at place p^j; each
-        division is the running sum z_k <- z_k + z_(k - S), ascending,
-        with S = m (q^e - 1) p^j, over the numerator's dense window from
-        v = num.vbound up to min(ucap - shift, num.cap).  The cap is
-        min(ucap, num.cap + shift); a numerator with no terms, or one
-        that starts at or above ucap - shift, has an empty window and
-        gives the zero at that cap.  An infinite ucap stands for the
-        session's relative budget ctx.prec past v + shift.  An exact
-        zero carries no denominator, so the first branch takes it."""
+        1 - y_e^(p^j) for each base-p digit d of mult at place p^j, over
+        the numerator's dense window of n slots from v = num.vbound up to
+        lim = min(ucap - shift, num.cap).  For odd p each division is the
+        running sum z_k <- z_k + z_(k - S), ascending, with S = m (q^e -
+        1) p^j.  In characteristic 2 the window is one packed integer
+        (_pack2), and each division is a prefix XOR whose stride doubles
+        from S until it reaches n, x ^= x << stride slots, then a mask
+        back to n slots.  The cap is min(ucap, num.cap + shift); a
+        numerator with no terms, or one that starts at or above ucap -
+        shift, has an empty window and gives the zero at that cap.  An
+        infinite ucap stands for the session's relative budget ctx.prec
+        past v + shift.  An exact zero carries no denominator, so the
+        first branch takes it."""
         if not self.den:
             return self.num.truncate(ucap)
         ctx, num = self.ctx, self.num
@@ -162,13 +241,32 @@ class BracketFrac(FactoredFrac):
             ucap = v + shift + ctx.prec
         lim = min(ucap - shift, num.cap)
         n = lim - v
+        if n <= 0:
+            return LaurentElem.wrap(ctx, {}, lim + shift)
+        field = ctx.field
+        if field.p == 2:
+            slot = _slot_bytes(field)
+            bits = 8 * slot
+            mask = (1 << n * bits) - 1
+            x = _pack2(num.coeffs, v, n, slot)
+            for e, mult in self.den.items():
+                S = ctx.m * (ctx.q ** e - 1)
+                while mult and S < n:
+                    if mult & 1:
+                        stride = S
+                        while stride < n:
+                            x ^= x << stride * bits
+                            stride *= 2
+                        x &= mask
+                    mult >>= 1
+                    S *= 2
+            return LaurentElem.wrap(ctx, _unpack2(x, v + shift, n, slot),
+                                    lim + shift)
         z = [0] * n
         for e, c in num.coeffs.items():
             if e < lim:
                 z[e - v] = c
-        field = ctx.field
-        p = field.p
-        plus = xor if p == 2 else field.add
+        p, plus = field.p, field.add
         for e, mult in self.den.items():
             S = ctx.m * (ctx.q ** e - 1)
             while mult and S < n:

@@ -575,6 +575,32 @@ def test_omega_pole_form_residue():
     assert (back - om.series()).is_zero_to_prec()
 
 
+def test_omega_builds_w_once(monkeypatch):
+    """W depends only on what OmegaCarlitz fixes at construction, so one
+    instance builds it once: series, diff_eq_residual and the series
+    path of W(theta) together run the depth divisions by the poles e >= 1
+    one time, and print the bytes of fresh instances."""
+    for ctx, ucap, t_prec in ((CTX2, 40, 12), (CTX3P, 36, 8)):
+        fresh = [OmegaCarlitz(ctx, ucap, t_prec) for _ in range(3)]
+        want = [fresh[0].series().to_text(),
+                fresh[1].diff_eq_residual().to_text(),
+                fresh[2]._w_at_theta("series").to_text()]
+        divs, real = [], TateSeries.div_pole
+
+        def watch(self, e, ucap=INF):
+            if e >= 1:
+                divs.append(e)
+            return real(self, e, ucap)
+
+        monkeypatch.setattr(TateSeries, "div_pole", watch)
+        om = OmegaCarlitz(ctx, ucap, t_prec)
+        got = [om.series().to_text(), om.diff_eq_residual().to_text(),
+               om._w_at_theta("series").to_text()]
+        monkeypatch.undo()
+        assert got == want
+        assert divs == list(range(1, om.depth + 1))
+
+
 def test_omega_ramification_guard():
     ctx_bad = SeriesParams(FieldParams.make(3, 2), 1, 40)
     with pytest.raises(RamificationError) as ei:

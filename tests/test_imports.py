@@ -48,3 +48,19 @@ def test_module_imports_are_stdlib_or_package_and_used(path):
                 path.name, line, module)
         assert name in used, "%s:%d imports %r but never uses it" % (
             path.name, line, name)
+
+
+def test_package_attributes_that_name_submodules_are_those_modules():
+    """No name the package binds shadows one of its submodules, so
+    `import drinfeld.<name> as m` binds the module: for each module file,
+    the package attribute of that name, once the module is imported, is
+    the module itself."""
+    import importlib
+    import drinfeld
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module("drinfeld." + path.stem)
+        assert getattr(drinfeld, path.stem) is module, path.stem
+    import drinfeld.agf as agf_module
+    assert agf_module is sys.modules["drinfeld.agf"]

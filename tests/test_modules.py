@@ -373,7 +373,8 @@ def _to_laurent_case(ctx, rng):
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("q, s, cases", [
     (2, 1, 36), (2, 2, 36), (3, 1, 36), (3, 2, 36), (4, 1, 36), (4, 2, 36),
-    (5, 1, 36), (5, 2, 36), (9, 1, 36), (9, 2, 36), (2, 13, 4), (3, 8, 4)])
+    (5, 1, 36), (5, 2, 36), (9, 1, 36), (9, 2, 36), (2, 13, 4), (3, 8, 4),
+    (2, 16, 4), (2, 20, 4), (8, 1, 36)])
 def test_to_laurent_matches_newton_oracle(q, s, cases, m):
     """to_laurent divides out each bracket's binomial; its coefficients
     and cap equal those of the expanded denominator's Newton inverse
@@ -386,6 +387,140 @@ def test_to_laurent_matches_newton_oracle(q, s, cases, m):
         got, want = frac.to_laurent(ucap), frac_to_laurent_newton(frac, ucap)
         assert (got.coeffs, got.cap) == (want.coeffs, want.cap), \
             (frac, ucap)
+
+
+# fields of characteristic 2 whose packed slots are 1, 2 and 4 bytes wide
+PACKED_FIELDS = [(2, 1), (4, 1), (8, 1), (2, 8), (2, 12), (2, 13), (2, 16),
+                 (2, 20)]
+
+
+@pytest.mark.parametrize("q, s, slot", [
+    (2, 1, 1), (8, 1, 1), (2, 8, 1), (2, 9, 2), (2, 12, 2), (2, 16, 2),
+    (2, 17, 4), (2, 20, 4)])
+def test_packed_slot_is_the_narrowest_that_holds_an_element(q, s, slot):
+    field = SeriesParams(FieldParams.make(q, s), 1).field
+    assert modules._slot_bytes(field) == slot
+
+
+def _packed_rule(ctx, num, extra):
+    """True when a characteristic-2 lift of num by the cofactor of extra
+    packs: the window, num's plus the binomials' shifts, is at most the
+    term pairs |num| * 2^(#binomials) of the expanded product."""
+    shifts = [ctx.m * (ctx.q ** e - 1) << j for e, mult in extra
+              for j in range(mult.bit_length()) if mult >> j & 1]
+    window = max(num.coeffs) - min(num.coeffs) + 1 + sum(shifts)
+    return window <= len(num.coeffs) << len(shifts)
+
+
+def _watch_den_elem(monkeypatch):
+    """The list of items that modules._den_elem expands from now on."""
+    real, seen = modules._den_elem, []
+
+    def watch(ctx, items):
+        seen.append(items)
+        return real(ctx, items)
+
+    monkeypatch.setattr(modules, "_den_elem", watch)
+    return seen
+
+
+def _lift_case(ctx, rng, kind):
+    """(frac, target, extra) with 0-2 brackets below and 1-3 missing
+    multiplicities, many of several set bits.  The numerator of kind
+    "exact" or "capped" is dense on its window or spread thin over one
+    up to 64 times wider, so the window rule goes either way; "termless"
+    is zero to a cap and "zero" exactly zero."""
+    q = ctx.q
+    mults = (1, 2, 3, 5, 6, 7, 12, 15, q + 1, 2 * q + 3, q * q + q + 1)
+    den = {e: rng.choice(mults) for e in rng.sample((1, 2, 3),
+                                                    rng.randint(0, 2))}
+    target = dict(den)
+    for e in rng.sample((1, 2, 3), rng.randint(1, 3)):
+        target[e] = target.get(e, 0) + rng.choice(mults)
+    extra = tuple(sorted((e, mlt - den.get(e, 0))
+                         for e, mlt in target.items() if mlt > den.get(e, 0)))
+    v = rng.randint(-40, 40)
+    if kind == "zero":
+        num = ctx.zero()
+    elif kind == "termless":
+        num = ctx.zero(v)
+    else:
+        width = rng.choice((1, 8, 64, 400, 3000))
+        spread = rng.choice((1, 1, 8, 64))
+        size = width if spread == 1 else rng.randint(1, max(1, width // 8))
+        exps = {v} | {v + rng.randrange(width * spread) for _ in range(size)}
+        cap = INF if kind == "exact" else \
+            rng.randint(v + 1, max(exps) + rng.randint(1, 60))
+        num = ctx.make({e: rng.randrange(1, ctx.field.order)
+                        for e in exps}, cap)
+    return BracketFrac(ctx, num, den), target, extra
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("q, s", PACKED_FIELDS)
+def test_packed_lift_matches_expanded_cofactor(q, s, m, monkeypatch):
+    """In characteristic 2, _lift multiplies by the cofactor as shifts of
+    one packed numerator where the window rule allows it, and by the
+    expanded cofactor (_den_elem) elsewhere.  On seeded lifts over
+    fields with 1-, 2- and 4-byte slots, with exact, capped, termless and
+    exactly zero numerators, both paths give num * _den_elem(ctx,
+    extra), coefficients and cap, and the path taken is the rule's."""
+    ctx = SeriesParams(FieldParams.make(q, s), m, 32)
+    rng = random.Random(7000 + 100 * q + 10 * s + m)
+    real, expanded = modules._den_elem, _watch_den_elem(monkeypatch)
+    paths = set()
+    for case in range(60):
+        kind = ("exact", "capped", "exact", "capped", "termless",
+                "zero")[case % 6]
+        frac, target, extra = _lift_case(ctx, rng, kind)
+        num = frac.num
+        want = num * real(ctx, extra)
+        expanded.clear()
+        got = frac._lift(target)
+        assert (got.coeffs, got.cap) == (want.coeffs, want.cap), (frac,
+                                                                   target)
+        if kind == "zero":
+            assert got is num and not expanded
+            continue
+        packed = bool(num.coeffs) and _packed_rule(ctx, num, extra)
+        assert expanded == ([] if packed else [extra]), (frac, target)
+        paths.add((kind, packed))
+    assert {("exact", True), ("exact", False), ("capped", True),
+            ("capped", False), ("termless", False)} <= paths
+
+
+def test_sparse_lift_expands_the_cofactor(monkeypatch):
+    """The window rule keeps a thin numerator off the packed path: over
+    F_8, two terms 200,000 slots apart lifted by [1] reach _den_elem,
+    while a numerator dense on the same lift's window does not."""
+    ctx = SeriesParams(FieldParams.make(8), 1, 32)
+    real, expanded = modules._den_elem, _watch_den_elem(monkeypatch)
+    sparse = BracketFrac(ctx, ctx.make({0: 1, 200000: 3}))
+    dense = BracketFrac(ctx, ctx.make({e: 1 + e % 7 for e in range(16)}))
+    for frac, want in ((sparse, [((1, 1),)]), (dense, [])):
+        got = frac._lift({1: 1})
+        assert expanded == want
+        assert got == frac.num * real(ctx, ((1, 1),))
+        expanded.clear()
+
+
+@pytest.mark.parametrize("q, s", PACKED_FIELDS)
+def test_packed_to_laurent_empty_window_is_the_zero_at_the_cap(q, s):
+    """A numerator with no terms, or one that starts at or above ucap -
+    shift, leaves to_laurent no window on the packed path: it gives the
+    zero at min(ucap, num.cap + shift), as the Newton oracle does."""
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 32)
+    den = {1: 3, 2: 1}
+    shift = BracketFrac(ctx, ctx.one(), den).den_deg()
+    for num, ucap in ((ctx.zero(5), 40), (ctx.zero(5), shift + 2),
+                      (ctx.monomial(1, 10), shift + 10),
+                      (ctx.monomial(1, 10), shift + 3),
+                      (ctx.make({12: 1, 20: 1}, 14), shift + 12)):
+        frac = BracketFrac(ctx, num, den)
+        got = frac.to_laurent(ucap)
+        want = frac_to_laurent_newton(frac, ucap)
+        assert not got.coeffs
+        assert (got.coeffs, got.cap) == (want.coeffs, want.cap), (num, ucap)
 
 
 def _times_case(ctx, rng):
