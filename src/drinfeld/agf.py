@@ -26,8 +26,8 @@ def x_phi(phi: DrinfeldModule, sp):
     with the same sum would overlap at cell i+j-1), so the poles are
     simple."""
     ctx = phi.ctx
-    return TateRational(ctx, TateSeries.from_scalar(ctx, phi._a_power(sp)),
-                        sp.pair_sums())
+    return TateRational.wrap(ctx, TateSeries.from_scalar(
+        ctx, phi._a_power(sp)), sp.pair_sums())
 
 
 def eval_theta_frac(phi, f: TateRational):
@@ -37,7 +37,7 @@ def eval_theta_frac(phi, f: TateRational):
     num = f.num.eval(ctx.theta())
     if sum(f.den.values()) % 2:
         num = -num
-    return BracketFrac(ctx, num, f.den)
+    return BracketFrac.wrap(ctx, num, f.den)
 
 
 B_ROUTES = ("definition", "twist", "untwisted")

@@ -38,7 +38,11 @@ negations, Frobenius twists, scalings by a nonzero scalar) are
 valid by construction and skip the constructor's filter through
 LaurentElem.wrap; everything else goes through the constructor.  A sum
 with a termless operand whose cap is at or above the other's hands
-back the other operand as it is, with no copy.
+back the other operand as it is, with no copy.  The same holds one
+layer up for the factored fractions (tate.FactoredFrac): nothing
+changes a .num or a .den after construction, so results share them,
+and the fractions the kernel builds from valid data skip the
+constructor's denominator checks through FactoredFrac.wrap.
 """
 
 from fractions import Fraction
@@ -64,7 +68,7 @@ class SeriesParams:
             raise InvalidInput("prec must be a positive integer")
         self.m = int(m)
         self.prec = int(prec)
-        # expanded bracket denominators of modules._den_elem, {items:
+        # expanded bracket denominators of modules._den_elem (odd p), {items:
         # coefficient dict of prod [e]^mult}; plain dicts, so the cache
         # forms no cycle with the context and dies with the session
         self.den_cache = {}

@@ -11,14 +11,16 @@ Coefficients are kept as exact fractions num / prod [e]^mult, where
 Lucas's theorem, with prod (d + 1) terms over the base-p digits d of
 mult; since mult is built from powers of q, the expanded denominators
 stay sparse, so route cross-checks and composition identities are
-exact, not numerical.  A session expands each denominator multiset
-once: the expansions are cached on its SeriesParams; they serve the
-lifts, sums and equality that multiply by an expanded cofactor, which
-are those for odd p and the thin ones in characteristic 2.  There
-[e]^(2^j) is a binomial with unit coefficients and addition is XOR, so
-a dense lift, and every division, runs on the numerator packed into
-one integer, one field element per slot: each binomial factor is one
-shift and XOR (_pack2, _unpack2).  Evaluation expands no denominator:
+exact, not numerical.  For odd p a session expands each cofactor
+multiset once: the expansions are cached on its SeriesParams and serve
+the lifts, sums and equality that multiply by them.  In characteristic
+2 no cofactor is expanded: [e]^(2^j) is a monomial times a binomial
+1 + u^S and addition is XOR, so each binomial factor of a lift is one
+shift and XOR, of the numerator packed into one integer (one field
+element per slot, _pack2, _unpack2) when it is dense on its window, and
+of its dict when it is thin; every division runs on the packed
+numerator.  Fractions over equal multisets add and compare with no
+lift at all.  Evaluation expands no denominator:
 to_laurent divides the numerator by each bracket's binomial factors
 1 - y^(p^j), by running sums for odd p and by prefix XORs in
 characteristic 2, and times_to_laurent builds a fraction-times-scalar
@@ -84,10 +86,11 @@ def _den_elem(ctx, items):
     (e, mult): the product of the brackets [e]^mult in that order, each
     written out at once (_bracket_pow).  The coefficients are kept in
     the context's den_cache under items, so every lift, sum and equality
-    of the session that multiplies by an expanded cofactor (odd p, and
-    sparse lifts in characteristic 2; see BracketFrac._lift) expands a
-    multiset once; the cache holds cofactor expansions only, never a
-    coefficient, and dies with the context."""
+    of the session that multiplies by an expanded cofactor expands a
+    multiset once.  Only odd p reads it: characteristic-2 lifts shift
+    the numerator instead (BracketFrac._lift).  The cache holds
+    cofactor expansions only, never a coefficient, and dies with the
+    context."""
     coeffs = ctx.den_cache.get(items)
     if coeffs is None:
         out = ctx.one()
@@ -134,6 +137,15 @@ class BracketFrac(FactoredFrac):
         if num.is_exact_zero():
             self.den = {}
 
+    @classmethod
+    def wrap(cls, ctx, num, den):
+        """FactoredFrac.wrap, with the constructor's rule that an exact
+        zero numerator drops its denominator."""
+        x = cls.__new__(cls)
+        x.ctx, x.num = ctx, num
+        x.den = {} if num.is_exact_zero() else den
+        return x
+
     # perfbench/tracer.py times methods found in the class's own __dict__,
     # so the sum, this layer's hot path, is bound here by name.
     __add__ = FactoredFrac.__add__
@@ -149,39 +161,48 @@ class BracketFrac(FactoredFrac):
     def _lift(self, target):
         """Numerator after lifting to the denominator multiset target: times
         the cofactor prod [e]^(target - den).  An exact zero, or a
-        fraction already over target, returns its numerator as it is.
+        fraction already over target (a sum of two fractions over equal
+        multisets), returns its numerator as it is.
 
         In characteristic 2, [e]^(2^j) = theta^(q^e 2^j) (1 + u^S) with
         S = m (q^e - 1) 2^j, so the cofactor is a unit monomial u^lead,
         lead = -m * (its degree), times one binomial 1 + u^S per set bit
-        j of each missing multiplicity.  The numerator is packed one
-        element per slot (_pack2) from its valuation v, each binomial is
-        x ^= x << S slots, and the lead only moves the start exponent; the
+        j of each missing multiplicity, and no cofactor is expanded.  The
         product is known below num.cap + lead, as num * cofactor's cap
-        rule gives.  That path is taken when its window, the numerator's
-        plus the sum of the S, is at most the term pairs |num| *
-        2^(#binomials) of the expanded product.  A sparser lift, a
-        numerator with no terms and every odd p take num * _den_elem(ctx,
-        extra), the expanded cofactor."""
+        rule gives.  Where the window, the numerator's plus the sum of
+        the S, is at most the term pairs |num| * 2^(#binomials) of the
+        expanded product, the numerator is packed one element per slot
+        (_pack2) from its valuation v, each binomial is x ^= x << S
+        slots, and the lead only moves the start exponent.  A thinner
+        numerator, or one with no terms, is moved to u^lead as a dict and
+        each binomial adds the dict shifted by S into itself: terms at or
+        above the cap are cut and coefficients that cancel are deleted.
+        Every odd p takes num * _den_elem(ctx, extra), the expanded
+        cofactor."""
+        num, ctx = self.num, self.ctx
+        if target == self.den or num.is_exact_zero():
+            return num
         extra = tuple(sorted((e, m - self.den.get(e, 0))
                              for e, m in target.items()
                              if m - self.den.get(e, 0) > 0))
-        num, ctx = self.num, self.ctx
-        if not extra or num.is_exact_zero():
+        if not extra:
             return num
-        if ctx.field.p == 2 and num.coeffs:
-            m, q = ctx.m, ctx.q
-            deg = spread = binomials = 0
-            for e, mult in extra:
-                deg += mult * q ** e
-                spread += mult * (q ** e - 1)  # the sum of this e's S / m
-                binomials += mult.bit_count()
-            coeffs = num.coeffs
-            pairs = len(coeffs) << binomials
+        if ctx.field.p != 2:
+            return num * _den_elem(ctx, extra)
+        m, q = ctx.m, ctx.q
+        deg = spread = binomials = 0
+        for e, mult in extra:
+            deg += mult * q ** e
+            spread += mult * (q ** e - 1)  # the sum of this e's S / m
+            binomials += mult.bit_count()
+        lead = -m * deg
+        cap = num.cap + lead
+        coeffs = num.coeffs
+        if coeffs:
             v = min(coeffs)
             width = max(coeffs) - v + 1
             n = width + m * spread
-            if n <= pairs:
+            if n <= len(coeffs) << binomials:
                 slot = _slot_bytes(ctx.field)
                 bits = 8 * slot
                 x = _pack2(coeffs, v, width, slot)
@@ -191,10 +212,21 @@ class BracketFrac(FactoredFrac):
                 if num.cap < v + n:
                     n = num.cap - v
                     x &= (1 << n * bits) - 1
-                lead = -m * deg
                 return LaurentElem.wrap(ctx, _unpack2(x, v + lead, n, slot),
-                                        num.cap + lead)
-        return num * _den_elem(ctx, extra)
+                                        cap)
+        out = {e + lead: c for e, c in coeffs.items()}
+        for e, mult in extra:
+            for j in iter_bits(mult):
+                S = m * (q ** e - 1) << j
+                for k, c in list(out.items()):
+                    k += S
+                    if k < cap:
+                        c ^= out.get(k, 0)
+                        if c:
+                            out[k] = c
+                        else:
+                            del out[k]
+        return LaurentElem.wrap(ctx, out, cap)
 
     def pow_q(self, k):
         """Forward twists only: the numerator's pow_q refuses k < 0."""
@@ -202,8 +234,8 @@ class BracketFrac(FactoredFrac):
             return self
         num = self.num.pow_q(k)
         Q = self.ctx.q ** k
-        return BracketFrac(self.ctx, num,
-                           {e: m * Q for e, m in self.den.items()})
+        return BracketFrac.wrap(self.ctx, num,
+                                {e: m * Q for e, m in self.den.items()})
 
     def is_exact_zero(self):
         return self.num.is_exact_zero()
@@ -429,11 +461,11 @@ class DrinfeldModule:
             a = b = BracketFrac.zero(ctx)
             for sp in enumerate_partitions(self.r, k, support=self.support):
                 num = self._a_power(sp)
-                a = a + BracketFrac(ctx, num, {k - j: q ** j for j in
-                                               iter_bits(sp.union_mask())})
+                a = a + BracketFrac.wrap(ctx, num, {
+                    k - j: q ** j for j in iter_bits(sp.union_mask())})
                 den = sp.pair_sums()
-                b = b + BracketFrac(ctx, -num if sum(den.values()) % 2
-                                    else num, den)
+                b = b + BracketFrac.wrap(ctx, -num if sum(den.values()) % 2
+                                         else num, den)
             alpha.append(a)
             beta.append(b)
 
@@ -480,7 +512,7 @@ class DrinfeldModule:
         if den is None or any(mlt > den.get(e, 0)
                               for e, mlt in eq.den.items()):
             return -_sum(ctx, (b * a.pow_q(i) for b, a, i in terms))
-        return BracketFrac(ctx, eq._lift(den), den)
+        return BracketFrac.wrap(ctx, eq._lift(den), den)
 
     def exp_coeffs(self, n, route="partitions"):
         """alpha_0 .. alpha_n.  Route "partitions" sums the closed form

@@ -347,26 +347,56 @@ class FactoredFrac:
     """num / prod F_e^mult over den = {e: mult}, e >= 1: the arithmetic of
     TateRational (F_e = t - theta^(q^e)) and modules.BracketFrac (F_e =
     [e]).  Sums and equality lift both numerators to the max-merged
-    multiset through the subclass's _lift(target)."""
+    multiset through the subclass's _lift(target); a sum of two
+    fractions over equal multisets keeps that multiset and lifts
+    nothing.
+
+    A den is never changed in place once it is built, so results share
+    it freely.  The constructor validates its den; fractions the kernel
+    builds from valid data (sums, negations, products, scalings,
+    div_factor and the subclasses' twists) skip that through wrap, as
+    LaurentElem.wrap does for elements."""
 
     __slots__ = ("ctx", "num", "den")
 
     def __init__(self, ctx, num, den=()):
         if isinstance(den, dict):
             den = den.items()
-        den = {int(e): int(mlt) for e, mlt in den if mlt}
-        for e, mlt in den.items():
-            if e < 1 or mlt < 1:
+        out = {}
+        for e, mlt in den:
+            try:
+                ok = e == int(e) and mlt == int(mlt)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise InvalidInput("factor exponents and multiplicities "
+                                   "must be integers, got (%r, %r)"
+                                   % (e, mlt))
+            if e in out:
+                raise InvalidInput("factor exponent %d is given twice" % e)
+            if mlt and (e < 1 or mlt < 1):
                 raise InvalidInput("factor exponents need e >= 1, mult >= 1")
+            out[int(e)] = int(mlt)
         self.ctx = ctx
         self.num = num
-        self.den = den
+        self.den = {e: mlt for e, mlt in out.items() if mlt}
+
+    @classmethod
+    def wrap(cls, ctx, num, den):
+        """A fraction on num and den themselves: den must be a dict of
+        e >= 1 to mult >= 1 that nobody changes afterwards."""
+        x = cls.__new__(cls)
+        x.ctx, x.num, x.den = ctx, num, den
+        return x
 
     _check = LaurentElem._check
 
     def _merge(self, other):
-        """{e: max multiplicity} over both denominators."""
+        """{e: max multiplicity} over both denominators; the shared den
+        itself when the two are equal."""
         self._check(other)
+        if self.den == other.den:
+            return self.den
         out = dict(self.den)
         for e, mlt in other.den.items():
             out[e] = max(out.get(e, 0), mlt)
@@ -374,10 +404,10 @@ class FactoredFrac:
 
     def __add__(self, other):
         den = self._merge(other)
-        return type(self)(self.ctx, self._lift(den) + other._lift(den), den)
+        return self.wrap(self.ctx, self._lift(den) + other._lift(den), den)
 
     def __neg__(self):
-        return type(self)(self.ctx, -self.num, self.den)
+        return self.wrap(self.ctx, -self.num, self.den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -386,12 +416,12 @@ class FactoredFrac:
         """A fraction times a fraction adds the multisets; times a scalar
         it scales the numerator."""
         if not isinstance(other, FactoredFrac):
-            return type(self)(self.ctx, self._scale(other), self.den)
+            return self.wrap(self.ctx, self._scale(other), self.den)
         self._check(other)
         den = dict(self.den)
         for e, mlt in other.den.items():
             den[e] = den.get(e, 0) + mlt
-        return type(self)(self.ctx, self.num * other.num, den)
+        return self.wrap(self.ctx, self.num * other.num, den)
 
     def _scale(self, c):
         return self.num * c
@@ -400,7 +430,7 @@ class FactoredFrac:
         """self / F_e: one more factor in the denominator."""
         den = dict(self.den)
         den[e] = den.get(e, 0) + 1
-        return type(self)(self.ctx, self.num, den)
+        return self.wrap(self.ctx, self.num, den)
 
     def equals(self, other):
         """Exact equality: the numerators lifted to the merged
@@ -437,8 +467,8 @@ class TateRational(FactoredFrac):
     def twist(self, ell):
         """f^(ell): the numerator twisted (ell < 0 raises there), each
         pole moved from e to e + ell."""
-        return TateRational(self.ctx, self.num.twist(ell),
-                            {e + ell: mlt for e, mlt in self.den.items()})
+        return TateRational.wrap(self.ctx, self.num.twist(ell),
+                                 {e + ell: mlt for e, mlt in self.den.items()})
 
     def to_series(self, t_prec):
         return expand_sum(self.ctx, [self], t_prec)

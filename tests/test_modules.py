@@ -278,9 +278,8 @@ def _lift_by_factor(ctx, num, items):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_lift_by_factor_matches_expanded_lift(q):
-    """_lift multiplies the numerator by the expanded cofactor; on seeded
-    numerators of 128 to 2,048 terms it equals the factor-by-factor
-    product."""
+    """On seeded numerators of 128 to 2,048 terms, _lift and the expanded
+    cofactor's product equal the factor-by-factor product."""
     rng = random.Random(60 + q)
     ctx = SeriesParams(FieldParams.make(q), 1, 32)
     for size in (128, 1024, 1025, 2048):
@@ -424,6 +423,18 @@ def _watch_den_elem(monkeypatch):
     return seen
 
 
+def _watch_pack2(monkeypatch):
+    """The list of (v, n) windows that modules._pack2 packs from now on."""
+    real, seen = modules._pack2, []
+
+    def watch(coeffs, v, n, slot):
+        seen.append((v, n))
+        return real(coeffs, v, n, slot)
+
+    monkeypatch.setattr(modules, "_pack2", watch)
+    return seen
+
+
 def _lift_case(ctx, rng, kind):
     """(frac, target, extra) with 0-2 brackets below and 1-3 missing
     multiplicities, many of several set bits.  The numerator of kind
@@ -460,14 +471,16 @@ def _lift_case(ctx, rng, kind):
 @pytest.mark.parametrize("q, s", PACKED_FIELDS)
 def test_packed_lift_matches_expanded_cofactor(q, s, m, monkeypatch):
     """In characteristic 2, _lift multiplies by the cofactor as shifts of
-    one packed numerator where the window rule allows it, and by the
-    expanded cofactor (_den_elem) elsewhere.  On seeded lifts over
-    fields with 1-, 2- and 4-byte slots, with exact, capped, termless and
-    exactly zero numerators, both paths give num * _den_elem(ctx,
-    extra), coefficients and cap, and the path taken is the rule's."""
+    one packed numerator where the window rule allows it, and as shifts
+    of the numerator's dict elsewhere; it never expands the cofactor
+    (_den_elem).  On seeded lifts over fields with 1-, 2- and 4-byte
+    slots, with exact, capped, termless and exactly zero numerators,
+    both paths give num * _den_elem(ctx, extra), coefficients and cap,
+    and the path taken is the rule's."""
     ctx = SeriesParams(FieldParams.make(q, s), m, 32)
     rng = random.Random(7000 + 100 * q + 10 * s + m)
     real, expanded = modules._den_elem, _watch_den_elem(monkeypatch)
+    packs = _watch_pack2(monkeypatch)
     paths = set()
     for case in range(60):
         kind = ("exact", "capped", "exact", "capped", "termless",
@@ -476,34 +489,105 @@ def test_packed_lift_matches_expanded_cofactor(q, s, m, monkeypatch):
         num = frac.num
         want = num * real(ctx, extra)
         expanded.clear()
+        packs.clear()
         got = frac._lift(target)
         assert (got.coeffs, got.cap) == (want.coeffs, want.cap), (frac,
                                                                    target)
+        assert not expanded, (frac, target)
         if kind == "zero":
-            assert got is num and not expanded
+            assert got is num and not packs
             continue
         packed = bool(num.coeffs) and _packed_rule(ctx, num, extra)
-        assert expanded == ([] if packed else [extra]), (frac, target)
+        assert bool(packs) == packed, (frac, target)
         paths.add((kind, packed))
     assert {("exact", True), ("exact", False), ("capped", True),
             ("capped", False), ("termless", False)} <= paths
 
 
-def test_sparse_lift_expands_the_cofactor(monkeypatch):
+def test_sparse_lift_shifts_a_dict(monkeypatch):
     """The window rule keeps a thin numerator off the packed path: over
-    F_8, two terms 200,000 slots apart lifted by [1] reach _den_elem,
-    while a numerator dense on the same lift's window does not."""
+    F_8, two terms 200,000 slots apart lifted by [1] are shifted as a
+    dict, while a numerator dense on the same lift's window is packed.
+    Neither expands the cofactor."""
     ctx = SeriesParams(FieldParams.make(8), 1, 32)
     real, expanded = modules._den_elem, _watch_den_elem(monkeypatch)
+    packs = _watch_pack2(monkeypatch)
     sparse = BracketFrac(ctx, ctx.make({0: 1, 200000: 3}))
     dense = BracketFrac(ctx, ctx.make({e: 1 + e % 7 for e in range(16)}))
-    for frac, want in ((sparse, [((1, 1),)]), (dense, [])):
+    for frac, packed in ((sparse, False), (dense, True)):
         got = frac._lift({1: 1})
-        assert expanded == want
+        assert not expanded and bool(packs) == packed
         assert got == frac.num * real(ctx, ((1, 1),))
-        expanded.clear()
+        packs.clear()
 
 
+@pytest.mark.parametrize("q", [2, 4, 8])
+def test_dict_lift_cuts_at_the_cap_and_deletes_what_cancels(q):
+    """A thin characteristic-2 lift shifts its dict once per binomial:
+    (1 + u + c u^1000 + ...)(1 + u)(1 + u^2) over [1]^3 at q = 2 puts
+    two terms on each exponent of the low block, which cancel, and a
+    cap cuts the shifted terms above it.  Coefficients and cap equal
+    num * _den_elem, and no coefficient is zero."""
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+    S = q - 1
+    c = ctx.field.order - 1
+    for cap in (INF, 1000 + S, 1000 + 2 * S):
+        num = ctx.make({0: c, S: c, 2 * S: c, 1000: 1}, cap)
+        frac = BracketFrac(ctx, num, {2: 1})
+        for target in ({1: 3, 2: 1}, {1: 1, 2: 1}):
+            extra = tuple(sorted((e, mlt - frac.den.get(e, 0))
+                                 for e, mlt in target.items()
+                                 if mlt > frac.den.get(e, 0)))
+            assert not _packed_rule(ctx, num, extra)
+            got = frac._lift(target)
+            want = num * _den_elem(ctx, extra)
+            assert (got.coeffs, got.cap) == (want.coeffs, want.cap)
+            assert all(got.coeffs.values())
+
+
+@pytest.mark.parametrize("q, s", [(3, 1), (5, 1), (9, 1), (3, 2)])
+def test_odd_p_lift_expands_the_cofactor(q, s, monkeypatch):
+    """For odd p, a lift that adds a bracket multiplies by the expanded
+    cofactor, once per lift, and gives its product."""
+    ctx = SeriesParams(FieldParams.make(q, s), 1, 32)
+    real, expanded = modules._den_elem, _watch_den_elem(monkeypatch)
+    frac = BracketFrac(ctx, ctx.make({0: 1, 7: 2, 400: 1}), {1: 1})
+    got = frac._lift({1: 2, 2: 1})
+    assert expanded == [((1, 1), (2, 1))]
+    assert got == frac.num * real(ctx, ((1, 1), (2, 1)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_equal_denominator_sums_lift_nothing(q, monkeypatch):
+    """A sum or equality of two fractions over equal multisets (distinct
+    dicts) keeps the first one's den, hands each numerator back as the
+    very object (_lift returns num itself), and expands nothing; so
+    does the lift of a fraction already over the merged multiset."""
+    ctx = SeriesParams(FieldParams.make(q), 1, 32)
+    expanded = _watch_den_elem(monkeypatch)
+    packs = _watch_pack2(monkeypatch)
+    lifts, real_lift = [], BracketFrac._lift
+
+    def watch(self, target):
+        out = real_lift(self, target)
+        lifts.append((self, out))
+        return out
+
+    monkeypatch.setattr(BracketFrac, "_lift", watch)
+    a = BracketFrac(ctx, ctx.make({-3: 1, 5: 1, 90: 1}), {1: 2, 3: 1})
+    b = BracketFrac(ctx, ctx.make({0: 1, 40: 1}), {1: 2, 3: 1})
+    big = BracketFrac(ctx, ctx.make({2: 1}), {1: 3, 2: 1, 3: 1})
+    assert a.den is not b.den and a._merge(b) is a.den
+    total = a + b
+    assert total.den is a.den and total.num == a.num + b.num
+    assert not a.equals(b)
+    assert a.equals(BracketFrac(ctx, a.num, dict(a.den)))
+    assert len(lifts) == 6 and all(out is frac.num for frac, out in lifts)
+    assert not expanded and not packs
+    lifts.clear()
+    a + big
+    assert [(frac, out is frac.num) for frac, out in lifts] == [
+        (a, False), (big, True)]
 @pytest.mark.parametrize("q, s", PACKED_FIELDS)
 def test_packed_to_laurent_empty_window_is_the_zero_at_the_cap(q, s):
     """A numerator with no terms, or one that starts at or above ucap -
