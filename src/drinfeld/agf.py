@@ -8,6 +8,7 @@ u-caps and an explicit t-window, so every reported identity comes with
 the precision below which its residual provably vanishes.
 """
 
+from fractions import Fraction
 from math import inf as INF
 
 from .errors import (CompatPreconditionFailed, InvalidInput,
@@ -210,19 +211,21 @@ def delta(phi: DrinfeldModule, G: TateSeries):
 
 def shift_precondition_violations(phi: DrinfeldModule, xi):
     """The shift identity needs |A_i xi^(q^i)| < R for 0 <= i <= r, with
-    A_0 = theta.  Returns (i, offending log_q value, logq_R) triples."""
+    A_0 = theta.  Returns (i, offending log_q value, logq_R) triples.
+    Each value is compared with logq_R = Rn/Rd in integers at the scale
+    m den(deg xi); a Fraction is built only for an offending value.  An
+    exact-zero xi has log_q|xi| = -inf and offends nowhere."""
+    if xi.is_exact_zero():
+        return []
     conv = phi.convergence_data()
-    d = xi.deg_bound()
-    out = []
-    if 1 + d >= conv.logq_R:
-        out.append((0, 1 + d, conv.logq_R))
-    for i in range(1, phi.r + 1):
-        if phi.A[i - 1].is_exact_zero():
-            continue
-        v = phi.A[i - 1].deg_bound() + phi.ctx.q ** i * d
-        if v >= conv.logq_R:
-            out.append((i, v, conv.logq_R))
-    return out
+    Rn, Rd = conv.R
+    m = phi.ctx.m
+    dn, dd = xi.deg_bound().as_integer_ratio()
+    scale = m * dd
+    values = [(0, m * (dd + dn))]  # scale (1 + deg xi)
+    values += [(i, dd * a + m * Q * dn) for i, Q, a in phi._deg]
+    return [(i, Fraction(v, scale), conv.logq_R) for i, v in values
+            if v * Rd >= Rn * scale]
 
 
 def _report(ok, u_val, t_prec=None):
@@ -254,20 +257,28 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     inner = ucap + margin
 
     dl = DeformedLog(phi, xi, inner)
-    report = {"logq_R": [conv.logq_R.numerator, conv.logq_R.denominator],
+    logq_R = conv.logq_R
+    report = {"logq_R": [logq_R.numerator, logq_R.denominator],
               "s": conv.s, "cut": dl.cut}
 
     # (a) convergence: the certified Gauss-norm bounds of the summands
     # strictly decrease once n is past the support, staying <= the
-    # radius bound.  An exact-zero xi has no summands.
-    rho = -conv.logq_R
-    d = xi.deg_bound()
-    bounds = [(ctx.q ** n - 1) * rho + ctx.q ** n * d
-              for n in range(dl.cut)]
+    # radius bound.  With rho = -Rn/Rd and deg xi = dn/dd, the n-th bound
+    # (q^n - 1) rho + q^n deg xi is (q^n (dn Rd - Rn dd) + Rn dd)/(Rd dd),
+    # compared in integers.  An exact-zero xi has no summands.
+    bounds, scale = [], 1
+    if dl.cut:
+        Rn, Rd = conv.R
+        dn, dd = xi.deg_bound().as_integer_ratio()
+        x, scale = dn * Rd - Rn * dd, Rd * dd
+        for n in range(dl.cut):
+            bounds.append(x + Rn * dd)
+            x *= ctx.q
     dec = all(bounds[n + 1] < bounds[n] for n in range(len(bounds) - 1))
+    fracs = [Fraction(b, scale) for b in bounds]
     report["a"] = {"holds": bool(dec),
-                   "term_bound_logq": [[b.numerator, b.denominator]
-                                       for b in bounds]}
+                   "term_bound_logq": [[f.numerator, f.denominator]
+                                       for f in fracs]}
 
     # (b) value at theta equals the logarithm, termwise exact (against
     # beta from phi's log equation) plus a capped numeric comparison.

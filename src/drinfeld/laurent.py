@@ -47,7 +47,7 @@ constructor's denominator checks through FactoredFrac.wrap.
 
 from fractions import Fraction
 from itertools import compress
-from math import ceil, gcd, inf as INF
+from math import gcd, inf as INF
 from operator import xor
 
 from .errors import (DivideByZero, InvalidInput, PrecisionExhausted,
@@ -113,8 +113,13 @@ class SeriesParams:
         return LaurentElem(self, d, INF)
 
     def val_from_logq(self, bound):
-        """Smallest integer valuation consistent with log_q|x| <= bound."""
-        return ceil(Fraction(-self.m) * Fraction(bound))
+        """Smallest integer valuation consistent with log_q|x| <= bound,
+        ceil(-m bound) in integers; a bound of -inf (an exact zero, as
+        quasi_period_orbit reports for omega = 0) gives +inf."""
+        if bound == -INF:
+            return INF
+        num, den = bound.as_integer_ratio()
+        return -(self.m * num // den)
 
     def same(self, other):
         return (self.field is other.field and self.m == other.m)

@@ -27,6 +27,15 @@ characteristic 2, and times_to_laurent builds a fraction-times-scalar
 product only in the window to_laurent reads.  BracketFrac takes its
 arithmetic from tate.FactoredFrac, the base it shares with
 TateRational, and drops the denominator of an exact zero.
+
+The degree bookkeeping that sizes every evaluator's series (the bound
+on deg alpha_n, both tail cuts and the radius) runs in exact integers:
+each module keeps m deg A_i and m exp_deg_bound(n) at the scale m, and
+its radius over m (q^s - 1), built once; a degree d enters a cut at
+the scale m den(d).  Every bound is a rational whose denominator
+divides that scale, so each cut is the one the rationals give, and a
+Fraction is made only where JSON prints one or a caller reads
+exp_deg_bound.
 """
 
 from array import array
@@ -109,13 +118,16 @@ def _slot_bytes(field):
 
 def _pack2(coeffs, v, n, slot):
     """The integer whose slot k (slot bytes wide) holds coeffs[v + k],
-    for 0 <= k < n; coeffs has no exponent below v.  In characteristic 2
-    XOR of two such integers adds them slot by slot, with no carry."""
-    z = [0] * n
+    for 0 <= k < n; coeffs has no exponent below v.  The terms are
+    written into a zeroed buffer of n slots, a bytearray for 1-byte
+    slots and an array otherwise.  In characteristic 2 XOR of two such
+    integers adds them slot by slot, with no carry."""
+    z = bytearray(n) if slot == 1 else array(_LANE_FORMAT[slot],
+                                               bytes(n * slot))
     for e, c in coeffs.items():
         if e - v < n:
             z[e - v] = c
-    return int.from_bytes(array(_LANE_FORMAT[slot], z), "little")
+    return int.from_bytes(z, "little")
 
 
 def _unpack2(x, base, n, slot):
@@ -376,25 +388,39 @@ def _fold_den(ctx, terms):
 
 class ConvergenceData:
     """Radius bookkeeping: rho_i = (deg A_i - q^i)/(q^i - 1) over the
-    support, s = smallest index attaining max rho, logq_R = -rho_s."""
+    support, s = smallest index attaining max rho, logq_R = -rho_s.
+    Each rho_i is held in exact integers over m (q^i - 1), as scaled[i]
+    = (m deg A_i - m q^i, m (q^i - 1)), and the radius as R = (m q^s -
+    m deg A_s, m (q^s - 1)), so a degree compares with it by
+    cross-multiplication; rho and logq_R build Fractions when read."""
 
-    __slots__ = ("support", "rho", "s", "strict", "logq_R")
+    __slots__ = ("support", "scaled", "s", "strict", "R")
 
-    def __init__(self, support, rho, s, strict):
+    def __init__(self, support, scaled, s, strict):
         self.support = support
-        self.rho = rho
+        self.scaled = scaled
         self.s = s
         self.strict = strict
-        self.logq_R = -rho[s]
+        num, den = scaled[s]
+        self.R = (-num, den)
+
+    @property
+    def rho(self):
+        return {i: Fraction(*nd) for i, nd in self.scaled.items()}
+
+    @property
+    def logq_R(self):
+        return Fraction(*self.R)
 
     def to_json(self):
+        logq_R = self.logq_R
         return {
             "support": list(self.support),
             "rho": {str(i): [r.numerator, r.denominator]
                     for i, r in self.rho.items()},
             "s": self.s,
             "strict": self.strict,
-            "logq_R": [self.logq_R.numerator, self.logq_R.denominator],
+            "logq_R": [logq_R.numerator, logq_R.denominator],
         }
 
 
@@ -424,7 +450,12 @@ class DrinfeldModule:
         self._beta = {"partitions": [BracketFrac.one(ctx)],
                       "recurrence": [BracketFrac.one(ctx)],
                       "equation": [BracketFrac.one(ctx)]}
-        self._da = [Fraction(0)]
+        # degree bookkeeping in integers at the scale m: m deg A_i =
+        # -vbound, with q^i, over the support; _da[n] = m exp_deg_bound(n)
+        self._deg = tuple((i, ctx.q ** i, -A[i - 1].vbound)
+                          for i in self.support)
+        self._da = [0]
+        self._conv = None
 
     # -- the module action --
 
@@ -580,75 +611,104 @@ class DrinfeldModule:
     # -- convergence --
 
     def convergence_data(self):
-        q = self.ctx.q
-        rho = {}
-        for i in self.support:
-            rho[i] = Fraction(self.A[i - 1].deg_bound() - q ** i,
-                              q ** i - 1)
-        best = max(rho.values())
-        winners = [i for i in self.support if rho[i] == best]
-        return ConvergenceData(self.support, rho, winners[0],
-                               len(winners) == 1)
+        """The radius of the logarithm (ConvergenceData), built once per
+        module: rho_i compared by cross-multiplication, no Fraction."""
+        if self._conv is None:
+            m = self.ctx.m
+            scaled = {i: (a - m * Q, m * (Q - 1)) for i, Q, a in self._deg}
+            s, strict = self.support[0], True
+            for i in self.support[1:]:
+                (num, den), (best, bden) = scaled[i], scaled[s]
+                c = num * bden - best * den
+                if c > 0:
+                    s, strict = i, True
+                elif c == 0:
+                    strict = False
+            self._conv = ConvergenceData(self.support, scaled, s, strict)
+        return self._conv
 
     # -- degree bounds and certified tails --
 
-    def exp_deg_bound(self, n):
-        """Recursive bound for log_q|alpha_n|."""
-        while len(self._da) <= n:
-            k = len(self._da)
-            q = self.ctx.q
-            best = None
-            for i in self.support:
+    def _extend_da(self, n):
+        """m exp_deg_bound(k) for k <= n into _da: m deg alpha_k <=
+        max_i (m deg A_i + q^i m deg alpha_(k-i)) - m q^k over the i <= k
+        in the support, -inf where the support cannot reach k (alpha_k =
+        0) or every term is -inf."""
+        da, m, q = self._da, self.ctx.m, self.ctx.q
+        while len(da) <= n:
+            k = len(da)
+            best = -INF
+            for i, Q, a in self._deg:
                 if i > k:
-                    continue
-                v = self.A[i - 1].deg_bound() + q ** i * self._da[k - i]
-                best = v if best is None else max(best, v)
-            # best is None when the support cannot reach k: alpha_k = 0
-            self._da.append(best - q ** k if best is not None else -INF)
-        return self._da[n]
+                    break
+                prev = da[k - i]
+                if prev != -INF:
+                    best = max(best, a + Q * prev)
+            da.append(best if best == -INF else best - m * q ** k)
+
+    def exp_deg_bound(self, n):
+        """Recursive bound for log_q|alpha_n| (-inf for alpha_n = 0), as a
+        Fraction; it is kept in integers at the scale m (_da)."""
+        self._extend_da(n)
+        b = self._da[n]
+        return b if b == -INF else Fraction(b, self.ctx.m)
+
+    def _exp_window(self, d, val_target):
+        """(N, heights, goal, scale) for exp_tail_cut: heights[n] =
+        scale * (exp_deg_bound(n) + q^n d) for n < N and goal = scale *
+        (-val_target/m), all integers (or -inf) at scale = m den(d)."""
+        dn, dd = d.as_integer_ratio()
+        q, r = self.ctx.q, self.r
+        scale = self.ctx.m * dd
+        goal = -val_target * dd
+        lead = [(Q, dd * a) for i, Q, a in self._deg]  # scale deg A_i
+        da, h = self._da, []
+        x = self.ctx.m * dn  # scale q^n d
+        top = scale * q  # scale q^(n+1)
+        for n in range(400):
+            if n == len(da):
+                self._extend_da(n)
+            b = da[n]
+            h.append(b if b == -INF else dd * b + x)
+            if n >= r:
+                W = max(h[n - r + 1:])
+                if W <= goal and all(c + Q * W <= W + top for Q, c in lead):
+                    return n + 1, h, goal, scale
+            x *= q
+            top *= q
+        raise PrecisionExhausted("exponential tail did not certify; the "
+                                 "requested cap is too deep; lower ucap")
 
     def exp_tail_cut(self, d, val_target):
         """Smallest N such that sup_{n >= N} (exp_deg_bound(n) + q^n d)
         is certified <= -val_target/m, via the sliding-window argument:
         once the last r values are <= W and deg A_i + q^i W <= W + q^(n+1)
-        for every i in the support, no later value exceeds W."""
-        q = self.ctx.q
-        m = self.ctx.m
-        d = Fraction(d)
-        goal = Fraction(-val_target, m)
-        h = []
-        n = 0
-        while n < 400:
-            h.append(self.exp_deg_bound(n) + q ** n * d)
-            if n >= self.r:
-                window = h[n - self.r + 1:n + 1]
-                W = max(window)
-                if W <= goal and all(
-                        self.A[i - 1].deg_bound() + q ** i * W <=
-                        W + q ** (n + 1)
-                        for i in self.support):
-                    return n + 1
-            n += 1
-        raise PrecisionExhausted("exponential tail did not certify; the "
-                                 "requested cap is too deep; lower ucap")
+        for every i in the support, no later value exceeds W.  Every
+        value is compared in integers at the scale m den(d), where each
+        bound is an integer (_exp_window)."""
+        return self._exp_window(d, val_target)[0]
 
     def log_tail_cut(self, d, val_target):
         """Smallest N with q^N (rho + d) - rho <= -val_target/m, using the
         closed-form bound log_q|beta_n| <= (q^n - 1) rho; requires
-        d < logq_R."""
+        d < logq_R.  With logq_R = Rn/Rd, Rd = m (q^s - 1), both tests
+        run in integers at the scale Rd den(d)."""
         conv = self.convergence_data()
-        rho = -conv.logq_R
-        d = Fraction(d)
-        if d >= conv.logq_R:
+        Rn, Rd = conv.R
+        dn, dd = d.as_integer_ratio()
+        if dn * Rd >= Rn * dd:
             raise OutsideRadius(
                 "xi has log_q|xi| = %s but the convergence radius gives "
-                "logq_R = %s; need log_q|xi| < logq_R" % (d, conv.logq_R))
-        goal = Fraction(-val_target, self.ctx.m)
-        n = 1
-        while n < 400:
-            if self.ctx.q ** n * (rho + d) - rho <= goal:
+                "logq_R = %s; need log_q|xi| < logq_R"
+                % (Fraction(dn, dd), conv.logq_R))
+        q = self.ctx.q
+        goal = -val_target * dd * (Rd // self.ctx.m) - Rn * dd
+        # Rd dd q^n (rho + d) against Rd dd (rho - val_target/m)
+        x = q * (dn * Rd - Rn * dd)
+        for n in range(1, 400):
+            if x <= goal:
                 return n
-            n += 1
+            x *= q
         raise PrecisionExhausted("logarithm tail did not certify; lower "
                                  "ucap")
 

@@ -248,18 +248,11 @@ def quasi_function_eval(phi: DrinfeldModule, j, z, ucap):
 
 def _exp_deg_sup(phi, d, val_target):
     """Certified upper bound for sup_n log_q|alpha_n x^(q^n)| over
-    deg x <= d."""
-    cut = phi.exp_tail_cut(d, val_target)
-    best = Fraction(-val_target, phi.ctx.m)
-    q = phi.ctx.q
-    for n in range(cut):
-        da = phi.exp_deg_bound(n)
-        if da == -INF:
-            continue
-        v = da + q ** n * Fraction(d)
-        if v > best:
-            best = v
-    return best
+    deg x <= d: the largest height of exp_tail_cut's window, or the
+    goal -val_target/m if that is larger, read at the window's integer
+    scale and returned as one Fraction."""
+    _, heights, goal, scale = phi._exp_window(d, val_target)
+    return Fraction(max(goal, *heights), scale)
 
 
 def quasi_period_orbit(phi: DrinfeldModule, omega, ucap, terms=20):

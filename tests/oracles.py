@@ -6,14 +6,19 @@ composed t-series sums, differences and pole products that the
 one-pass forms replace, a sum of t-fractions that pads every numerator
 to the window before adding, the F_q-span closure of torsion lifts, the
 tuple key of the partition order, the quasi-period and its orbit sum
-computed for one index j at a time, and the Legendre determinant
-report from Tate rows built at their own cap.  The package itself needs none
-of them."""
+computed for one index j at a time, the Legendre determinant
+report from Tate rows built at their own cap, a module's degree
+bookkeeping in fractions.Fraction, and a packed integer built from a
+list of slots.  The package itself needs none of them."""
 
+from array import array
+from fractions import Fraction
 from math import comb, inf as INF
 
 from drinfeld.agf import DeformedLog, _report
-from drinfeld.errors import PreconditionError
+from drinfeld.errors import (OutsideRadius, PrecisionExhausted,
+                             PreconditionError)
+from drinfeld.ff import _LANE_FORMAT
 from drinfeld.laurent import LaurentElem
 from drinfeld.modules import _den_elem, bracket
 from drinfeld.periods import _exp_deg_sup, _residual, torsion_roots
@@ -276,3 +281,123 @@ def expand_sum_pad_first(ctx, fracs, t_prec, ucap=INF):
         put(poles[:-1] + (((e, mlt - 1),) if mlt > 1 else ()),
             groups.pop(poles).div_pole(e, ucap))
     return groups.get((), TateSeries.zero(ctx, t_prec)).truncate_u(ucap)
+
+
+class FractionConvergence:
+    """rho_i = (deg A_i - q^i)/(q^i - 1) over the support as Fractions,
+    s the smallest index attaining max rho, logq_R = -rho_s."""
+
+    def __init__(self, phi):
+        q = phi.ctx.q
+        self.support = phi.support
+        self.rho = {i: Fraction(phi.A[i - 1].deg_bound() - q ** i,
+                                q ** i - 1) for i in phi.support}
+        best = max(self.rho.values())
+        winners = [i for i in phi.support if self.rho[i] == best]
+        self.s, self.strict = winners[0], len(winners) == 1
+        self.logq_R = -self.rho[self.s]
+
+    def to_json(self):
+        return {
+            "support": list(self.support),
+            "rho": {str(i): [r.numerator, r.denominator]
+                    for i, r in self.rho.items()},
+            "s": self.s,
+            "strict": self.strict,
+            "logq_R": [self.logq_R.numerator, self.logq_R.denominator],
+        }
+
+
+class FractionDegrees:
+    """A module's degree bookkeeping computed in fractions.Fraction: the
+    recursive bound on log_q|alpha_n|, the exponential's sliding-window
+    tail cut, the logarithm's closed-form tail cut, the radius, the
+    orbit's sup bound, the shift-identity preconditions and the term
+    bounds of the main theorem's (a)."""
+
+    def __init__(self, phi):
+        self.phi = phi
+        self.da = [Fraction(0)]
+
+    def exp_deg_bound(self, n):
+        phi, q = self.phi, self.phi.ctx.q
+        while len(self.da) <= n:
+            k = len(self.da)
+            best = None
+            for i in phi.support:
+                if i > k:
+                    continue
+                v = phi.A[i - 1].deg_bound() + q ** i * self.da[k - i]
+                best = v if best is None else max(best, v)
+            self.da.append(best - q ** k if best is not None else -INF)
+        return self.da[n]
+
+    def exp_tail_cut(self, d, val_target):
+        phi, q = self.phi, self.phi.ctx.q
+        d = Fraction(d)
+        goal = Fraction(-val_target, phi.ctx.m)
+        h = []
+        for n in range(400):
+            h.append(self.exp_deg_bound(n) + q ** n * d)
+            if n >= phi.r:
+                W = max(h[n - phi.r + 1:n + 1])
+                if W <= goal and all(
+                        phi.A[i - 1].deg_bound() + q ** i * W <=
+                        W + q ** (n + 1) for i in phi.support):
+                    return n + 1
+        raise PrecisionExhausted("exponential tail did not certify; the "
+                                 "requested cap is too deep; lower ucap")
+
+    def convergence_data(self):
+        return FractionConvergence(self.phi)
+
+    def log_tail_cut(self, d, val_target):
+        conv = self.convergence_data()
+        rho = -conv.logq_R
+        d = Fraction(d)
+        if d >= conv.logq_R:
+            raise OutsideRadius(
+                "xi has log_q|xi| = %s but the convergence radius gives "
+                "logq_R = %s; need log_q|xi| < logq_R" % (d, conv.logq_R))
+        goal = Fraction(-val_target, self.phi.ctx.m)
+        for n in range(1, 400):
+            if self.phi.ctx.q ** n * (rho + d) - rho <= goal:
+                return n
+        raise PrecisionExhausted("logarithm tail did not certify; lower "
+                                 "ucap")
+
+    def exp_deg_sup(self, d, val_target):
+        cut = self.exp_tail_cut(d, val_target)
+        best = Fraction(-val_target, self.phi.ctx.m)
+        for n in range(cut):
+            da = self.exp_deg_bound(n)
+            if da != -INF:
+                best = max(best, da + self.phi.ctx.q ** n * Fraction(d))
+        return best
+
+    def shift_precondition_violations(self, xi):
+        phi = self.phi
+        logq_R = self.convergence_data().logq_R
+        d = xi.deg_bound()
+        out = [(0, 1 + d, logq_R)] if 1 + d >= logq_R else []
+        for i in phi.support:
+            v = phi.A[i - 1].deg_bound() + phi.ctx.q ** i * d
+            if v >= logq_R:
+                out.append((i, v, logq_R))
+        return out
+
+    def term_bounds(self, d, cut):
+        """[numerator, denominator] of (q^n - 1) rho + q^n d, n < cut."""
+        rho, q = -self.convergence_data().logq_R, self.phi.ctx.q
+        out = [(q ** n - 1) * rho + q ** n * d for n in range(cut)]
+        return [[b.numerator, b.denominator] for b in out]
+
+
+def pack2_list(coeffs, v, n, slot):
+    """The packed integer of slots v .. v + n - 1 (slot bytes wide),
+    built from a Python list of n zeros."""
+    z = [0] * n
+    for e, c in coeffs.items():
+        if e - v < n:
+            z[e - v] = c
+    return int.from_bytes(array(_LANE_FORMAT[slot], z), "little")

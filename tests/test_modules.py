@@ -23,7 +23,7 @@ from drinfeld.tate import TateRational, TateSeries
 from drinfeld.verify import preset_session
 
 from oracles import (bracket_digit_factor, frac_deg, frac_to_laurent_newton,
-                     laurent_pow)
+                     laurent_pow, pack2_list)
 
 CTX2 = SeriesParams(FieldParams.make(2), 1, 48)
 CTX3 = SeriesParams(FieldParams.make(3), 1, 48)
@@ -433,6 +433,28 @@ def _watch_pack2(monkeypatch):
 
     monkeypatch.setattr(modules, "_pack2", watch)
     return seen
+
+
+@pytest.mark.parametrize("slot", [1, 2, 4])
+def test_pack2_matches_list_built_oracle(slot):
+    """_pack2 fills a zeroed buffer (a bytearray for 1-byte slots); it
+    gives the integer that a list of n zeros, filled and turned into an
+    array, gives.  Exponents at or beyond the window are dropped, and
+    every slot value up to the slot's top is kept."""
+    rng = random.Random(slot)
+    top = (1 << 8 * slot) - 1
+    for _ in range(200):
+        v = rng.randint(-50, 50)
+        n = rng.choice((1, 2, 7, 400, 3000))
+        size = rng.randint(0, min(n, 40))
+        coeffs = {v + rng.randrange(2 * n): rng.randint(1, top)
+                  for _ in range(size)}
+        coeffs[v + n] = top  # at n, cut
+        coeffs[v + n - 1] = top
+        coeffs[v] = rng.randint(1, top)
+        assert modules._pack2(coeffs, v, n, slot) == \
+            pack2_list(coeffs, v, n, slot)
+    assert modules._pack2({}, 0, 5, slot) == 0
 
 
 def _lift_case(ctx, rng, kind):
