@@ -196,10 +196,6 @@ class AGFValue:
             self.residue)
 
 
-def agf(phi, u, ucap):
-    return AGFValue(phi, u, ucap)
-
-
 def delta(phi: DrinfeldModule, G: TateSeries):
     """The operator A_r tau^r + ... + A_1 tau - (t - theta) applied to
     G, tau being the coefficientwise Frobenius twist."""
@@ -307,7 +303,7 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
     report["c"] = _report(ok_c, min(val_c, ucap), win_c)
 
     # (d) L(xi; t) = -(t - theta) f(u; t) at u = log_phi(xi).
-    form = agf(phi, u, inner).theta_pole_form(t_prec)
+    form = AGFValue(phi, u, inner).theta_pole_form(t_prec)
     rhs_d = -(form.regular.mul_pole(0) +
               TateSeries.from_scalar(ctx, form.residue))
     resid_d = s - rhs_d
@@ -339,7 +335,10 @@ def check_main_theorem(phi: DrinfeldModule, xi: LaurentElem, ucap, t_prec):
 class OmegaCarlitz:
     """omega(t) = (-theta)^(1/(q-1)) prod_{i>=0} (1 - t/theta^(q^i))^(-1),
     held as the root, the pole factor at theta, and the regular product
-    W = prod_{i>=1}, so the residue at theta stays certified.
+    W = prod_{i>=1}, so the residue at theta stays certified.  Up to
+    depth, the factors of W are one pole fraction, (-1)^depth
+    theta^(sum q^i) / prod (t - theta^(q^i)), and at t = theta one
+    bracket fraction, theta^(sum q^i) / prod [i]: neither is inverted.
 
     Internal work happens a few digits above the requested cap so that
     the scale by theta * root (negative valuation) still leaves every
@@ -362,28 +361,32 @@ class OmegaCarlitz:
             self.depth += 1
             if self.depth > 64:
                 raise PrecisionExhausted("omega factor depth exploded")
+        self._poles = {i: 1 for i in range(1, self.depth + 1)}
+        self._lead = ctx.theta(sum(q ** i for i in self._poles))
         self._w = None
 
     def regular_series(self):
         """W = prod_{i>=1} (1 - t/theta^(q^i))^(-1) as a series at the
-        internal cap.  Every factor has u-exponents >= 0, so cutting at
-        that cap first drops nothing below it.  W depends only on ctx,
-        t_prec, the internal cap and depth, all fixed in __init__, so it
-        is built on the first call and handed out again after that
-        (series are never changed after construction)."""
+        internal cap: expand_sum of the one pole fraction (-1)^depth
+        theta^(sum q^i) / prod (t - theta^(q^i)), cut there.  W depends
+        only on ctx, t_prec, the internal cap and depth, all fixed in
+        __init__, so it is built on the first call and handed out again
+        after that (series are never changed after construction)."""
         if self._w is None:
             ctx = self.ctx
-            out = TateSeries.from_scalar(ctx, ctx.one(), self.t_prec
-                                         ).truncate_u(self._inner)
-            for i in range(1, self.depth + 1):
-                out = out.div_pole(i).scale(-ctx.theta().pow_q(i))
-            self._w = out
+            lead = -self._lead if self.depth % 2 else self._lead
+            self._w = expand_sum(ctx, [TateRational.wrap(
+                ctx, TateSeries.from_scalar(ctx, lead), self._poles)],
+                self.t_prec, self._inner)
         return self._w
 
+    def _omega(self, ucap):
+        """W root (-theta) / (t - theta), cut at ucap."""
+        return self.regular_series().scale(
+            self.root * -self.ctx.theta()).div_pole(0, ucap)
+
     def series(self):
-        ctx = self.ctx
-        W = self.regular_series()
-        return W.scale(self.root * (-ctx.theta())).div_pole(0, self.ucap)
+        return self._omega(self.ucap)
 
     def theta_pole_form(self):
         """Split omega = regular + res/(t - theta), the residue being
@@ -398,23 +401,22 @@ class OmegaCarlitz:
     def _w_factors_theta(self):
         """Exact binomials 1 - theta^(1 - q^i) for the i that matter."""
         ctx = self.ctx
-        return [ctx.one() - ctx.theta().pow_q(i).invert() * ctx.theta()
-                for i in range(1, self.depth + 1)]
+        return [ctx.one() - ctx.theta(1 - ctx.q ** i) for i in self._poles]
 
     def _w_at_theta(self, path):
-        """W(theta) three ways; 'series' certifies its own t-tail from
-        |c_k theta^k| <= q^((1-q)k)."""
+        """W(theta) three ways: 'factored' divides theta^(sum q^i) by
+        [1] .. [depth] (BracketFrac.to_laurent); 'single' Newton-inverts
+        the product of the factors 1 - theta^(1-q^i), and 'series' sums
+        regular_series at theta, certifying its own t-tail from
+        |c_k theta^k| <= q^((1-q)k); these two check the first."""
         ctx = self.ctx
         rel = self._inner
-        factors = self._w_factors_theta()
         if path == "factored":
-            out = ctx.one().truncate(rel)
-            for f in factors:
-                out = out * f.truncate(rel).invert()
-            return out
+            return BracketFrac.wrap(ctx, self._lead, self._poles
+                                    ).to_laurent(rel)
         if path == "single":
             prod = ctx.one()
-            for f in factors:
+            for f in self._w_factors_theta():
                 prod = prod * f
             return prod.truncate(prod.val + rel).invert()
         if path == "series":
@@ -434,10 +436,7 @@ class OmegaCarlitz:
         functional equation says it vanishes.  Built from the
         internal-cap series so the theta factor does not eat into the
         published cap."""
-        ctx = self.ctx
-        W = self.regular_series()
-        s = W.scale(self.root * (-ctx.theta())).div_pole(
-            0, self._inner - ctx.m)
+        s = self._omega(self._inner - self.ctx.m)
         resid = s.twist(1) - s.mul_pole(0)
         return resid.truncate_u(self.ucap)
 

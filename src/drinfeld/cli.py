@@ -24,7 +24,7 @@ from .ff import FieldParams
 from .laurent import INF, SeriesParams
 from .partitions import count_partitions, enumerate_partitions
 from .modules import DrinfeldModule, check_index
-from .agf import (DeformedLog, agf, b_seq, check_main_theorem,
+from .agf import (AGFValue, DeformedLog, b_seq, check_main_theorem,
                   eval_theta_frac, omega_carlitz)
 from .periods import (legendre_check, period_from_torsion, quasi_period_orbit,
                       quasi_periods, torsion_roots)
@@ -325,7 +325,7 @@ def cmd_deform(args):
 def cmd_agf(args):
     cfg = SessionConfig.from_args(args)
     u = cfg.xi()
-    f = agf(cfg.phi, u, cfg.ucap)
+    f = AGFValue(cfg.phi, u, cfg.ucap)
     form = f.theta_pole_form(cfg.tprec)
     diff = form.residue + u
     recovered = not diff.coeffs
@@ -419,7 +419,7 @@ def cmd_legendre(args):
 
 
 def _preset_scorecard(name, ucap, tprec):
-    ctx, phi = verify_mod.preset_session(name, prec=ucap)
+    ctx, phi = verify_mod.preset_session(name)
     rows, ok = [], True
     for xi in verify_mod.preset_xis(ctx):
         rep = check_main_theorem(phi, xi, ucap, tprec)

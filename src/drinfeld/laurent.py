@@ -332,9 +332,6 @@ class LaurentElem:
     def is_exact_zero(self):
         return not self.coeffs and self.cap == INF
 
-    def is_zero_to_prec(self):
-        return not self.coeffs
-
     def deg_bound(self):
         """Certified upper bound for log_q|x|: -val/m with terms, -cap/m
         without (-inf for exact zero)."""

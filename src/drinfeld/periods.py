@@ -22,7 +22,7 @@ from math import inf as INF
 from .errors import (GateFailed, InvalidInput, PrecisionExhausted,
                      RamificationError, ResidueSplittingError)
 from .ff import _pol_mod, _pol_powmod, over_cap
-from .modules import DrinfeldModule, bracket
+from .modules import BracketFrac, DrinfeldModule
 from .agf import (DeformedLog, OmegaCarlitz, _check_t_prec, _report,
                   carlitz_pi)
 from .tate import TateSeries
@@ -296,20 +296,18 @@ def quasi_periods(phi: DrinfeldModule, zeta, ucap):
 
 def quasi_period_prop(dl: DeformedLog, j, ucap):
     """F_j(omega) for omega = theta L(zeta; theta), zeta = dl.xi, read off
-    the deformed logarithm dl without summing F_j: theta/(theta^(q^j) -
-    theta) times the j-twisted value of dl at theta, plus zeta^(q^j).
-    The value is certified below ucap when dl is built at ucap + 2m or
-    above.
+    the deformed logarithm dl without summing F_j: theta/[j] times the
+    j-twisted value of dl at theta, plus zeta^(q^j).  [j] is divided out
+    exactly (BracketFrac.times_to_laurent), so no working margin above
+    ucap is needed: the value is certified below ucap when dl is built
+    at ucap or above.  j < 1 names no bracket (InvalidInput).
 
     (With ell division steps the correction is
     sum_{m < ell} exp(omega/theta^(m+1))^(q^j) theta^m; the exponent on
     theta is the summation index m.  Only ell = 1 is used here.)"""
     ctx = dl.phi.ctx
-    inner = ucap + 2 * ctx.m
-    tw = dl.twist_eval_theta(j)
-    br = bracket(ctx, j)
-    val = tw * ctx.theta() * br.truncate(br.val + inner + ctx.m * ctx.q ** j
-                                         ).invert()
+    val = BracketFrac(ctx, ctx.theta(), {j: 1}).times_to_laurent(
+        dl.twist_eval_theta(j), ucap)
     return (val + dl.xi.pow_q(j)).truncate(ucap)
 
 

@@ -26,8 +26,9 @@ expansion cut at a u-cap passes that cap in and cuts nothing itself:
 each division stops there, and the cap recurrence is min-plus linear,
 so nothing changes below it and nothing above it is built.  Its inverse,
 TateSeries.mul_pole, multiplies by (t - theta^(q^e)) in one pass that
-builds each coefficient c_(k-1) - theta^(q^e) c_k as a single dict; it
-serves every such product, including the lift of both numerators to
+builds each coefficient c_(k-1) - theta^(q^e) c_k as a single dict, by
+the pole step (_pole_step) that each division step runs too; it serves
+every such product, including the lift of both numerators to
 the max-merged pole multiset in sums and equality, so no denominator is
 ever expanded.  Sums and differences also run in one pass: past the
 shorter operand they take the longer one's coefficients as they are,
@@ -42,6 +43,35 @@ from operator import xor
 
 from .errors import IndeterminateNorm, InvalidInput, TailNotNegligible
 from .laurent import LaurentElem, _convolve
+
+
+def _pole_step(neg, sub, A, a, B, b, lim):
+    """{e + a: A[e]} - {e + b: B[e]} below lim, the limit after the
+    shifts, as one new dict: terms that land at or above lim are
+    dropped, and coefficients that cancel are deleted; neg and sub are
+    the field's.  This is the one step of both pole products,
+    TateSeries.mul_pole (a = 0, which copies A with no shift) and
+    div_pole."""
+    if a:
+        cut = lim - a
+        out = {e + a: v for e, v in A.items() if e < cut}
+    else:
+        out = {e: v for e, v in A.items() if e < lim}
+    cut = lim - b
+    for e, v in B.items():
+        if e >= cut:
+            continue
+        e += b
+        p = out.get(e)
+        if p is None:
+            out[e] = neg(v)
+        else:
+            v = sub(p, v)
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+    return out
 
 
 class TateSeries:
@@ -84,9 +114,6 @@ class TateSeries:
             if not c.is_exact_zero():
                 return k
         return self.t_prec
-
-    def is_zero_to_prec(self):
-        return all(not c.coeffs for c in self.coeffs)
 
     @property
     def cap(self):
@@ -161,9 +188,9 @@ class TateSeries:
 
     def mul_pole(self, e):
         """self * (t - theta^(q^e)) in one pass: y_k = c_(k-1) -
-        u^(-m q^e) c_k, one dict per coefficient, with cap(y_k) =
-        min(cap(c_(k-1)), cap(c_k) - m q^e), the caps of the shifted
-        series minus the scaled one."""
+        u^(-m q^e) c_k, one pole step (_pole_step) per coefficient, with
+        cap(y_k) = min(cap(c_(k-1)), cap(c_k) - m q^e), the caps of the
+        shifted series minus the scaled one."""
         ctx = self.ctx
         step = ctx.m * ctx.q ** e
         field = ctx.field
@@ -173,32 +200,19 @@ class TateSeries:
         out = []
         for c in cs:
             lim = min(prev.cap, c.cap - step)
-            y = {j: v for j, v in prev.coeffs.items() if j < lim}
-            for j, v in c.coeffs.items():
-                j -= step
-                if j >= lim:
-                    continue
-                p = y.get(j)
-                if p is None:
-                    y[j] = neg(v)
-                else:
-                    v = sub(p, v)
-                    if v:
-                        y[j] = v
-                    else:
-                        del y[j]
-            out.append(LaurentElem.wrap(ctx, y, lim))
+            out.append(LaurentElem.wrap(ctx, _pole_step(
+                neg, sub, prev.coeffs, 0, c.coeffs, -step, lim), lim))
             prev = c
         return TateSeries(ctx, out, self.t_prec)
 
     def div_pole(self, e, ucap=INF):
         """self / (t - theta^(q^e)) in the Tate algebra, to the same
-        t_prec: y_k = u^(m q^e) (y_(k-1) - c_k), each step one
-        subtraction and one u-shift.  Caps obey the same recurrence,
-        cap(y_k) = min(cap(y_(k-1)), cap(c_k)) + m q^e, so the result
-        equals the product with the geometric series
-        -sum_k theta^(-q^e (k+1)) t^k coefficient for coefficient and
-        cap for cap.  The cap recurrence is min-plus linear, so dividing
+        t_prec: y_k = u^(m q^e) (y_(k-1) - c_k), each step one pole step
+        (_pole_step) that shifts both operands up by m q^e, then cuts.
+        Caps obey the same recurrence, cap(y_k) = min(cap(y_(k-1)),
+        cap(c_k)) + m q^e, so the result equals the product with the
+        geometric series -sum_k theta^(-q^e (k+1)) t^k coefficient for
+        coefficient and cap for cap.  The cap recurrence is min-plus linear, so dividing
         a sum gives the sum of the quotients, caps included.
 
         A finite ucap stops each step at ucap: every step reads only
@@ -216,22 +230,8 @@ class TateSeries:
         y, cap = {}, INF
         out = []
         for c in self.coeffs:
-            lim = min(cap, c.cap, ucap - step)
-            y = {k + step: v for k, v in y.items() if k < lim}
-            for k, v in c.coeffs.items():
-                if k >= lim:
-                    continue
-                k += step
-                prev = y.get(k)
-                if prev is None:
-                    y[k] = neg(v)
-                else:
-                    v = sub(prev, v)
-                    if v:
-                        y[k] = v
-                    else:
-                        del y[k]
-            cap = lim + step
+            cap = min(cap, c.cap, ucap - step) + step
+            y = _pole_step(neg, sub, y, step, c.coeffs, step, cap)
             out.append(LaurentElem.wrap(ctx, y, cap))
         return TateSeries(ctx, out, self.t_prec)
 

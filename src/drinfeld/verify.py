@@ -34,12 +34,11 @@ PRESETS = {
 PRESET_ORDER = ("carlitz-q2", "carlitz-q3", "rank2-q2", "rank3-q2")
 
 
-def preset_session(name, prec=None):
-    """(ctx, phi) for a preset; prec may be overridden."""
+def preset_session(name):
+    """(ctx, phi) for a preset, on the context's default budget: every
+    check caps its own work, so no check reads the budget."""
     cfg = PRESETS[name]
-    m = cfg["m"]
-    fp = FieldParams.make(cfg["q"], cfg["s"])
-    ctx = SeriesParams(fp, m, prec if prec is not None else 64 * m)
+    ctx = SeriesParams(FieldParams.make(cfg["q"], cfg["s"]), cfg["m"])
     A = [ctx.from_poly(c) for c in cfg["A"]]
     return ctx, DrinfeldModule(ctx, A)
 
@@ -99,7 +98,7 @@ def check_partition_counts(seed=0):
 def _coeff_instances():
     for q in (2, 3):
         fp = FieldParams.make(q)
-        ctx = SeriesParams(fp, 1, 48)
+        ctx = SeriesParams(fp, 1)
         yield ctx, DrinfeldModule(ctx, [ctx.one()])
         yield ctx, DrinfeldModule(ctx, [ctx.theta(), ctx.one()])
         yield ctx, DrinfeldModule(ctx, [ctx.one(), ctx.theta(),
@@ -125,7 +124,7 @@ def check_coefficient_closed_forms():
             if not (b_p[n] - b_r[n]).num.is_exact_zero():
                 ok = False
     for q in (2, 3):
-        ctx = SeriesParams(FieldParams.make(q), 1, 48)
+        ctx = SeriesParams(FieldParams.make(q), 1)
         c = carlitz(ctx)
         alpha = c.exp_coeffs(6)
         beta = c.log_coeffs(6)
@@ -146,7 +145,7 @@ def check_worked_examples():
     single extra rank-3 term A_3/[3], reproduced symbolically."""
     ok = True
     for q in (2, 3):
-        ctx = SeriesParams(FieldParams.make(q), 1, 48)
+        ctx = SeriesParams(FieldParams.make(q), 1)
         A1, A2 = ctx.theta(), ctx.theta() + ctx.one()
         phi = DrinfeldModule(ctx, [A1, A2])
         a1c = A1 * A1.pow_q(1) * A1.pow_q(2)
@@ -218,7 +217,7 @@ def check_omega_carlitz(ucap=128, t_prec=32):
     """The scaled product satisfies the twist equation beyond cap, its
     theta-residue matches the explicit product, and the three product
     evaluation paths agree."""
-    ctx = SeriesParams(FieldParams.make(2), 1, max(192, 2 * ucap))
+    ctx = SeriesParams(FieldParams.make(2), 1)
     om = OmegaCarlitz(ctx, ucap, t_prec)
     holds, uval, win = om.diff_eq_residual().residual_report()
     ok = holds and uval >= ucap and win >= t_prec
@@ -246,7 +245,7 @@ def check_main_theorem_suite(ucap=96, t_prec=16):
     ok = True
     per = {}
     for name in PRESET_ORDER:
-        ctx, phi = preset_session(name, prec=2 * ucap * PRESETS[name]["m"])
+        ctx, phi = preset_session(name)
         rows = []
         for xi in preset_xis(ctx):
             rep = check_main_theorem(phi, xi, ucap, t_prec)
@@ -269,7 +268,7 @@ def check_carlitz_compat(ucap=64, t_prec=12):
     """t-action compatibility for the Carlitz module using only the
     explicit product form of the deformed coefficients: no shared code
     with the general-rank route."""
-    ctx = SeriesParams(FieldParams.make(2), 1, 4 * ucap)
+    ctx = SeriesParams(FieldParams.make(2), 1)
     phi = carlitz(ctx)
     inner = ucap + 4
 
@@ -302,12 +301,12 @@ def check_torsion_periods(ucap=128):
     """Torsion-derived Carlitz period against the product form; all q^2
     kernel combinations of the rank-2 preset annihilate; the closed-form
     quasi-period matches 20 partial sums of the direct series."""
-    ctx = SeriesParams(FieldParams.make(2), 1, 2 * ucap)
+    ctx = SeriesParams(FieldParams.make(2), 1)
     routes = carlitz_period_routes(ctx, ucap)
     d = routes["product"] - routes["torsion"]
     ok = routes["unit_ok"] and not d.coeffs and d.cap >= ucap
 
-    ctx2, phi = preset_session("rank2-q2", prec=640)
+    ctx2, phi = preset_session("rank2-q2")
     td = torsion_roots(phi, 80)
     ok = ok and len(td.roots) == 4
     for z in td.roots:
@@ -329,7 +328,7 @@ def check_torsion_periods(ucap=128):
 def check_legendre(ucap=96, t_prec=8):
     """Rank-2 determinant relation at bi-precision for the shipped
     preset."""
-    ctx, phi = preset_session("rank2-q2", prec=640)
+    ctx, phi = preset_session("rank2-q2")
     rep = legendre_check(phi, ucap, t_prec)
     ok = (rep["holds"] and rep["det_twist"]["u_val"] >= ucap
           and rep["legendre"]["u_val"] >= ucap)
@@ -344,21 +343,21 @@ def check_precision_soundness(ucap=96, t_prec=16):
     artifacts byte for byte: the omega series, the deformed-logarithm
     series of every preset, and the Legendre value."""
     ok = True
-    ctx = SeriesParams(FieldParams.make(2), 1, 1024)
+    ctx = SeriesParams(FieldParams.make(2), 1)
     low = OmegaCarlitz(ctx, 128, 32).series()
     high = OmegaCarlitz(ctx, 256, 64).series()
     ok = ok and low.to_text() == \
         high.truncate_t(32).truncate_u(128).to_text()
 
     for name in PRESET_ORDER:
-        c, phi = preset_session(name, prec=4 * ucap * PRESETS[name]["m"])
+        c, phi = preset_session(name)
         xi = c.one() + c.theta(-1)
         s_low = DeformedLog(phi, xi, ucap).series(t_prec)
         s_high = DeformedLog(phi, xi, 2 * ucap).series(2 * t_prec)
         ok = ok and s_low.to_text() == \
             s_high.truncate_t(t_prec).truncate_u(ucap).to_text()
 
-    c2, phi2 = preset_session("rank2-q2", prec=2560)
+    c2, phi2 = preset_session("rank2-q2")
     v_low = legendre_check(phi2, ucap, t_prec // 2)["legendre"]["value"]
     v_high = legendre_check(phi2, 2 * ucap, t_prec)["legendre"]["value"]
     elem = LaurentElem.from_json(c2, v_high).truncate(ucap)

@@ -8,12 +8,18 @@ to the window before adding, the F_q-span closure of torsion lifts, the
 tuple key of the partition order, the quasi-period and its orbit sum
 computed for one index j at a time, the Legendre determinant
 report from Tate rows built at their own cap, a module's degree
-bookkeeping in fractions.Fraction, and a packed integer built from a
-list of slots.  The package itself needs none of them."""
+bookkeeping in fractions.Fraction, a packed integer built from a
+list of slots, the divisions by brackets and poles as they ran before
+the fraction layer took them (1/[j] and the factors of W(theta) by
+Newton inversion, W(t) by one pole division and scaling per factor, and
+the two pole products as their own loops), and the zero test of a
+Laurent element or a t-series below its caps.  The package itself needs
+none of them."""
 
 from array import array
 from fractions import Fraction
 from math import comb, inf as INF
+from operator import xor
 
 from drinfeld.agf import DeformedLog, _report
 from drinfeld.errors import (OutsideRadius, PrecisionExhausted,
@@ -188,18 +194,104 @@ def partition_lex_key(r, n):
     return key
 
 
-def quasi_period_one_j(phi, j, zeta, ucap):
-    """F_j(omega) for omega = theta L(zeta; theta) from a deformed
-    logarithm built for this j alone at ucap + 2m: theta/(theta^(q^j) -
-    theta) times its j-twisted value at theta, plus zeta^(q^j)."""
-    ctx = phi.ctx
+def quasi_period_newton(dl, j, ucap):
+    """F_j(omega) read off the deformed logarithm dl, as
+    periods.quasi_period_prop gives it, with 1/[j] by Newton inversion
+    of the bracket cut to the relative precision the cap needs:
+    theta/(theta^(q^j) - theta) times the j-twisted value at theta,
+    plus zeta^(q^j)."""
+    ctx = dl.phi.ctx
     inner = ucap + 2 * ctx.m
-    dl = DeformedLog(phi, zeta, inner)
     tw = dl.twist_eval_theta(j)
     br = bracket(ctx, j)
     val = tw * ctx.theta() * br.truncate(br.val + inner + ctx.m * ctx.q ** j
                                          ).invert()
-    return (val + zeta.pow_q(j)).truncate(ucap)
+    return (val + dl.xi.pow_q(j)).truncate(ucap)
+
+
+def quasi_period_one_j(phi, j, zeta, ucap):
+    """F_j(omega) for omega = theta L(zeta; theta) from a deformed
+    logarithm built for this j alone at ucap + 2m, by quasi_period_newton."""
+    return quasi_period_newton(DeformedLog(phi, zeta, ucap + 2 * phi.ctx.m),
+                               j, ucap)
+
+
+def omega_w_by_factors(om):
+    """OmegaCarlitz's W(t) at its internal cap, one factor at a time: 1
+    cut there, then divided by each pole t - theta^(q^i), i = 1..depth,
+    and scaled by -theta^(q^i)."""
+    ctx = om.ctx
+    out = TateSeries.from_scalar(ctx, ctx.one(), om.t_prec
+                                 ).truncate_u(om._inner)
+    for i in range(1, om.depth + 1):
+        out = out.div_pole(i).scale(-ctx.theta().pow_q(i))
+    return out
+
+
+def omega_w_theta_newton(om):
+    """OmegaCarlitz's W(theta) at its internal cap as the product of the
+    Newton inverses of the factors 1 - theta^(1 - q^i), each cut there."""
+    ctx, rel = om.ctx, om._inner
+    out = ctx.one().truncate(rel)
+    for i in range(1, om.depth + 1):
+        f = ctx.one() - ctx.theta().pow_q(i).invert() * ctx.theta()
+        out = out * f.truncate(rel).invert()
+    return out
+
+
+def _sub_dict(field, y, c, shift, lim):
+    """y minus c's terms moved by shift, those below lim only, in place."""
+    sub = xor if field.p == 2 else field.sub
+    for k, v in c.items():
+        k += shift
+        if k < lim:
+            v = sub(y.get(k, 0), v)
+            if v:
+                y[k] = v
+            else:
+                y.pop(k, None)
+    return y
+
+
+def mul_pole_loop(x, e):
+    """x * (t - theta^(q^e)) coefficient by coefficient: c_(k-1) cut at
+    min(cap(c_(k-1)), cap(c_k) - m q^e), minus c_k moved down by m q^e
+    below that limit."""
+    ctx = x.ctx
+    step = ctx.m * ctx.q ** e
+    prev = ctx.zero()
+    out = []
+    for c in x.coeffs + [prev] if x.t_prec == INF else x.coeffs:
+        lim = min(prev.cap, c.cap - step)
+        y = {j: v for j, v in prev.coeffs.items() if j < lim}
+        out.append(LaurentElem.wrap(
+            ctx, _sub_dict(ctx.field, y, c.coeffs, -step, lim), lim))
+        prev = c
+    return TateSeries(ctx, out, x.t_prec)
+
+
+def div_pole_loop(x, e, ucap=INF):
+    """x / (t - theta^(q^e)) by y_k = u^(m q^e) (y_(k-1) - c_k): each
+    step cuts both operands below lim = min(cap(y_(k-1)), cap(c_k),
+    ucap - m q^e) and then moves them up by m q^e."""
+    ctx = x.ctx
+    step = ctx.m * ctx.q ** e
+    y, cap, out = {}, INF, []
+    for c in x.coeffs:
+        lim = min(cap, c.cap, ucap - step)
+        y = {k + step: v for k, v in y.items() if k < lim}
+        y = _sub_dict(ctx.field, y, c.coeffs, step, lim + step)
+        cap = lim + step
+        out.append(LaurentElem.wrap(ctx, y, cap))
+    return TateSeries(ctx, out, x.t_prec)
+
+
+def zero_to_prec(x):
+    """Whether a LaurentElem, or every coefficient of a TateSeries, has
+    no terms below its cap."""
+    if isinstance(x, TateSeries):
+        return all(not c.coeffs for c in x.coeffs)
+    return not x.coeffs
 
 
 def quasi_orbit_one_j(phi, j, omega, ucap, terms=20):

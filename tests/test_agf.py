@@ -14,12 +14,13 @@ from drinfeld.ff import FieldParams
 from drinfeld.laurent import LaurentElem, SeriesParams
 from drinfeld.modules import DrinfeldModule, carlitz
 from drinfeld.partitions import enumerate_partitions
-from drinfeld.agf import (B_ROUTES, AGFValue, DeformedLog, OmegaCarlitz, agf,
+from drinfeld.agf import (B_ROUTES, AGFValue, DeformedLog, OmegaCarlitz,
                           b_seq, carlitz_bseq_product, carlitz_pi,
                           check_main_theorem, delta, eval_theta_frac,
                           shift_precondition_violations, x_phi)
 from drinfeld.tate import TateRational, TateSeries
 from drinfeld.verify import preset_session
+from oracles import zero_to_prec
 from test_modules import partition_norm_logq
 from test_tate import apply_delta, t_poly
 
@@ -153,10 +154,10 @@ def test_deformed_log_at_theta_matches_log():
         dl = DeformedLog(phi, xi, 40)
         got = dl.eval_theta()
         want = phi.log_eval(xi, ucap=40)
-        assert (got - want).is_zero_to_prec()
+        assert zero_to_prec(got - want)
         assert got.cap == 40
         tw0 = dl.twist_eval_theta(0)
-        assert (tw0 - got).is_zero_to_prec()
+        assert zero_to_prec(tw0 - got)
 
 
 def test_deformed_log_outside_radius_raises():
@@ -313,7 +314,7 @@ def test_shift_identity_reuse():
     shifted, phixi = shifted_deformed_log(phi, (s, xi))
     direct = DeformedLog(phi, phixi, 44).series(6)
     diff = direct - shifted.truncate_t(direct.t_prec)
-    assert diff.is_zero_to_prec()
+    assert zero_to_prec(diff)
 
 
 def test_precondition_scan():
@@ -387,11 +388,11 @@ def test_agf_partial_fractions_match_orbit_route():
     for phi, u in [(rank2_q2(), CTX2.theta(-1)),
                    (carlitz(CTX2), CTX2.theta(-1) + CTX2.theta(-2))]:
         ucap, t_prec = 36, 6
-        f = agf(phi, u, ucap)
+        f = AGFValue(phi, u, ucap)
         lhs = f.theta_pole_form(t_prec).to_series(t_prec)
         rhs = agf_orbit_series(phi, u, t_prec, ucap)
         diff = lhs - rhs
-        assert diff.is_zero_to_prec()
+        assert zero_to_prec(diff)
         _, uval, _ = diff.residual_report()
         assert uval >= ucap
 
@@ -399,7 +400,7 @@ def test_agf_partial_fractions_match_orbit_route():
 def test_agf_residue_is_minus_u():
     phi = rank2_q2()
     u = CTX2.theta(-1)
-    f = agf(phi, u, 30)
+    f = AGFValue(phi, u, 30)
     assert f.residue == -u
 
 
@@ -490,7 +491,7 @@ def test_window_cuts_build_few_elements(name, ucap, t_prec, series_max,
     one element per slot (over 150 on each session)."""
     ctx, phi = preset_session(name)
     xi = ctx.one() + ctx.theta(-1)
-    dl, form = DeformedLog(phi, xi, ucap), agf(phi, xi, ucap)
+    dl, form = DeformedLog(phi, xi, ucap), AGFValue(phi, xi, ucap)
     built = []
     init = LaurentElem.__init__
     monkeypatch.setattr(LaurentElem, "__init__", lambda self, *a, **k:
@@ -509,8 +510,8 @@ def test_pi_paths_agree_q2():
     a = om.pi_tilde("factored")
     b = om.pi_tilde("single")
     c = om.pi_tilde("series")
-    assert (a - b).is_zero_to_prec()
-    assert (a - c).is_zero_to_prec()
+    assert zero_to_prec(a - b)
+    assert zero_to_prec(a - c)
     assert min((a - c).cap, 40) >= min(c.cap, 40)
 
 
@@ -530,7 +531,7 @@ def test_pi_is_a_zero_of_exp():
         phi = carlitz(ctx)
         pi = carlitz_pi(ctx, 42)
         expval = phi.exp_eval(pi, ucap=36)
-        assert expval.is_zero_to_prec()
+        assert zero_to_prec(expval)
         assert expval.cap == 36
         # val(pi) = -m q/(q-1)
         assert pi.val == -ctx.m * ctx.q // (ctx.q - 1)
@@ -543,7 +544,7 @@ def test_torsion_generator_from_pi():
     # the exponential preserves valuation strictly inside the radius
     assert lam.val == -1
     out = phi.phi_action(lam)
-    assert out.is_zero_to_prec()
+    assert zero_to_prec(out)
 
 
 def test_omega_functional_equation():
@@ -564,22 +565,22 @@ def test_omega_is_orbit_agf_of_pi():
     lhs = om.series()
     rhs = agf_orbit_series(phi, pi, 8, 30)
     diff = lhs - rhs
-    assert diff.is_zero_to_prec()
+    assert zero_to_prec(diff)
 
 
 def test_omega_pole_form_residue():
     om = OmegaCarlitz(CTX2, 36, 8)
     form = om.theta_pole_form()
-    assert (form.residue + om.pi_tilde("factored")).is_zero_to_prec()
+    assert zero_to_prec(form.residue + om.pi_tilde("factored"))
     back = form.to_series()
-    assert (back - om.series()).is_zero_to_prec()
+    assert zero_to_prec(back - om.series())
 
 
 def test_omega_builds_w_once(monkeypatch):
     """W depends only on what OmegaCarlitz fixes at construction, so one
     instance builds it once: series, diff_eq_residual and the series
-    path of W(theta) together run the depth divisions by the poles e >= 1
-    one time, and print the bytes of fresh instances."""
+    path of W(theta) together divide by each pole e = 1..depth exactly
+    once, in whatever order, and print the bytes of fresh instances."""
     for ctx, ucap, t_prec in ((CTX2, 40, 12), (CTX3P, 36, 8)):
         fresh = [OmegaCarlitz(ctx, ucap, t_prec) for _ in range(3)]
         want = [fresh[0].series().to_text(),
@@ -598,7 +599,7 @@ def test_omega_builds_w_once(monkeypatch):
                om._w_at_theta("series").to_text()]
         monkeypatch.undo()
         assert got == want
-        assert divs == list(range(1, om.depth + 1))
+        assert sorted(divs) == list(range(1, om.depth + 1))
 
 
 def test_omega_ramification_guard():

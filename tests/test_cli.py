@@ -65,6 +65,31 @@ def test_verify_preset_scorecard_exit_0():
     assert "main-theorem" in names and "omega-twist" in names
 
 
+def test_preset_scorecards_read_no_budget(monkeypatch):
+    """Every check of a preset scorecard caps its own work, so the
+    context's relative budget prints nothing: the four scorecards print
+    the same bytes on the default budget and on budgets forced to 1 and
+    to 10^6."""
+    from drinfeld import verify
+
+    def scorecards():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            for name in verify.PRESET_ORDER:
+                assert cli.main(["verify", "--preset", name]) == 0
+        return out.getvalue()
+
+    want, made = scorecards(), []
+    for budget in (1, 10 ** 6):
+        def forced(field, m, prec=None, b=budget):
+            made.append(b)
+            return SeriesParams(field, m, b)
+        monkeypatch.setattr(verify, "SeriesParams", forced)
+        assert scorecards() == want
+    monkeypatch.undo()
+    assert made == [1] * 4 + [10 ** 6] * 4
+
+
 def test_verify_unknown_preset_exit_2():
     proc = run_cli("verify", "--preset", "nope")
     assert proc.returncode == 2

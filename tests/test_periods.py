@@ -601,7 +601,7 @@ def test_torsion_evaluates_residual_on_basis_only(monkeypatch):
                          "--A", "3"]) == 0
     assert calls == [1, 5, 25, 125]
     calls.clear()
-    ctx, phi = preset_session("rank2-q2", prec=48)
+    ctx, phi = preset_session("rank2-q2")
     torsion_roots(phi, 48)
     assert len(calls) == ctx.field.dim == 2
 
